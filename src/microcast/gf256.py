@@ -3,8 +3,10 @@
 Tables are built over the field defined by x^8 + x^4 + x^3 + x^2 + 1
 (0x11d, the polynomial commonly used by Reed-Solomon codecs; 2 is a
 primitive element). Addition is XOR. Multiplication goes through a
-full 256x256 product table so row operations vectorize as plain numpy
-fancy indexing.
+full 256x256 product table. Row operations read it flattened: the
+product a*b sits at offset (a << 8) | b of the 64 KiB table, so scaling
+k rows by k coefficients is one index build and one `take` gather, and
+a linear combination adds one XOR-reduce over the scaled rows.
 """
 
 from __future__ import annotations
@@ -34,6 +36,9 @@ _build_tables()
 # 64 KiB product table: MUL[a, b] = a*b in the field
 MUL = np.zeros((256, 256), dtype=np.uint8)
 MUL[1:, 1:] = EXP[LOG[1:, None] + LOG[None, 1:]]
+_FLAT = MUL.ravel()  # a view: _FLAT[(a << 8) | b] == MUL[a, b]
+# a << 8 as uint16: 2-byte gather indices build and read faster than intp
+_ROW_OFFSET = np.arange(256, dtype=np.uint16) << 8
 
 # INV[a] = a^-1 for a >= 1; INV[0] unused
 INV = np.zeros(256, dtype=np.uint8)
@@ -58,16 +63,22 @@ def gf_div(a: int, b: int) -> int:
 
 def scale_row(c: int, row: np.ndarray) -> np.ndarray:
     """c * row elementwise; row is a uint8 vector."""
-    return MUL[c, row]
+    return MUL[c].take(row)
+
+
+def scale_rows(coeffs: np.ndarray, matrix: np.ndarray) -> np.ndarray:
+    """Row k of the result is coeffs[k] * matrix[k, :] over GF(256).
+
+    coeffs: (k,) uint8; matrix: (k, w) uint8, or one (w,) row that every
+    coefficient scales (an outer product); returns (k, w) uint8.
+    """
+    return _FLAT.take(_ROW_OFFSET.take(coeffs)[:, None] | matrix)
 
 
 def gf_dot(coeffs: np.ndarray, matrix: np.ndarray) -> np.ndarray:
     """Linear combination sum_k coeffs[k] * matrix[k, :] over GF(256).
 
     coeffs: (k,) uint8; matrix: (k, w) uint8; returns (w,) uint8.
-    An empty combination is the zero vector.
+    An empty combination is the zero vector (XOR's identity).
     """
-    if len(coeffs) == 0:
-        return np.zeros(matrix.shape[1], dtype=np.uint8)
-    prod = MUL[np.asarray(coeffs)[:, None], matrix]
-    return np.bitwise_xor.reduce(prod, axis=0)
+    return np.bitwise_xor.reduce(scale_rows(coeffs, matrix), axis=0)

@@ -26,6 +26,7 @@ from __future__ import annotations
 import math
 from collections import OrderedDict, deque
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -347,6 +348,7 @@ class BaseNode:
         self.decoders: dict = {}
         self.complete: set = set()
         self.completion_time: float | None = None
+        self.on_done: Callable[[], None] | None = None  # called once, when done
 
     @property
     def done(self) -> bool:
@@ -370,6 +372,8 @@ class BaseNode:
         self.sim.note_progress()
         if self.done and self.completion_time is None:
             self.completion_time = self.sim.now
+            if self.on_done is not None:
+                self.on_done()
 
     def _own_segment(self, segment: int) -> None:
         self.decoders[segment] = _full_state(segment, self.params)
@@ -893,8 +897,17 @@ def run_protocol(sim_config: SimConfig, proto: ProtocolConfig) -> RunResult:
             lines.append(f"scheduler: {len(scheduler.unassigned)} unassigned")
         return "\n".join(lines)
 
+    # each target counts itself down once, on the event that finishes it,
+    # so the stop test before every event is one comparison
+    unfinished = [len(targets)]
+
+    def target_done() -> None:
+        unfinished[0] -= 1
+
+    for target in targets:
+        target.on_done = target_done
     sim.stall_reporter = report
-    sim.run(until=lambda: all(t.done for t in targets))
+    sim.run(until=lambda: not unfinished[0])
     return RunResult(compute_metrics(sim, proto, nodes), sim, nodes, scheduler)
 
 

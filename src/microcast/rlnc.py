@@ -9,6 +9,7 @@ decoding first.
 
 from __future__ import annotations
 
+import itertools
 import struct
 import time
 from dataclasses import dataclass, field
@@ -93,23 +94,22 @@ def split_segment(segment_id: int, data: bytes, params: GenerationParams) -> lis
 
 
 def _payload_matrix(generation: Sequence[PlainPacket], params: GenerationParams) -> np.ndarray:
+    """The generation's payloads as a read-only (m, n) matrix, row k = index k."""
     if len(generation) != params.m:
         raise ValueError(
             f"generation incomplete: {len(generation)} packets, expected {params.m}"
         )
     seg = generation[0].segment_id
-    rows = np.zeros((params.m, params.n), dtype=np.uint8)
-    seen = set()
+    payloads: list = [None] * params.m
     for pkt in generation:
         if pkt.segment_id != seg:
             raise ValueError("generation mixes packets from different segments")
-        if not (0 <= pkt.index < params.m) or pkt.index in seen:
+        if not (0 <= pkt.index < params.m) or payloads[pkt.index] is not None:
             raise ValueError(f"bad or duplicate packet index {pkt.index}")
         if len(pkt.payload) != params.n:
             raise ValueError(f"payload of packet {pkt.index} is not n={params.n} bytes")
-        seen.add(pkt.index)
-        rows[pkt.index] = np.frombuffer(pkt.payload, dtype=np.uint8)
-    return rows
+        payloads[pkt.index] = pkt.payload
+    return np.frombuffer(b"".join(payloads), dtype=np.uint8).reshape(params.m, params.n)
 
 
 def draw_coefficients(m: int, rng: np.random.Generator) -> np.ndarray:
@@ -139,11 +139,18 @@ def encode(generation: Sequence[PlainPacket], rng: np.random.Generator,
 
 
 class DecoderState:
-    """Progressive Gaussian elimination for one generation.
+    """Progressive Gauss-Jordan elimination for one generation.
 
-    Rows are kept reduced ([coefficients | payload], unit pivots, zeros
-    above and below each pivot), so one insert costs O(m(n+m)) row
-    operations and extraction is a read-off.
+    Invariant: the first `rank` rows ([coefficients | payload]) are fully
+    reduced. Row `slot` has a 1 in its pivot column `_pivot_cols[slot]`
+    and every held row has 0 in every other row's pivot column;
+    `pivots` maps each pivot column back to its slot. Because of it, an
+    insert is three batched row operations on the held rows instead of
+    a loop over pivots: one GF(256) dot product eliminates the packet
+    against all of them, one gather normalises it, and one outer-product
+    gather clears its lead column from them. Each costs O(rank * (m + n))
+    byte operations, so an insert is O(m(m + n)) and extraction is a
+    read-off.
     """
 
     def __init__(self, segment_id: int, params: GenerationParams):
@@ -151,6 +158,7 @@ class DecoderState:
         self.params = params
         self.rows = np.zeros((params.m, params.m + params.n), dtype=np.uint8)
         self.pivots: dict[int, int] = {}  # pivot column -> row slot
+        self._pivot_cols = np.zeros(params.m, dtype=np.intp)  # row slot -> pivot column
 
     @property
     def rank(self) -> int:
@@ -171,12 +179,12 @@ class DecoderState:
         Rows are [e_k | payload_k]; recoding from this state draws the
         same distribution as encoding the generation afresh.
         """
+        m = params.m
         state = cls(generation[0].segment_id, params)
-        matrix = _payload_matrix(generation, params)
-        for k in range(params.m):
-            state.rows[k, k] = 1
-            state.rows[k, params.m :] = matrix[k]
-            state.pivots[k] = k
+        state.rows[:, :m] = np.eye(m, dtype=np.uint8)
+        state.rows[:, m:] = _payload_matrix(generation, params)
+        state.pivots = {k: k for k in range(m)}
+        state._pivot_cols[:] = np.arange(m)
         return state
 
     def insert(self, packet: CodedPacket) -> bool:
@@ -189,28 +197,21 @@ class DecoderState:
             )
         if len(packet.coefficients) != m or len(packet.payload) != n:
             raise ValueError("coded packet shape does not match generation params")
-        work = np.empty(m + n, dtype=np.uint8)
-        work[:m] = packet.coefficients
-        work[m:] = packet.payload
-        for col, slot in self.pivots.items():
-            c = work[col]
-            if c:
-                work ^= gf256.MUL[c, self.rows[slot]]
-        lead = -1
-        for col in range(m):
-            if work[col]:
-                lead = col
-                break
-        if lead < 0:
+        work = np.concatenate((packet.coefficients, packet.payload))
+        r = self.rank
+        held = self.rows[:r]
+        if r:
+            work ^= gf256.gf_dot(work.take(self._pivot_cols[:r]), held)
+        nonzero = work[:m].nonzero()[0]
+        if not nonzero.size:
             return False
-        work = gf256.MUL[gf256.INV[work[lead]], work]
-        for slot in self.pivots.values():
-            c = self.rows[slot][lead]
-            if c:
-                self.rows[slot] ^= gf256.MUL[c, work]
-        slot = self.rank
-        self.rows[slot] = work
-        self.pivots[lead] = slot
+        lead = int(nonzero[0])
+        work = gf256.scale_row(gf256.INV[work[lead]], work)
+        if r:
+            held ^= gf256.scale_rows(held[:, lead], work)
+        self.rows[r] = work
+        self.pivots[lead] = r
+        self._pivot_cols[r] = lead
         return True
 
     def extract(self) -> list[PlainPacket]:
@@ -240,38 +241,57 @@ def recode(state: DecoderState, rng: np.random.Generator) -> CodedPacket:
     return CodedPacket(state.segment_id, row[:m].copy(), row[m:].copy())
 
 
+# slices per phase. The m values take turns slice by slice, so a swing in
+# host speed lasting seconds lands on every m alike, and the median slice
+# ignores a burst of contention that slows a few of them.
+_BENCH_SLICES = 10
+
+
+def _rate(budget: float, step) -> float:
+    """Calls of step() per second, calling it for budget seconds."""
+    count = 0
+    t0 = time.perf_counter()
+    while time.perf_counter() - t0 < budget:
+        step()
+        count += 1
+    return count / (time.perf_counter() - t0)
+
+
 def bench(m_values: Iterable[int], n: int, seconds: float,
           seed: int = 0) -> list[dict]:
-    """Encode/decode throughput per generation size, payload megabits per second."""
-    rows = []
+    """Encode/decode throughput per generation size, payload megabits per second.
+
+    Each m gets `seconds` of encoding and `seconds` of decoding, cut into
+    _BENCH_SLICES slices that alternate across the m values; a rate is
+    the median over its slices.
+    """
     rng = np.random.default_rng(seed)
+    setups = []
     for m in m_values:
-        params = GenerationParams(m=m, n=n)
         matrix = rng.integers(0, 256, (m, n), dtype=np.uint8)
-
-        count = 0
-        t0 = time.perf_counter()
-        while time.perf_counter() - t0 < seconds:
-            for _ in range(m):
-                encode_matrix(0, matrix, rng)
-            count += 1
-        enc_dt = time.perf_counter() - t0
-        enc_mbps = count * m * n * 8 / enc_dt / 1e6
-
         # pre-draw coded batches so decode timing excludes encoding
-        batches = []
-        for _ in range(24):
-            batches.append([encode_matrix(0, matrix, rng) for _ in range(m + 8)])
-        count = 0
-        t0 = time.perf_counter()
-        while time.perf_counter() - t0 < seconds:
-            state = DecoderState(0, params)
-            for pkt in batches[count % len(batches)]:
-                if state.insert(pkt) and state.complete:
-                    break
-            state.extract()
-            count += 1
-        dec_dt = time.perf_counter() - t0
-        dec_mbps = count * m * n * 8 / dec_dt / 1e6
-        rows.append({"m": m, "encode_mbps": enc_mbps, "decode_mbps": dec_mbps})
-    return rows
+        batches = [[encode_matrix(0, matrix, rng) for _ in range(m + 8)]
+                   for _ in range(24)]
+        setups.append((GenerationParams(m=m, n=n), matrix, itertools.cycle(batches)))
+
+    budget = seconds / _BENCH_SLICES
+    rates = [([], []) for _ in setups]  # generations/s per slice: encode, decode
+    for _ in range(_BENCH_SLICES):
+        for (params, matrix, batches), (enc, dec) in zip(setups, rates):
+            def encode_generation():
+                for _ in range(params.m):
+                    encode_matrix(0, matrix, rng)
+
+            def decode_generation():
+                state = DecoderState(0, params)
+                for pkt in next(batches):
+                    if state.insert(pkt) and state.complete:
+                        break
+                state.extract()
+
+            enc.append(_rate(budget, encode_generation))
+            dec.append(_rate(budget, decode_generation))
+    return [{"m": params.m,
+             "encode_mbps": float(np.median(enc)) * params.segment_bytes * 8 / 1e6,
+             "decode_mbps": float(np.median(dec)) * params.segment_bytes * 8 / 1e6}
+            for (params, _, _), (enc, dec) in zip(setups, rates)]

@@ -3,7 +3,10 @@
 Recipe CSVs are generated once per session into a temp directory; the
 inline criteria (codec round trip, solver-vs-oracle, protocol property
 grid) run their own computations.  Each test prints one verdict line.
+The same CSVs are also held byte for byte to the committed results/.
 """
+
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +19,21 @@ def results_dir(tmp_path_factory):
     for name in scenarios.RECIPES:
         scenarios.write_recipe_output(scenarios.run_recipe(name), str(out))
     return str(out)
+
+
+COMMITTED = Path(__file__).resolve().parent.parent / "results"
+
+
+def test_recipes_reproduce_committed_results(results_dir):
+    # every recipe is a pure function of its seeds except fig7b, which
+    # measures codec throughput on the wall clock
+    def golden(d):
+        return {p.name: p.read_bytes() for p in Path(d).glob("*.csv")
+                if not p.name.startswith("fig7b")}
+    got, want = golden(results_dir), golden(COMMITTED)
+    assert sorted(got) == sorted(want)
+    differ = [name for name in sorted(want) if got[name] != want[name]]
+    assert not differ, f"regenerated CSVs differ from results/: {differ}"
 
 
 def report(r):

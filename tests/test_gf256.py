@@ -6,6 +6,8 @@ polynomial, no tables, so a table construction bug cannot hide.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from microcast import gf256
 
@@ -96,3 +98,29 @@ def test_vector_helpers_match_scalar_ops():
 def test_gf_dot_empty_is_zero():
     out = gf256.gf_dot(np.zeros(0, dtype=np.uint8), np.zeros((0, 5), dtype=np.uint8))
     assert out.shape == (5,) and not out.any()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_gf_dot_and_scale_rows_match_scalar_reference(data):
+    # widths down to 1 and zero-heavy coefficients, including k = 0
+    k = data.draw(st.integers(0, 12), label="k")
+    w = data.draw(st.integers(1, 48), label="w")
+    coeffs = np.array(
+        data.draw(st.lists(st.one_of(st.just(0), st.integers(0, 255)),
+                           min_size=k, max_size=k), label="coeffs"),
+        dtype=np.uint8)
+    mat = np.frombuffer(data.draw(st.binary(min_size=k * w, max_size=k * w),
+                                  label="matrix"), dtype=np.uint8).reshape(k, w)
+    want = [0] * w
+    for r in range(k):
+        for col in range(w):
+            want[col] ^= mul_ref(int(coeffs[r]), int(mat[r, col]))
+    out = gf256.gf_dot(coeffs, mat)
+    assert out.dtype == np.uint8 and out.tolist() == want
+    # one row broadcast against every coefficient: the outer product
+    row = np.frombuffer(data.draw(st.binary(min_size=w, max_size=w), label="row"),
+                        dtype=np.uint8)
+    outer = gf256.scale_rows(coeffs, row)
+    assert outer.shape == (k, w)
+    assert outer.tolist() == [[mul_ref(int(c), int(x)) for x in row] for c in coeffs]

@@ -7,6 +7,8 @@ verified) scalar field ops with the production decoder.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from microcast import gf256, rlnc
 from microcast.rlnc import (
@@ -251,3 +253,60 @@ def test_decode_cost_scales_with_generation():
             assert live[slot][col] == 1
             others = [s for s in state.pivots.values() if s != slot]
             assert all(live[s][col] == 0 for s in others)
+
+
+def assert_fully_reduced(state):
+    live = state.rows[: state.rank]
+    assert sorted(state.pivots.values()) == list(range(state.rank))
+    for col, slot in state.pivots.items():
+        expect = np.zeros(state.rank, dtype=np.uint8)
+        expect[slot] = 1
+        assert np.array_equal(live[:, col], expect), (col, slot)
+    assert not state.rows[state.rank:].any()
+
+
+@settings(max_examples=80, deadline=None)
+@given(m=st.integers(1, 10), n=st.integers(1, 12), seed=st.integers(0, 2**32 - 1),
+       ops=st.lists(st.sampled_from(["encode", "relay", "self", "duplicate", "erase"]),
+                    max_size=30))
+def test_insert_matches_rank_oracle_property(m, n, seed, ops):
+    # fresh encodes, recodes from a part-rank relay (often redundant),
+    # recodes of the receiver's own rows (never innovative), exact
+    # duplicates and erasures (drawn, then lost) in any order; then
+    # fresh encodes until complete
+    rng = np.random.default_rng(seed)
+    params = GenerationParams(m=m, n=n)
+    gen, data = make_generation(rng, params)
+    matrix = np.frombuffer(data, dtype=np.uint8).reshape(m, n)
+    relay = DecoderState(0, params)
+    for _ in range(max(1, m // 2)):
+        relay.insert(encode(gen, rng, params))
+    state = DecoderState(0, params)
+    history, sent = [], []
+
+    def deliver(pkt):
+        before = rank_ref(history)
+        history.append(pkt.coefficients)
+        sent.append(pkt)
+        assert state.insert(pkt) == (rank_ref(history) > before)
+        assert state.rank == rank_ref(history)
+        assert_fully_reduced(state)
+        for row in state.rows[: state.rank]:  # payload = coefficients . data
+            assert np.array_equal(row[m:], gf256.gf_dot(row[:m], matrix))
+
+    for op in ops:
+        if op == "duplicate" and sent:
+            deliver(sent[int(rng.integers(0, len(sent)))])
+        elif op == "self" and state.rank:
+            deliver(recode(state, rng))
+        elif op == "relay":
+            deliver(recode(relay, rng))
+        else:
+            pkt = encode(gen, rng, params)
+            if op != "erase":
+                deliver(pkt)
+    while not state.complete:
+        deliver(encode(gen, rng, params))
+    out = state.extract()
+    assert b"".join(p.payload for p in out) == data
+    assert [p.index for p in out] == list(range(m))
