@@ -63,34 +63,13 @@ def _write(args, name, comments, columns, rows, group_cols, value_cols):
 # ----------------------------------------------------------- num-sim
 
 def cmd_num_sim(args) -> int:
-    policies = num.POLICIES if args.policy == "all" else (args.policy,)
-    n_values = _int_list(args.n_devices)
-    p_values = _float_list(args.p_local)
     n_seeds = args.seeds if args.seeds is not None else 10
-    seeds = tuple(range(args.seed, args.seed + n_seeds))
-    rows = []
-    for n_dev in n_values:
-        for p in p_values:
-            topo = num.Topology.uniform(
-                n_dev, cell_capacity=args.cell_capacity, cell_loss=0.0,
-                local_capacity=args.local_capacity, local_loss=p,
-                gamma=args.gamma)
-            for policy in policies:
-                cfg = num.SolverConfig(policy=policy,
-                                       iterations=args.iterations, seeds=seeds)
-                for run in num.simulate(topo, cfg).runs:
-                    rows.append([policy, n_dev, float(p), run.seed,
-                                 run.avg, run.spread])
-    comments = [
-        "command: num-sim",
-        f"sweep: n_devices={n_values} p_local={p_values} "
-        f"policies={','.join(policies)}",
-        f"topology: cell_capacity={args.cell_capacity:g} cell_loss=0 "
-        f"local_capacity={args.local_capacity:g} gamma={args.gamma:g}",
-        f"solver: iterations={args.iterations} "
-        f"step_size={num.SolverConfig().step_size:g}",
-        f"seeds: {list(seeds)}",
-    ]
+    comments, rows = scenarios.num_sweep(
+        "command: num-sim", _int_list(args.n_devices), _float_list(args.p_local),
+        range(args.seed, args.seed + n_seeds), args.iterations,
+        cell_capacity=args.cell_capacity, local_capacity=args.local_capacity,
+        gamma=args.gamma,
+        policies=num.POLICIES if args.policy == "all" else (args.policy,))
     raw, agg = _write(args, "num-sim", comments, scenarios.NUM_COLUMNS, rows,
                       ["policy", "n_devices", "p_local"], ["avg_rate"])
     print(f"wrote {raw} ({len(rows)} rows) and {agg}")

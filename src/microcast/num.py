@@ -23,6 +23,11 @@ downlink arrivals and drained by the local schedule. All three control
 laws are closed-form in the queues; `simulate` iterates them against
 Bernoulli ON/OFF link draws, and `centralized_oracle` solves the same
 problem exactly as an LP for small groups.
+
+`simulate` steps all of a run's seeds together, so every control law
+takes a leading seed axis: lam is (S, n), eta is (S, n, n). Each seed
+draws its channel from its own generator (`channel_draws`), so a seed's
+run depends neither on the policy nor on the other seeds in the batch.
 """
 
 from __future__ import annotations
@@ -134,6 +139,9 @@ class HyperarcSet:
         self.member_mask = np.zeros((a, topo.n), dtype=bool)
         for k, (_, members) in enumerate(self.arcs):
             self.member_mask[k, list(members)] = True
+        # one (arcs per sender, n) block per sender, as floats so that
+        # weighing them does not cast
+        self.block_mask = self.member_mask.reshape(topo.n, -1, topo.n).astype(float)
         # per-arc service rate under each broadcast policy, and the raw
         # over-the-air rate (min member capacity, no loss discount)
         cap = topo.local_capacity[self.sender]  # (a, n)
@@ -151,16 +159,6 @@ class HyperarcSet:
         if policy == PSEUDO_BROADCAST_NO_NC:
             return self.kappa_plain
         raise ValueError(f"no hyperarc service rate for policy {policy!r}")
-
-
-@dataclass
-class DualState:
-    lam: np.ndarray  # (n,) stream queues
-    eta: np.ndarray  # (n, n) relay queues, diagonal pinned at 0
-
-    @classmethod
-    def zeros(cls, n: int) -> "DualState":
-        return cls(np.zeros(n), np.zeros((n, n)))
 
 
 @dataclass
@@ -182,6 +180,8 @@ class SolverConfig:
             raise ValueError("need at least 2 iterations")
         if self.step_size <= 0:
             raise ValueError("step size must be positive")
+        if len(self.seeds) == 0:
+            raise ValueError("need at least one seed")
 
 
 def stream_cap(topo: Topology, cfg: SolverConfig | None = None) -> float:
@@ -190,94 +190,109 @@ def stream_cap(topo: Topology, cfg: SolverConfig | None = None) -> float:
     return float(topo.cell_capacity.sum())
 
 
-def flow_control(lam: np.ndarray, topo: Topology,
-                 cfg: SolverConfig | None = None) -> float:
-    """Stream rate maximizing U(x) - x * sum(lam): (U')^{-1} clamped to (0, cap]."""
-    cap = stream_cap(topo, cfg)
-    s = float(np.sum(lam))
-    if s <= 0.0:
-        return cap
-    inv = cfg.uprime_inv if cfg is not None and cfg.uprime_inv is not None else None
-    x = inv(s) if inv else 1.0 / s  # log utility: U'(x) = 1/x
-    return min(x, cap)
+def channel_draws(topo: Topology, seeds: Sequence[int],
+                  iterations: int) -> tuple[np.ndarray, np.ndarray]:
+    """ON masks of every cellular (S,T,n) and local (S,T,n,n) link.
+
+    Per seed and iteration the seed's own generator yields n cellular
+    uniforms, then n*n local uniforms; a link is ON when its uniform is at
+    least its loss. A seed's channel realization therefore depends neither
+    on the policy nor on which other seeds share the batch.
+    """
+    n = topo.n
+    cell_on = np.empty((len(seeds), iterations, n), dtype=bool)
+    local_on = np.empty((len(seeds), iterations, n, n), dtype=bool)
+    for k, seed in enumerate(seeds):
+        u = np.random.default_rng(seed).random((iterations, n + n * n))
+        cell_on[k] = u[:, :n] >= topo.cell_loss
+        local_on[k] = (u[:, n:] >= topo.local_loss.ravel()).reshape(iterations, n, n)
+    return cell_on, local_on
 
 
-def downlink_rate_control(dual: DualState, topo: Topology) -> np.ndarray:
-    """Bang-bang downlink: device i pulls at full expected rate for every
+def flow_control(lam: np.ndarray, cap: float,
+                 uprime_inv: Callable[[float], float] | None = None) -> np.ndarray:
+    """Stream rate per seed maximizing U(x) - x * sum(lam): (U')^{-1} clamped to (0, cap].
+
+    Zero prices divide to inf, which clamps to the cap; callers silence
+    numpy's divide-by-zero warning.
+    """
+    s = lam.sum(axis=1)
+    if uprime_inv is None:
+        return np.minimum(1.0 / s, cap)  # log utility: U'(x) = 1/x
+    return np.array([min(uprime_inv(float(v)), cap) if v > 0.0 else cap for v in s])
+
+
+def downlink_rates(lam: np.ndarray, eta: np.ndarray, rate: np.ndarray) -> np.ndarray:
+    """Bang-bang downlink: device i pulls at its full rate (S,n,1) for every
     receiver j whose price lam_j exceeds the relay backlog price eta_ij."""
-    gain = dual.lam[None, :] - dual.eta
-    return topo.downlink_caps[:, None] * (gain > 0.0)
-
-
-@dataclass
-class Schedule:
-    """One iteration's local-channel decision."""
-
-    sender: int | None
-    members: tuple[int, ...]
-    tau: float
-    g: np.ndarray  # (n, n) expected local service rates
-    weights: np.ndarray
-
-    @property
-    def idle(self) -> bool:
-        return self.sender is None
+    return (lam[:, None, :] > eta) * rate
 
 
 def hyperarc_weights(eta: np.ndarray, arcs: HyperarcSet, policy: str) -> np.ndarray:
-    """Backlog-times-rate weight of every hyperarc: (sum_j eta_ij) * kappa."""
-    backlog = (eta[arcs.sender] * arcs.member_mask).sum(axis=1)
-    return backlog * arcs.kappa(policy)
+    """Backlog-times-rate weight (S, arcs) of every hyperarc: (sum_j eta_ij) * kappa.
+
+    Each sender's arcs are summed as one broadcast block, not as a
+    mask-matrix product: a matmul orders the float additions differently,
+    and the changed bits flip argmax ties between equal-weight arcs.
+    """
+    backlog = (eta[:, :, None, :] * arcs.block_mask).sum(axis=-1)
+    return (backlog * arcs.kappa(policy).reshape(backlog.shape[1:])).reshape(len(eta), -1)
 
 
 def unicast_weights(eta: np.ndarray, topo: Topology) -> np.ndarray:
-    w = eta * topo.local_capacity * (1.0 - topo.local_loss)
-    np.fill_diagonal(w, 0.0)
-    return w
+    """Backlog-times-goodput weight (S, n*n) of every link (i, j), row-major."""
+    return (eta * topo.local_capacity * (1.0 - topo.local_loss)).reshape(len(eta), -1)
 
 
-def local_schedule(dual: DualState, topo: Topology, policy: str,
-                   arcs: HyperarcSet | None = None) -> Schedule:
-    """Give the whole airtime budget to the max-weight hyperarc (or link).
+class LocalActions:
+    """Every local-channel action of one policy; action 0 idles.
 
-    Ties go to the lowest sender index, then the lexicographically
-    smallest receiver set; a schedule with no positive weight idles.
+    Action k >= 1 is `arcs[k - 1]`: the links (i, j) in row-major order
+    under unicast, the hyperarcs of `enumerate_hyperarcs` otherwise.
+    `service[k]` holds the action's over-the-air rate times gamma on each
+    of its links, `members[k]` marks those links.
     """
-    n = topo.n
-    g = np.zeros((n, n))
-    if policy == UNICAST:
-        w = unicast_weights(dual.eta, topo)
-        flat = int(np.argmax(w))  # row-major argmax = (lowest i, then j) on ties
-        i, j = divmod(flat, n)
-        if w[i, j] <= 0.0:
-            return Schedule(None, (), 0.0, g, w)
-        g[i, j] = topo.local_capacity[i, j] * (1.0 - topo.local_loss[i, j]) * topo.gamma
-        return Schedule(i, (j,), topo.gamma, g, w)
-    if policy in (PSEUDO_BROADCAST, PSEUDO_BROADCAST_NO_NC):
-        if arcs is None:
-            arcs = HyperarcSet(topo)
-        w = hyperarc_weights(dual.eta, arcs, policy)
-        if len(w) == 0:
-            return Schedule(None, (), 0.0, g, w)
-        best = int(np.argmax(w))  # arcs pre-sorted, first max wins ties
-        if w[best] <= 0.0:
-            return Schedule(None, (), 0.0, g, w)
-        i, members = arcs.arcs[best]
-        g[i, list(members)] = arcs.kappa(policy)[best] * topo.gamma
-        return Schedule(i, members, topo.gamma, g, w)
-    raise ValueError(f"policy {policy!r} has no local schedule")
+
+    def __init__(self, topo: Topology, policy: str):
+        n = topo.n
+        self.topo, self.policy = topo, policy
+        if policy == UNICAST:
+            self.arcs = [(i, (j,)) for i in range(n) for j in range(n)]
+            rate = topo.local_capacity.ravel()
+        elif policy in (PSEUDO_BROADCAST, PSEUDO_BROADCAST_NO_NC):
+            self.hyperarcs = HyperarcSet(topo)
+            self.arcs = self.hyperarcs.arcs
+            rate = self.hyperarcs.raw_rate
+        else:
+            raise ValueError(f"policy {policy!r} has no local schedule")
+        self.members = np.zeros((len(self.arcs) + 1, n, n), dtype=bool)
+        for k, (i, receivers) in enumerate(self.arcs, start=1):
+            self.members[k, i, [j for j in receivers if j != i]] = True
+        self.service = self.members * np.concatenate(([0.0], rate))[:, None, None] * topo.gamma
+
+    def max_weight(self, eta: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Each seed's max-weight action (S,), given relay queues eta (S,n,n).
+
+        `out` (S, 1 + arcs) receives the weights, the idle action's 0. No
+        weight is negative, so a seed idles exactly when none is positive
+        (unicast's i == i links weigh eta_ii = 0). Ties go to the first
+        action: the lowest sender, then the smallest receiver set.
+        """
+        if out is None:
+            out = np.zeros((len(eta), len(self.arcs) + 1))
+        out[:, 1:] = (unicast_weights(eta, self.topo) if self.policy == UNICAST
+                      else hyperarc_weights(eta, self.hyperarcs, self.policy))
+        return out.argmax(axis=1)
 
 
-def queue_update_source(lam: np.ndarray, x: float, inflow: np.ndarray,
-                        beta: float) -> np.ndarray:
-    return np.maximum(lam + beta * (x - inflow), 0.0)
-
-
-def queue_update_local(eta: np.ndarray, x_dl: np.ndarray, g: np.ndarray,
-                       beta: float) -> np.ndarray:
-    out = np.maximum(eta + beta * (x_dl - g), 0.0)
-    np.fill_diagonal(out, 0.0)
-    return out
+def update_queues(lam: np.ndarray, eta: np.ndarray, x: np.ndarray, inflow: np.ndarray,
+                  x_dl: np.ndarray, g: np.ndarray, beta: float):
+    """Projected subgradient steps lam += beta (x - inflow) and
+    eta += beta (x_dl - g), floored at zero; eta's diagonal stays 0."""
+    lam = np.maximum(lam + beta * (x[:, None] - inflow), 0.0)
+    eta = np.maximum(eta + beta * (x_dl - g), 0.0)
+    eta.reshape(len(eta), -1)[:, :: eta.shape[-1] + 1] = 0.0
+    return lam, eta
 
 
 @dataclass
@@ -312,69 +327,40 @@ class SimulateReport:
         return np.mean([r.device_avg for r in self.runs], axis=0)
 
 
-def _simulate_seed(topo: Topology, cfg: SolverConfig, seed: int,
-                   arcs: HyperarcSet | None) -> np.ndarray:
-    n, t_max, beta = topo.n, cfg.iterations, cfg.step_size
-    rng = np.random.default_rng(seed)
-    lam = np.zeros(n)
-    eta = np.zeros((n, n))
-    delivered = np.zeros((t_max, n))
-    raw_cell = topo.cell_capacity
-    gamma = topo.gamma
-    policy = cfg.policy
-    kappa = arcs.kappa(policy) if policy in (PSEUDO_BROADCAST, PSEUDO_BROADCAST_NO_NC) else None
-    for t in range(t_max):
-        # every policy consumes the same draw sequence, so runs with the
-        # same seed see identical channel realizations
-        cell_on = rng.random(n) >= topo.cell_loss
-        local_on = rng.random((n, n)) >= topo.local_loss
-        if policy == NO_COOP:
-            delivered[t] = raw_cell * cell_on
-            continue
-        dual = DualState(lam, eta)
-        x = flow_control(lam, topo, cfg)
-        active = (lam[None, :] - eta) > 0.0
-        # decisions use expected rates; an ON link delivers at raw capacity
-        x_real = raw_cell[:, None] * active * cell_on[:, None]
-        g_real = np.zeros((n, n))
-        if policy == UNICAST:
-            w = unicast_weights(eta, topo)
-            flat = int(np.argmax(w))
-            i, j = divmod(flat, n)
-            if w[i, j] > 0.0 and local_on[i, j]:
-                g_real[i, j] = topo.local_capacity[i, j] * gamma
-        else:
-            w = hyperarc_weights(eta, arcs, policy)
-            if len(w):
-                best = int(np.argmax(w))
-                if w[best] > 0.0:
-                    i = arcs.sender[best]
-                    mem = arcs.member_mask[best]
-                    on = local_on[i] & mem
-                    if policy == PSEUDO_BROADCAST:
-                        g_real[i, on] = arcs.raw_rate[best] * gamma
-                    elif on.sum() == mem.sum():
-                        # plain copies fail unless every member link is ON
-                        g_real[i, mem] = arcs.raw_rate[best] * gamma
-        inflow = x_real.sum(axis=0)
-        delivered[t] = inflow
-        lam = np.maximum(lam + beta * (x - inflow), 0.0)
-        eta = np.maximum(eta + beta * (x_real - g_real), 0.0)
-        np.fill_diagonal(eta, 0.0)
-    return delivered[t_max // 2 :].mean(axis=0)
-
-
 def simulate(topo: Topology, cfg: SolverConfig) -> SimulateReport:
-    """Run the dual-queue iteration against ON/OFF link draws.
+    """Run the dual-queue iteration against ON/OFF link draws, all seeds at once.
 
     Per seed, reports each device's delivered rate averaged over the
     final half of the horizon; no_coop bypasses the solver entirely.
     """
-    arcs = None
-    if cfg.policy in (PSEUDO_BROADCAST, PSEUDO_BROADCAST_NO_NC):
-        arcs = HyperarcSet(topo)
-    runs = [SeedRun(s, _simulate_seed(topo, cfg, s, arcs)) for s in cfg.seeds]
-    return SimulateReport(cfg.policy, runs)
+    n, t_max, beta, policy = topo.n, cfg.iterations, cfg.step_size, cfg.policy
+    cell_on, local_on = channel_draws(topo, cfg.seeds, t_max)
+    # decisions use expected rates; an ON link delivers at raw capacity
+    rc_on = topo.cell_capacity * cell_on
+    delivered = rc_on
+    if policy != NO_COOP:
+        delivered = np.empty_like(rc_on)
+        lam, eta = np.zeros((len(cfg.seeds), n)), np.zeros((len(cfg.seeds), n, n))
+        cap = stream_cap(topo, cfg)
+        actions = LocalActions(topo, policy)
+        w = np.zeros((len(cfg.seeds), len(actions.arcs) + 1))
+        with np.errstate(divide="ignore"):
+            for t in range(t_max):
+                x = flow_control(lam, cap, cfg.uprime_inv)
+                x_dl = downlink_rates(lam, eta, rc_on[:, t, :, None])
+                inflow = x_dl.sum(axis=1)
+                delivered[:, t] = inflow
+                best = actions.max_weight(eta, out=w)
+                if policy == PSEUDO_BROADCAST_NO_NC:
+                    # plain copies fail unless every member link is ON
+                    all_on = (local_on[:, t] >= actions.members[best]).all(axis=(1, 2))
+                    g = actions.service[best] * all_on[:, None, None]
+                else:
+                    g = actions.service[best] * local_on[:, t]
+                lam, eta = update_queues(lam, eta, x, inflow, x_dl, g, beta)
+    half = t_max // 2
+    return SimulateReport(policy, [SeedRun(s, delivered[k, half:].mean(axis=0))
+                                   for k, s in enumerate(cfg.seeds)])
 
 
 def centralized_oracle(topo: Topology, policy: str) -> float:

@@ -260,30 +260,40 @@ class Recipe:
 NUM_COLUMNS = ["policy", "n_devices", "p_local", "seed", "avg_rate", "std_rate"]
 
 
-def _num_recipe(name: str, n_values, p_values, local_capacity: float,
-                seeds, iterations: int = 1000) -> RecipeOutput:
+def num_sweep(header: str, n_values, p_values, seeds, iterations: int = 1000, *,
+              local_capacity: float, cell_capacity: float = 1.0,
+              gamma: float = 1.0, policies=num.POLICIES):
+    """`#` comments and NUM_COLUMNS rows of one solver sweep: every group
+    size x local loss x policy, one row per seed."""
     seeds = tuple(seeds)
     rows = []
     for n_dev in n_values:
         for p in p_values:
             topo = num.Topology.uniform(
-                n_dev, cell_capacity=1.0, cell_loss=0.0,
-                local_capacity=local_capacity, local_loss=p, gamma=1.0)
-            for policy in num.POLICIES:
+                n_dev, cell_capacity=cell_capacity, cell_loss=0.0,
+                local_capacity=local_capacity, local_loss=p, gamma=gamma)
+            for policy in policies:
                 cfg = num.SolverConfig(policy=policy, iterations=iterations,
                                        seeds=seeds)
                 for run in num.simulate(topo, cfg).runs:
                     rows.append([policy, n_dev, float(p), run.seed,
                                  run.avg, run.spread])
-    step = num.SolverConfig().step_size
     comments = [
-        f"recipe: {name}",
+        header,
         f"sweep: n_devices={list(n_values)} p_local={list(p_values)}"
-        f" policies={','.join(num.POLICIES)}",
-        f"topology: cell_capacity=1 cell_loss=0 local_capacity={local_capacity:g} gamma=1",
-        f"solver: iterations={iterations} step_size={step:g}",
+        f" policies={','.join(policies)}",
+        f"topology: cell_capacity={cell_capacity:g} cell_loss=0"
+        f" local_capacity={local_capacity:g} gamma={gamma:g}",
+        f"solver: iterations={iterations} step_size={num.SolverConfig().step_size:g}",
         f"seeds: {list(seeds)}",
     ]
+    return comments, rows
+
+
+def _num_recipe(name: str, n_values, p_values, local_capacity: float,
+                seeds) -> RecipeOutput:
+    comments, rows = num_sweep(f"recipe: {name}", n_values, p_values, seeds,
+                               local_capacity=local_capacity)
     agg_cols, agg_rows = aggregate(rows, NUM_COLUMNS,
                                    ["policy", "n_devices", "p_local"], ["avg_rate"])
     return RecipeOutput(name, comments, NUM_COLUMNS, rows, agg_cols, agg_rows)

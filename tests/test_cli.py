@@ -51,6 +51,15 @@ def test_num_sim_empty_sweep_writes_header_only(tmp_path):
     assert columns == scenarios.NUM_COLUMNS and rows == []
 
 
+@pytest.mark.parametrize("n_seeds", ["0", "-2"])
+def test_num_sim_rejects_empty_seed_list(tmp_path, capsys, n_seeds):
+    code = run_cli("num-sim", "--n-devices", "2", "--seeds", n_seeds,
+                   "--out", str(tmp_path))
+    assert code == 2
+    assert "error: need at least one seed" in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(str(tmp_path), "num-sim.csv"))
+
+
 def test_num_sim_rejects_garbled_list(tmp_path, capsys):
     code = run_cli("num-sim", "--n-devices", "1;2", "--out", str(tmp_path))
     assert code == 2

@@ -6,26 +6,25 @@ import math
 import numpy as np
 import pytest
 
-from microcast import num
 from microcast.num import (
     NO_COOP,
+    POLICIES,
     PSEUDO_BROADCAST,
     PSEUDO_BROADCAST_NO_NC,
     UNICAST,
-    DualState,
     HyperarcSet,
+    LocalActions,
     SolverConfig,
     Topology,
     centralized_oracle,
-    downlink_rate_control,
+    downlink_rates,
     enumerate_hyperarcs,
     flow_control,
     hyperarc_weights,
-    local_schedule,
-    queue_update_local,
-    queue_update_source,
     simulate,
+    stream_cap,
     unicast_weights,
+    update_queues,
 )
 
 
@@ -68,51 +67,69 @@ def random_topology(rng, n=None):
     )
 
 
+def random_etas(rng, n, seeds=3):
+    """One independent relay backlog per seed, diagonal at zero: (S, n, n)."""
+    eta = rng.uniform(0.0, 1.0, (seeds, n, n))
+    eta[:, np.arange(n), np.arange(n)] = 0.0
+    return eta
+
+
+def picked(actions, best, k):
+    """Seed k's (sender, receiver set) from max_weight, or None if it idles."""
+    return actions.arcs[best[k] - 1] if best[k] else None
+
+
 # ---------------------------------------------------------------- closed forms
 
 
 def test_flow_control_inverse_marginal_utility():
     topo = Topology.uniform(4, cell_capacity=1.0)
-    cfg = SolverConfig(x_cap=4.0)
-    assert flow_control(np.array([0.3, 0.2, 0.0, 0.0]), topo, cfg) == pytest.approx(2.0)
-    # all-zero prices saturate at the cap
-    assert flow_control(np.zeros(4), topo, cfg) == 4.0
-    # default cap is the raw cellular sum
-    assert flow_control(np.zeros(4), topo) == 4.0
-    assert flow_control(np.array([100.0, 0, 0, 0]), topo) == pytest.approx(0.01)
+    cap = stream_cap(topo, SolverConfig(x_cap=4.0))
+    with np.errstate(divide="ignore"):
+        x = flow_control(np.array([[0.3, 0.2, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]]), cap)
+        assert x[0] == pytest.approx(2.0)
+        # all-zero prices saturate at the cap
+        assert x[1] == 4.0
+        # default cap is the raw cellular sum
+        assert flow_control(np.zeros((1, 4)), stream_cap(topo))[0] == 4.0
+    assert flow_control(np.array([[100.0, 0, 0, 0]]), stream_cap(topo))[0] == pytest.approx(0.01)
 
 
 def test_flow_control_custom_marginal_utility():
     # U(x) = -1/x has U'(x) = 1/x^2, inverse s -> 1/sqrt(s)
     topo = Topology.uniform(2, cell_capacity=5.0)
     cfg = SolverConfig(uprime_inv=lambda s: s**-0.5)
-    assert flow_control(np.array([4.0, 0.0]), topo, cfg) == pytest.approx(0.5)
+    x = flow_control(np.array([[4.0, 0.0], [0.0, 0.0]]), stream_cap(topo, cfg), cfg.uprime_inv)
+    assert x[0] == pytest.approx(0.5)
+    assert x[1] == 10.0  # unpriced: the cap, without calling the inverse
 
 
 def test_downlink_bang_bang():
     topo = Topology.uniform(2, cell_capacity=2.0, cell_loss=0.25)
-    dual = DualState(np.array([1.0, 0.1]), np.array([[0.0, 0.5], [0.2, 0.0]]))
-    x_dl = downlink_rate_control(dual, topo)
+    lam = np.array([[1.0, 0.1], [1.0, 0.5]])
+    eta = np.array([[[0.0, 0.5], [0.2, 0.0]]] * 2)
+    x_dl = downlink_rates(lam, eta, topo.downlink_caps[None, :, None])
     # expected goodput 1.5 wherever lam_j - eta_ij > 0
-    assert x_dl[0, 0] == 1.5  # own queue: lam_0 > 0
-    assert x_dl[0, 1] == 0.0  # 0.1 - 0.5 < 0
-    assert x_dl[1, 0] == 1.5  # 1.0 - 0.2 > 0
-    assert x_dl[1, 1] == 1.5
-    dual.lam[1] = 0.5
-    assert downlink_rate_control(dual, topo)[0, 1] == 0.0  # 0.5 - 0.5 not > 0
+    assert x_dl[0, 0, 0] == 1.5  # own queue: lam_0 > 0
+    assert x_dl[0, 0, 1] == 0.0  # 0.1 - 0.5 < 0
+    assert x_dl[0, 1, 0] == 1.5  # 1.0 - 0.2 > 0
+    assert x_dl[0, 1, 1] == 1.5
+    assert x_dl[1, 0, 1] == 0.0  # 0.5 - 0.5 not > 0
 
 
 def test_queue_updates_project_to_zero():
-    lam = queue_update_source(np.array([0.1, 0.0]), 1.0, np.array([5.0, 0.0]), 0.05)
-    assert lam[0] == 0.0 and lam[1] == pytest.approx(0.05)
-    eta = queue_update_local(
-        np.array([[0.0, 0.02], [0.3, 0.0]]),
-        np.zeros((2, 2)),
-        np.full((2, 2), 1.0),
+    lam, eta = update_queues(
+        np.array([[0.1, 0.0]]),
+        np.array([[[0.0, 0.02], [0.3, 0.0]]]),
+        np.array([1.0]),
+        np.array([[5.0, 0.0]]),
+        np.zeros((1, 2, 2)),
+        np.full((1, 2, 2), 1.0),
         0.05,
     )
-    assert eta[0, 1] == 0.0 and eta[1, 0] == pytest.approx(0.25)
-    assert eta[0, 0] == 0.0 and eta[1, 1] == 0.0  # diagonal pinned
+    assert lam[0, 0] == 0.0 and lam[0, 1] == pytest.approx(0.05)
+    assert eta[0, 0, 1] == 0.0 and eta[0, 1, 0] == pytest.approx(0.25)
+    assert eta[0, 0, 0] == 0.0 and eta[0, 1, 1] == 0.0  # diagonal pinned
 
 
 # ------------------------------------------------------------------ scheduling
@@ -132,21 +149,28 @@ def test_hyperarc_enumeration_order_and_guard():
 
 def test_schedule_single_backlogged_arc():
     topo = Topology.uniform(2, local_capacity=3.0, local_loss=0.2)
-    eta = np.zeros((2, 2))
-    eta[0, 1] = 5.0
-    sched = local_schedule(DualState(np.zeros(2), eta), topo, PSEUDO_BROADCAST)
-    assert sched.sender == 0 and sched.members == (1,)
-    assert sched.tau == topo.gamma
-    assert sched.g[0, 1] == pytest.approx(3.0 * 0.8 * topo.gamma)
-    assert sched.g.sum() == pytest.approx(sched.g[0, 1])
+    eta = np.zeros((2, 2, 2))
+    eta[0, 0, 1] = 5.0  # seed 0: only 0 -> 1 is backlogged
+    eta[1, 1, 0] = 5.0  # seed 1: only 1 -> 0
+    actions = LocalActions(topo, PSEUDO_BROADCAST)
+    best = actions.max_weight(eta)
+    assert picked(actions, best, 0) == (0, (1,)) and picked(actions, best, 1) == (1, (0,))
+    # the weight counts goodput; the airtime goes out at the raw rate
+    assert hyperarc_weights(eta, actions.hyperarcs, PSEUDO_BROADCAST)[0].max() == pytest.approx(
+        5.0 * 3.0 * 0.8
+    )
+    g = actions.service[best[0]]
+    assert g[0, 1] == pytest.approx(3.0 * topo.gamma)
+    assert g.sum() == pytest.approx(g[0, 1])
+    assert actions.members[best[0]].sum() == 1
 
 
 def test_schedule_idles_without_backlog():
     topo = Topology.uniform(3, local_capacity=2.0)
-    sched = local_schedule(DualState.zeros(3), topo, PSEUDO_BROADCAST)
-    assert sched.idle and sched.tau == 0.0 and not sched.g.any()
-    sched = local_schedule(DualState.zeros(3), topo, UNICAST)
-    assert sched.idle
+    for policy in (PSEUDO_BROADCAST, UNICAST):
+        actions = LocalActions(topo, policy)
+        best = actions.max_weight(np.zeros((2, 3, 3)))
+        assert (best == 0).all() and not actions.service[best].any()
 
 
 def test_schedule_matches_brute_force():
@@ -160,26 +184,32 @@ def test_schedule_matches_brute_force():
             local_loss=rng.uniform(0.0, 0.6, (n, n)),
             gamma=float(rng.uniform(0.5, 2.0)),
         )
-        eta = rng.uniform(0.0, 1.0, (n, n))
-        np.fill_diagonal(eta, 0.0)
-        dual = DualState(np.zeros(n), eta)
+        eta = random_etas(rng, n)
         for policy in (PSEUDO_BROADCAST, PSEUDO_BROADCAST_NO_NC):
-            key, w = schedule_ref(eta, topo, policy)
-            sched = local_schedule(dual, topo, policy)
-            assert (sched.sender, sched.members) == key
-            assert max(sched.weights) == pytest.approx(w)
-            i, members = key
-            if policy == PSEUDO_BROADCAST:
-                kappa = min(
-                    topo.local_capacity[i, j] * (1 - topo.local_loss[i, j])
-                    for j in members
-                )
-            else:
-                kappa = min(topo.local_capacity[i, j] for j in members) * math.prod(
-                    1 - topo.local_loss[i, j] for j in members
-                )
-            for j in members:
-                assert sched.g[i, j] == pytest.approx(kappa * topo.gamma)
+            actions = LocalActions(topo, policy)
+            best = actions.max_weight(eta)
+            weights = hyperarc_weights(eta, actions.hyperarcs, policy)
+            for k in range(len(eta)):
+                key, w = schedule_ref(eta[k], topo, policy)
+                assert picked(actions, best, k) == key
+                assert weights[k].max() == pytest.approx(w)
+                i, members = key
+                if policy == PSEUDO_BROADCAST:
+                    kappa = min(
+                        topo.local_capacity[i, j] * (1 - topo.local_loss[i, j])
+                        for j in members
+                    )
+                else:
+                    kappa = min(topo.local_capacity[i, j] for j in members) * math.prod(
+                        1 - topo.local_loss[i, j] for j in members
+                    )
+                assert weights[k, best[k] - 1] == weights[k].max()
+                assert actions.hyperarcs.kappa(policy)[best[k] - 1] == pytest.approx(kappa)
+                raw = min(topo.local_capacity[i, j] for j in members)
+                g = actions.service[best[k]]
+                for j in members:
+                    assert g[i, j] == pytest.approx(raw * topo.gamma)
+                assert np.count_nonzero(g) == len(members)
 
 
 def test_unicast_schedule_matches_brute_force():
@@ -192,16 +222,19 @@ def test_unicast_schedule_matches_brute_force():
             local_capacity=rng.uniform(0.5, 4.0, (n, n)),
             local_loss=rng.uniform(0.0, 0.6, (n, n)),
         )
-        eta = rng.uniform(0.0, 1.0, (n, n))
-        np.fill_diagonal(eta, 0.0)
-        w = eta * topo.local_capacity * (1 - topo.local_loss)
-        np.fill_diagonal(w, 0.0)
-        i, j = np.unravel_index(np.argmax(w), w.shape)
-        sched = local_schedule(DualState(np.zeros(n), eta), topo, UNICAST)
-        assert sched.sender == i and sched.members == (j,)
-        assert sched.g[i, j] == pytest.approx(
-            topo.local_capacity[i, j] * (1 - topo.local_loss[i, j]) * topo.gamma
-        )
+        eta = random_etas(rng, n)
+        actions = LocalActions(topo, UNICAST)
+        best = actions.max_weight(eta)
+        weights = unicast_weights(eta, topo)
+        for k in range(len(eta)):
+            w = eta[k] * topo.local_capacity * (1 - topo.local_loss)
+            np.fill_diagonal(w, 0.0)
+            i, j = np.unravel_index(np.argmax(w), w.shape)
+            assert picked(actions, best, k) == (i, (j,))
+            assert weights[k].max() == pytest.approx(w[i, j])
+            g = actions.service[best[k]]
+            assert g[i, j] == pytest.approx(topo.local_capacity[i, j] * topo.gamma)
+            assert np.count_nonzero(g) == 1
 
 
 def test_singleton_hyperarcs_reduce_to_unicast_weights():
@@ -213,32 +246,36 @@ def test_singleton_hyperarcs_reduce_to_unicast_weights():
         local_capacity=rng.uniform(0.5, 4.0, (n, n)),
         local_loss=rng.uniform(0.0, 0.6, (n, n)),
     )
-    eta = rng.uniform(0.0, 1.0, (n, n))
-    np.fill_diagonal(eta, 0.0)
+    eta = random_etas(rng, n, seeds=2)
     arcs = HyperarcSet(topo)
-    uni = unicast_weights(eta, topo)
+    uni = unicast_weights(eta, topo).reshape(eta.shape)
     for policy in (PSEUDO_BROADCAST, PSEUDO_BROADCAST_NO_NC):
         w = hyperarc_weights(eta, arcs, policy)
-        for k, (i, members) in enumerate(arcs.arcs):
-            if len(members) == 1:
-                assert w[k] == pytest.approx(uni[i, members[0]])
+        for s in range(len(eta)):
+            for k, (i, members) in enumerate(arcs.arcs):
+                if len(members) == 1:
+                    assert w[s, k] == pytest.approx(uni[s, i, members[0]])
 
 
 def test_schedule_tie_breaks_lexicographic():
     # symmetric backlog: every sender's full set ties at the top weight;
-    # lowest sender must win
+    # lowest sender must win (seed 1: sender 0 unbacklogged, so sender 1)
     topo = Topology.uniform(3, local_capacity=2.0)
-    eta = np.ones((3, 3))
-    np.fill_diagonal(eta, 0.0)
-    sched = local_schedule(DualState(np.zeros(3), eta), topo, PSEUDO_BROADCAST)
-    assert sched.sender == 0 and sched.members == (1, 2)
+    eta = np.array([np.ones((3, 3)), np.ones((3, 3))])
+    eta[:, np.arange(3), np.arange(3)] = 0.0
+    eta[1, 0] = 0.0
+    actions = LocalActions(topo, PSEUDO_BROADCAST)
+    best = actions.max_weight(eta)
+    assert picked(actions, best, 0) == (0, (1, 2)) and picked(actions, best, 1) == (1, (0, 2))
     # heavy loss makes the pair arc worthless under plain copies; the two
-    # singleton arcs of sender 0 tie and the smaller receiver set wins
+    # singleton arcs of one sender tie and the smaller receiver set wins
     topo = Topology.uniform(3, local_capacity=2.0, local_loss=0.9)
-    eta = np.zeros((3, 3))
-    eta[0, 1] = eta[0, 2] = 2.0
-    sched = local_schedule(DualState(np.zeros(3), eta), topo, PSEUDO_BROADCAST_NO_NC)
-    assert sched.sender == 0 and sched.members == (1,)
+    eta = np.zeros((2, 3, 3))
+    eta[0, 0, 1] = eta[0, 0, 2] = 2.0
+    eta[1, 2, 0] = eta[1, 2, 1] = 2.0
+    actions = LocalActions(topo, PSEUDO_BROADCAST_NO_NC)
+    best = actions.max_weight(eta)
+    assert picked(actions, best, 0) == (0, (1,)) and picked(actions, best, 1) == (2, (0,))
 
 
 # ------------------------------------------------------------------ the oracle
@@ -351,9 +388,97 @@ def test_nc_and_plain_identical_without_loss():
         assert np.array_equal(ra.device_avg, rb.device_avg)
 
 
+def simulate_ref(topo, cfg, seed):
+    """One seed as a scalar loop that draws each iteration's channel as it goes."""
+    n, beta, policy = topo.n, cfg.step_size, cfg.policy
+    rng = np.random.default_rng(seed)
+    lam, eta = np.zeros(n), np.zeros((n, n))
+    delivered = np.zeros((cfg.iterations, n))
+    arcs = HyperarcSet(topo)
+    for t in range(cfg.iterations):
+        cell_on = rng.random(n) >= topo.cell_loss
+        local_on = rng.random((n, n)) >= topo.local_loss
+        if policy == NO_COOP:
+            delivered[t] = topo.cell_capacity * cell_on
+            continue
+        s = float(np.sum(lam))
+        x = stream_cap(topo, cfg)
+        if s > 0.0:
+            x = min(cfg.uprime_inv(s) if cfg.uprime_inv else 1.0 / s, x)
+        x_real = topo.cell_capacity[:, None] * ((lam[None, :] - eta) > 0.0) * cell_on[:, None]
+        g = np.zeros((n, n))
+        if policy == UNICAST:
+            w = eta * topo.local_capacity * (1.0 - topo.local_loss)
+            np.fill_diagonal(w, 0.0)
+            i, j = divmod(int(np.argmax(w)), n)
+            if w[i, j] > 0.0 and local_on[i, j]:
+                g[i, j] = topo.local_capacity[i, j] * topo.gamma
+        elif arcs.arcs:
+            w = (eta[arcs.sender] * arcs.member_mask).sum(axis=1) * arcs.kappa(policy)
+            best = int(np.argmax(w))
+            if w[best] > 0.0:
+                i, mem = arcs.sender[best], arcs.member_mask[best]
+                on = local_on[i] & mem
+                if policy == PSEUDO_BROADCAST:
+                    g[i, on] = arcs.raw_rate[best] * topo.gamma
+                elif on.sum() == mem.sum():  # plain copies need every member ON
+                    g[i, mem] = arcs.raw_rate[best] * topo.gamma
+        inflow = x_real.sum(axis=0)
+        delivered[t] = inflow
+        lam = np.maximum(lam + beta * (x - inflow), 0.0)
+        eta = np.maximum(eta + beta * (x_real - g), 0.0)
+        np.fill_diagonal(eta, 0.0)
+    return delivered[cfg.iterations // 2 :].mean(axis=0)
+
+
+def lossy_topology(rng, n):
+    return Topology(
+        cell_capacity=rng.uniform(0.5, 2.0, n),
+        cell_loss=rng.uniform(0.0, 0.3, n),
+        local_capacity=rng.uniform(1.0, 6.0, (n, n)),
+        local_loss=rng.uniform(0.0, 0.4, (n, n)),
+    )
+
+
+SOLVER_CONFIGS = [dict(policy=p) for p in POLICIES] + [
+    dict(policy=PSEUDO_BROADCAST, uprime_inv=lambda s: s**-0.5),
+    dict(policy=UNICAST, x_cap=1.5),
+]
+
+
+def test_simulate_matches_scalar_reference():
+    # same arithmetic in the same order, so equal to the last bit; uniform
+    # groups tie many arcs, so a reordered float sum shows as a flipped tie
+    rng = np.random.default_rng(35)
+    topos = [lossy_topology(rng, n) for n in (1, 2, 3, 6)]
+    topos += [Topology.uniform(n, local_capacity=10.0, local_loss=0.2) for n in (5, 8)]
+    for topo in topos:
+        for kw in SOLVER_CONFIGS:
+            cfg = SolverConfig(iterations=200, seeds=(0, 5), **kw)
+            for run in simulate(topo, cfg).runs:
+                want = simulate_ref(topo, cfg, run.seed)
+                assert run.device_avg.tobytes() == want.tobytes(), (topo.n, kw, run.seed)
+
+
+def test_batching_matches_one_seed_runs():
+    # a seed's trajectory does not depend on which seeds share its batch
+    rng = np.random.default_rng(34)
+    seeds = (3, 7, 11)
+    for n in (1, 2, 5):
+        topo = lossy_topology(rng, n)
+        for kw in SOLVER_CONFIGS:
+            batch = simulate(topo, SolverConfig(iterations=300, seeds=seeds, **kw))
+            assert [r.seed for r in batch.runs] == list(seeds)
+            for run in batch.runs:
+                alone = simulate(topo, SolverConfig(iterations=300, seeds=(run.seed,), **kw))
+                assert run.device_avg.tobytes() == alone.runs[0].device_avg.tobytes(), (n, kw)
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(policy="bogus")
+    with pytest.raises(ValueError, match="at least one seed"):
+        SolverConfig(seeds=())
     with pytest.raises(ValueError):
         SolverConfig(step_size=0.0)
     with pytest.raises(ValueError):
