@@ -8,7 +8,6 @@ output from a results directory; the rest run inline.  The command line
 
 from __future__ import annotations
 
-import bisect
 import os
 import time
 from dataclasses import dataclass
@@ -427,22 +426,22 @@ def _check_microcast_run(res, proto, lossless: bool) -> list:
     requests = [e for e in res.sim.events if e.event == "request"]
     last_dims: dict = {}
     for e in requests:
-        if not 1 <= e.nbytes <= m:
-            problems.append(f"request dims {e.nbytes} outside [1, {m}]")
+        if not 1 <= e.dims <= m:
+            problems.append(f"request dims {e.dims} outside [1, {m}]")
         key = (e.device, e.segment)
-        if e.nbytes > last_dims.get(key, m):
+        if e.dims > last_dims.get(key, m):
             problems.append(f"request dims grew at {key}")
-        last_dims[key] = e.nbytes
+        last_dims[key] = e.dims
     if lossless:
         if len(requests) > 3:
             problems.append(f"{len(requests)} requests after lossless pushes")
-        if any(e.nbytes > 2 for e in requests):
+        if any(e.dims > 2 for e in requests):
             problems.append("lossless request asked for more than a rank gap")
     intents: dict = {}
     for e in res.sim.events:
         if e.event in ("push", "serve"):
             key = (e.device, e.segment)
-            intents[key] = intents.get(key, 0) + e.nbytes
+            intents[key] = intents.get(key, 0) + e.dims
     sent: dict = {}
     served: dict = {}
     for e in res.sim.events:
@@ -469,76 +468,29 @@ def _check_microcast_run(res, proto, lossless: bool) -> list:
     return problems
 
 
-def _received_request_dims(res) -> dict:
-    """(server, requester, segment) -> [(t, dims)] for requests the server got.
-
-    The wire records do not carry dims, so the request submit log (which
-    does) is paired with the matching transmission: the medium is one
-    FIFO queue, so a device's j-th request submission for a segment is
-    its j-th request transmission.  A transmission only counts once the
-    addressed receiver's reception record confirms the loss draw passed.
-    """
-    submits: dict = {}
-    for e in res.sim.events:
-        if e.event == "request":
-            submits.setdefault((e.device, e.segment), []).append((e.peer, e.nbytes))
-    tx_times: dict = {}
-    for e in res.sim.events:
-        if e.event == "tx" and e.kind == REQUEST:
-            tx_times.setdefault((e.device, e.segment), []).append(e.t)
-    dims_at_tx: dict = {}
-    for key, subs in submits.items():
-        for (dst, dims), t in zip(subs, tx_times.get(key, [])):
-            dims_at_tx[(key[0], key[1], t)] = (dst, dims)
-    received: dict = {}
-    for e in res.sim.events:
-        if e.event == "rx" and e.kind == REQUEST:
-            hit = dims_at_tx.get((e.peer, e.segment, e.t))
-            if hit and hit[0] == e.device:
-                received.setdefault((e.device, e.peer, e.segment),
-                                    []).append((e.t, hit[1]))
-    return received
-
-
 def _check_coalescing(res) -> list:
     """A coalesced serve must cover every group member's latest ask.
 
-    Group membership is read off the wire: the serve job delivers its
-    coded packets and then one notification per member, contiguously
-    (single FIFO medium).  Notifications that match no received request
-    are other traffic sharing the message kind and are skipped.
+    A serve sends one notification per group member, each carrying the
+    dims served; scheduler notifications carry none.  The medium holds
+    the air from the serve's build to its last notification, so in log
+    order the asks seen before a notification are those the serve saw.
     """
     problems = []
-    received = _received_request_dims(res)
-    tx_by_dev: dict = {}
+    dst: dict = {}        # msg -> addressee
+    asked: dict = {}      # (server, requester, segment) -> latest dims
     for e in res.sim.events:
         if e.event == "tx":
-            tx_by_dev.setdefault(e.device, []).append(e)
-    times = {d: [e.t for e in txs] for d, txs in tx_by_dev.items()}
-    for sv in res.sim.events:
-        if sv.event != "serve":
-            continue
-        txs = tx_by_dev.get(sv.device, [])
-        k = bisect.bisect_right(times[sv.device], sv.t) if txs else 0
-        coded = 0
-        while k < len(txs) and coded < sv.nbytes and \
-                txs[k].kind == CODED_DATA and txs[k].segment == sv.segment:
-            coded += 1
-            k += 1
-        if coded < sv.nbytes:
-            continue   # batch truncated by the end of the run
-        while (k < len(txs) and txs[k].kind == NOTIFICATION
-               and txs[k].segment == sv.segment):
-            member = txs[k].peer
-            k += 1
-            hist = [dims for t, dims in
-                    received.get((sv.device, member, sv.segment), [])
-                    if t <= sv.t]
-            if hist and sv.nbytes < hist[-1]:
-                problems.append(
-                    f"serve of {sv.nbytes} dims at device {sv.device} "
-                    f"segment {sv.segment} below member {member}'s "
-                    f"asked {hist[-1]}")
+            dst[e.msg] = e.peer
+            if e.kind == NOTIFICATION and e.dims:
+                want = asked.get((e.device, e.peer, e.segment), 0)
+                if e.dims < want:
+                    problems.append(
+                        f"serve of {e.dims} dims at device {e.device} "
+                        f"segment {e.segment} below member {e.peer}'s "
+                        f"asked {want}")
+        elif e.event == "rx" and e.kind == REQUEST and dst[e.msg] == e.device:
+            asked[(e.device, e.peer, e.segment)] = e.dims
     return problems
 
 
@@ -577,24 +529,17 @@ def _check_r2_run(res, proto) -> list:
         over = {k: v for k, v in node.pushed.items() if v > cap}
         if over:
             problems.append(f"device {node.device} pushed past the cap: {over}")
-    # rx records do not carry the destination; the medium is physically
-    # broadcast, so every device logs every brake.  Join against the tx
-    # record (which names the destination) on the delivery timestamp to
-    # keep only brakes actually addressed to the receiver.
-    brake_tx: dict = {}
+    # every device overhears every brake; only the first one addressed to
+    # the receiver stops the stream towards its sender
+    dst: dict = {}        # msg -> addressee
+    braked: dict = {}     # (receiver, segment, sender) -> first receipt time
     for e in res.sim.events:
-        if e.event == "tx" and e.kind == BRAKE:
-            brake_tx.setdefault((e.device, e.peer, e.segment), set()).add(e.t)
-    brake_rx: dict = {}
-    for e in res.sim.events:
-        if e.event == "rx" and e.kind == BRAKE:
-            if e.t not in brake_tx.get((e.peer, e.device, e.segment), ()):
-                continue
-            key = (e.device, e.segment, e.peer)
-            brake_rx.setdefault(key, e.t)
-    for e in res.sim.events:
-        if e.event == "push":
-            t = brake_rx.get((e.device, e.segment, e.peer))
+        if e.event == "tx":
+            dst[e.msg] = e.peer
+        elif e.event == "rx" and e.kind == BRAKE and dst[e.msg] == e.device:
+            braked.setdefault((e.device, e.segment, e.peer), e.t)
+        elif e.event == "push":
+            t = braked.get((e.device, e.segment, e.peer))
             if t is not None and e.t > t:
                 problems.append(f"push to {e.peer} after its brake for "
                                 f"segment {e.segment}")

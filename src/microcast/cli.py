@@ -23,7 +23,8 @@ from .protocols import run_protocol
 
 PROTO_COLUMNS = ["protocol", "seed", "complete", "duration_s", "avg_rate_bps",
                  "local_bytes", "local_data_bytes", "local_control_bytes"]
-EVENT_COLUMNS = ["t", "device", "event_kind", "segment", "bytes"]
+EVENT_COLUMNS = ["t", "device", "event_kind", "segment", "bytes", "peer",
+                 "msg", "dims"]
 
 
 def _int_list(text: str) -> list:
@@ -42,24 +43,6 @@ def _float_list(text: str) -> list:
             f"expected comma-separated numbers, got {text!r}")
 
 
-def _out_dir(args) -> str:
-    os.makedirs(args.out, exist_ok=True)
-    return args.out
-
-
-def _write(args, name, comments, columns, rows, group_cols, value_cols):
-    """Write the raw CSV and its aggregate; return both paths."""
-    out_dir = _out_dir(args)
-    raw = os.path.join(out_dir, f"{name}.csv")
-    scenarios.write_csv(raw, comments, columns, rows)
-    agg_cols, agg_rows = scenarios.aggregate(rows, columns, group_cols,
-                                             value_cols)
-    agg = os.path.join(out_dir, f"{name}_agg.csv")
-    scenarios.write_csv(agg, comments + ["aggregated: mean/std per sweep point"],
-                        agg_cols, agg_rows)
-    return raw, agg
-
-
 # ----------------------------------------------------------- num-sim
 
 def cmd_num_sim(args) -> int:
@@ -70,8 +53,9 @@ def cmd_num_sim(args) -> int:
         cell_capacity=args.cell_capacity, local_capacity=args.local_capacity,
         gamma=args.gamma,
         policies=num.POLICIES if args.policy == "all" else (args.policy,))
-    raw, agg = _write(args, "num-sim", comments, scenarios.NUM_COLUMNS, rows,
-                      ["policy", "n_devices", "p_local"], ["avg_rate"])
+    raw, agg = scenarios.write_recipe_output(scenarios.recipe_output(
+        "num-sim", comments, scenarios.NUM_COLUMNS, rows,
+        ["policy", "n_devices", "p_local"], ["avg_rate"]), args.out)
     print(f"wrote {raw} ({len(rows)} rows) and {agg}")
     return 0
 
@@ -84,12 +68,16 @@ def _event_kind(record) -> str:
     return f"{record.event}.{record.kind}"
 
 
+def _blank(value):
+    return "" if value is None else value
+
+
 def cmd_proto_sim(args) -> int:
     n_seeds = args.seeds if args.seeds is not None else 1
     seeds = range(args.seed, args.seed + n_seeds)
     stem = os.path.splitext(os.path.basename(args.scenario))[0]
     rows = []
-    out_dir = _out_dir(args)
+    os.makedirs(args.out, exist_ok=True)
     for s in seeds:
         sim_cfg, proto = scenarios.load_scenario(args.scenario, seed=s)
         if args.event_log:
@@ -105,17 +93,18 @@ def cmd_proto_sim(args) -> int:
               f"{met.local_bytes / 1e6:.3f} MB")
         if args.event_log:
             suffix = "_events.csv" if n_seeds == 1 else f"_events_s{s}.csv"
-            path = os.path.join(out_dir, stem + suffix)
-            ev_rows = [[e.t, e.device, _event_kind(e),
-                        "" if e.segment is None else e.segment, e.nbytes]
+            path = os.path.join(args.out, stem + suffix)
+            ev_rows = [[e.t, e.device, _event_kind(e), _blank(e.segment),
+                        e.nbytes, _blank(e.peer), _blank(e.msg), e.dims]
                        for e in res.sim.events]
             scenarios.write_csv(path, [f"scenario: {args.scenario}",
                                        f"seed: {s}"], EVENT_COLUMNS, ev_rows)
             print(f"  event log: {path} ({len(ev_rows)} records)")
     comments = [f"command: proto-sim {args.scenario}",
                 f"seeds: {list(seeds)}"]
-    raw, agg = _write(args, stem, comments, PROTO_COLUMNS, rows,
-                      ["protocol"], ["duration_s", "avg_rate_bps"])
+    raw, agg = scenarios.write_recipe_output(scenarios.recipe_output(
+        stem, comments, PROTO_COLUMNS, rows,
+        ["protocol"], ["duration_s", "avg_rate_bps"]), args.out)
     print(f"wrote {raw} ({len(rows)} rows) and {agg}")
     return 0
 
@@ -132,8 +121,9 @@ def cmd_bench(args) -> int:
         f"packet bytes n={args.n}, {args.seconds:g}s per measurement",
         "throughputs are wall-clock measurements, not deterministic",
     ]
-    raw, agg = _write(args, "bench-codec", comments, scenarios.BENCH_COLUMNS,
-                      rows, ["m"], ["encode_mbps", "decode_mbps"])
+    raw, agg = scenarios.write_recipe_output(scenarios.recipe_output(
+        "bench-codec", comments, scenarios.BENCH_COLUMNS, rows,
+        ["m"], ["encode_mbps", "decode_mbps"]), args.out)
     for r in results:
         print(f"m={r['m']:>3}: encode {r['encode_mbps']:7.2f} Mbps, "
               f"decode {r['decode_mbps']:7.2f} Mbps")
@@ -145,11 +135,10 @@ def cmd_bench(args) -> int:
 
 def cmd_recipe(args) -> int:
     names = list(scenarios.RECIPES) if args.name == "all" else [args.name]
-    out_dir = _out_dir(args)
     for name in names:
         out = scenarios.run_recipe(name, base_seed=args.seed,
                                    n_seeds=args.seeds)
-        paths = scenarios.write_recipe_output(out, out_dir)
+        paths = scenarios.write_recipe_output(out, args.out)
         print(f"{name}: " + ", ".join(paths))
     return 0
 

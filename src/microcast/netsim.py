@@ -29,7 +29,7 @@ from __future__ import annotations
 import heapq
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -211,8 +211,17 @@ class SimConfig:
         return [d for d in range(self.n) if d != device]
 
 
-@dataclass(frozen=True)
-class LogRecord:
+class LogRecord(NamedTuple):
+    """One event-log line.
+
+    A local delivery logs one tx record (device = sender, peer = the
+    addressee or None) and one rx record per receiving device (peer =
+    the sender).  All of them carry the delivery's number as `msg` and
+    the message's `dims`, so a reception joins its transmission on `msg`.
+    Protocol intent records (request, serve, push, ...) carry the
+    dimensions they commit to in `dims`.
+    """
+
     t: float
     event: str
     device: int
@@ -220,6 +229,8 @@ class LogRecord:
     segment: int | None = None
     nbytes: int = 0
     peer: int | None = None
+    msg: int | None = None
+    dims: int = 0
 
 
 class TrafficMeter:
@@ -314,6 +325,7 @@ class LocalMedium:
         self.queue: deque = deque()
         self.busy = False
         self.busy_intervals: list = []   # populated when log_events
+        self.delivered = 0               # deliveries so far; numbers the next
 
     def occupations(self, msg: Message) -> int:
         cfg = self.sim.config
@@ -354,9 +366,12 @@ class LocalMedium:
 
     def _deliver(self, msg: Message, occupations: int) -> None:
         sim = self.sim
+        msg_id = self.delivered
+        self.delivered += 1
         sim.meter.record_tx(msg, occupations)
         sim.log("tx", msg.src, kind=msg.kind, segment=msg.segment,
-                nbytes=msg.nbytes * occupations, peer=msg.dst)
+                nbytes=msg.nbytes * occupations, peer=msg.dst,
+                msg=msg_id, dims=msg.dims)
         loss = sim.config.loss[msg.src]
         for d in range(sim.config.n):
             if d == msg.src:
@@ -366,7 +381,7 @@ class LocalMedium:
                 continue
             sim.meter.record_rx(d, msg)
             sim.log("rx", d, kind=msg.kind, segment=msg.segment,
-                    nbytes=msg.nbytes, peer=msg.src)
+                    nbytes=msg.nbytes, peer=msg.src, msg=msg_id, dims=msg.dims)
             sim.note_progress()
             handler = sim.handlers[d]
             if handler is not None:
@@ -405,10 +420,10 @@ class Simulator:
         heapq.heappush(self._heap, (self.now + delay, self._seq, fn, args))
 
     def log(self, event: str, device: int, kind=None, segment=None,
-            nbytes=0, peer=None) -> None:
+            nbytes=0, peer=None, msg=None, dims=0) -> None:
         if self.config.log_events:
             self.events.append(LogRecord(self.now, event, device, kind,
-                                         segment, nbytes, peer))
+                                         segment, nbytes, peer, msg, dims))
 
     def note_progress(self) -> None:
         self._last_progress = self.now

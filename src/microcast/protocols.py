@@ -410,7 +410,8 @@ class MicroNCP2Node(BaseNode):
     random neighbor before being advertised; everyone credits every
     overheard coded packet.  Requests carry missing dimensions, the
     server coalesces simultaneous requests for a segment and answers
-    with max(dims) packets plus per-requester notifications.
+    with max(dims) packets plus one notification per requester, each
+    carrying the dims served.
     """
 
     def __init__(self, sim, device, proto):
@@ -436,7 +437,7 @@ class MicroNCP2Node(BaseNode):
             self.sim.medium.submit(
                 lambda: self._recode_messages(segment, self.proto.m, target))
             self.sim.log("push", self.device, segment=segment, peer=target,
-                         nbytes=self.proto.m)
+                         dims=self.proto.m)
         self.advert_pending.append(segment)
         self._arm_advert_timer()
 
@@ -479,7 +480,7 @@ class MicroNCP2Node(BaseNode):
                       CONTROL_BYTES, dims=dims)
         self.sim.medium.submit(lambda: msg)
         self.sim.log("request", self.device, segment=segment, peer=target,
-                     nbytes=dims)
+                     dims=dims)
 
     def _recovery_tick(self) -> None:
         now = self.sim.now
@@ -531,9 +532,9 @@ class MicroNCP2Node(BaseNode):
             msgs = self._recode_messages(segment, dims, first)
             for requester in group["order"]:
                 msgs.append(Message(NOTIFICATION, self.device, requester,
-                                    segment, CONTROL_BYTES))
+                                    segment, CONTROL_BYTES, dims=dims))
             self.sim.log("serve", self.device, segment=segment, peer=first,
-                         nbytes=dims)
+                         dims=dims)
             self._ensure_serve_job()
             return msgs
         return None
@@ -744,7 +745,8 @@ class R2PushNode(BaseNode):
         if done >= cap:
             return None
         self.pushed[(segment, neighbor)] = done + 1
-        self.sim.log("push", self.device, segment=segment, peer=neighbor)
+        self.sim.log("push", self.device, segment=segment, peer=neighbor,
+                     dims=1)
         return self._recode_messages(segment, 1, neighbor)
 
     def _build_solicited(self, segment: int, neighbor: int, dims: int):
@@ -752,7 +754,7 @@ class R2PushNode(BaseNode):
         if msgs:
             self.solicited_served += dims
             self.sim.log("push_solicited", self.device, segment=segment,
-                         peer=neighbor, nbytes=dims)
+                         peer=neighbor, dims=dims)
         return msgs
 
     def _recovery_tick(self) -> None:
@@ -786,7 +788,7 @@ class R2PushNode(BaseNode):
                           CONTROL_BYTES, dims=dims)
             self.sim.medium.submit(lambda: msg)
             self.sim.log("request", self.device, segment=segment, peer=target,
-                         nbytes=dims)
+                         dims=dims)
         self.sim.schedule(self.proto.recovery_timeout_s, self._recovery_tick)
 
     def on_message(self, msg: Message) -> None:

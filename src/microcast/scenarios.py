@@ -248,6 +248,13 @@ class RecipeOutput:
     agg_rows: list
 
 
+def recipe_output(name: str, comments, columns, rows, group_cols,
+                  value_cols) -> RecipeOutput:
+    """Raw rows plus their mean/std aggregate per sweep point."""
+    agg_cols, agg_rows = aggregate(rows, columns, group_cols, value_cols)
+    return RecipeOutput(name, comments, columns, rows, agg_cols, agg_rows)
+
+
 @dataclass(frozen=True)
 class Recipe:
     name: str
@@ -294,9 +301,8 @@ def _num_recipe(name: str, n_values, p_values, local_capacity: float,
                 seeds) -> RecipeOutput:
     comments, rows = num_sweep(f"recipe: {name}", n_values, p_values, seeds,
                                local_capacity=local_capacity)
-    agg_cols, agg_rows = aggregate(rows, NUM_COLUMNS,
-                                   ["policy", "n_devices", "p_local"], ["avg_rate"])
-    return RecipeOutput(name, comments, NUM_COLUMNS, rows, agg_cols, agg_rows)
+    return recipe_output(name, comments, NUM_COLUMNS, rows,
+                         ["policy", "n_devices", "p_local"], ["avg_rate"])
 
 
 def microdownload_traces():
@@ -337,10 +343,8 @@ def _microdownload_recipe(seeds) -> RecipeOutput:
         "adaptive download timeout: 3s; static: none",
         f"seeds: {list(seeds)}",
     ]
-    agg_cols, agg_rows = aggregate(rows, MICRODOWNLOAD_COLUMNS,
-                                   ["assignment"], ["completion_s"])
-    return RecipeOutput("fig-microdownload", comments, MICRODOWNLOAD_COLUMNS,
-                        rows, agg_cols, agg_rows)
+    return recipe_output("fig-microdownload", comments, MICRODOWNLOAD_COLUMNS,
+                         rows, ["assignment"], ["completion_s"])
 
 
 FIG6B_COLUMNS = ["protocol", "topology", "seed", "local_bytes", "data_bytes",
@@ -374,10 +378,9 @@ def _fig6b_recipe(seeds) -> RecipeOutput:
         " r2_push/star (ap=downloader), r2_push/clique",
         f"seeds: {list(seeds)}",
     ]
-    agg_cols, agg_rows = aggregate(rows, FIG6B_COLUMNS,
-                                   ["protocol", "topology"],
-                                   ["traffic_ratio", "completion_s"])
-    return RecipeOutput("fig6b", comments, FIG6B_COLUMNS, rows, agg_cols, agg_rows)
+    return recipe_output("fig6b", comments, FIG6B_COLUMNS, rows,
+                         ["protocol", "topology"],
+                         ["traffic_ratio", "completion_s"])
 
 
 CONGESTED_COLUMNS = ["protocol", "n_devices", "seed", "avg_rate_bps",
@@ -413,10 +416,8 @@ def _congested_recipe(seeds) -> RecipeOutput:
         "protocols: microcast, bittorrent_pull, none (standalone baseline)",
         f"seeds: {list(seeds)}",
     ]
-    agg_cols, agg_rows = aggregate(rows, CONGESTED_COLUMNS,
-                                   ["protocol", "n_devices"], ["avg_rate_bps"])
-    return RecipeOutput("fig-congested", comments, CONGESTED_COLUMNS, rows,
-                        agg_cols, agg_rows)
+    return recipe_output("fig-congested", comments, CONGESTED_COLUMNS, rows,
+                         ["protocol", "n_devices"], ["avg_rate_bps"])
 
 
 BENCH_COLUMNS = ["m", "encode_mbps", "decode_mbps"]
@@ -434,9 +435,8 @@ def _bench_recipe(seeds) -> RecipeOutput:
         "throughputs are wall-clock measurements, not deterministic",
         f"seed: {seeds[0] if seeds else None}",
     ]
-    agg_cols, agg_rows = aggregate(rows, BENCH_COLUMNS, ["m"],
-                                   ["encode_mbps", "decode_mbps"])
-    return RecipeOutput("fig7b", comments, BENCH_COLUMNS, rows, agg_cols, agg_rows)
+    return recipe_output("fig7b", comments, BENCH_COLUMNS, rows, ["m"],
+                         ["encode_mbps", "decode_mbps"])
 
 
 RECIPES = {r.name: r for r in [

@@ -11,6 +11,8 @@ from pathlib import Path
 import pytest
 
 from microcast import acceptance, scenarios
+from microcast.netsim import MODE_CLIQUE, DeviceSpec, RateTrace, SimConfig
+from microcast.protocols import PROTO_MICROCAST, ProtocolConfig, run_protocol
 
 
 @pytest.fixture(scope="session")
@@ -76,3 +78,21 @@ def test_criterion_8_congested_medium(results_dir):
 
 def test_criterion_9_protocol_properties():
     report(acceptance.evaluate_protocol_properties())
+
+
+def test_coalescing_check_skips_scheduler_notifications():
+    # at t=6 device 1 serves one dimension of segment 3 to device 2, and its
+    # next transmission is its scheduler feedback Notification for segment 3
+    # to device 0, whose ask for 4 dimensions was served at t=0.1: that
+    # feedback is not a notification to a member of the serve
+    devices = [DeviceSpec(cellular=RateTrace.constant(2293812.8591898195)),
+               DeviceSpec(cellular=RateTrace.constant(1953665.5828385355)),
+               DeviceSpec(), DeviceSpec()]
+    sim_cfg = SimConfig(devices=devices, capacity_bps=5e6, loss=0.3,
+                        mode=MODE_CLIQUE, seed=1053094561, max_time_s=900.0,
+                        log_events=True)
+    proto = ProtocolConfig(PROTO_MICROCAST, file_bytes=6 * 10 * 24, m=10,
+                           n=24, initiator=0)
+    res = run_protocol(sim_cfg, proto)
+    assert res.metrics.complete
+    assert acceptance._check_microcast_run(res, proto, lossless=False) == []

@@ -89,9 +89,15 @@ def test_proto_sim_writes_rows_and_events(tmp_path):
     assert columns[:4] == ["protocol", "seed", "complete", "duration_s"]
     assert len(rows) == 1 and rows[0]["complete"] == "1"
     _, ev_cols, events = scenarios.read_csv(os.path.join(out, "tiny_events.csv"))
-    assert ev_cols == ["t", "device", "event_kind", "segment", "bytes"]
+    assert ev_cols == ["t", "device", "event_kind", "segment", "bytes", "peer",
+                       "msg", "dims"]
     kinds = {e["event_kind"] for e in events}
     assert "cell_done" in kinds and any(k.startswith("tx.") for k in kinds)
+    # a reception names its sender and the transmission it belongs to
+    sent = {e["msg"]: e for e in events if e["event_kind"].startswith("tx.")}
+    for e in events:
+        if e["event_kind"].startswith("rx."):
+            assert e["peer"] == sent[e["msg"]]["device"] != e["device"]
 
 
 def test_proto_sim_multi_seed_rows(tmp_path):

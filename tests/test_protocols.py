@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from microcast.netsim import (
     ADVERTISEMENT,
@@ -10,6 +12,7 @@ from microcast.netsim import (
     CONTROL_BYTES,
     HAVE,
     MODE_CLIQUE,
+    MODE_PSEUDO_ADHOC,
     MODE_STAR,
     NOTIFICATION,
     PIECE,
@@ -231,7 +234,7 @@ def test_notification_without_progress_triggers_rerequest():
     settle(sim)
     reqs = [e for e in sim.events if e.event == "request" and e.t < 1.0]
     assert len(reqs) == 1
-    assert reqs[0].peer == 0 and reqs[0].nbytes == proto.m
+    assert reqs[0].peer == 0 and reqs[0].dims == proto.m
     # a second hint while the request is in flight does not duplicate it
     node.on_message(Message(ADVERTISEMENT, 2, None, 0, CONTROL_BYTES))
     settle(sim, horizon=0.6)
@@ -305,11 +308,14 @@ def test_unsolicited_pushes_respect_the_cap():
     cap = 5 + 1                             # m + ceil(delta * m)
     for node in res.nodes:
         assert all(c <= cap for c in node.pushed.values())
-    # receipt of a brake stops the stream for good
-    brake_rx = {}
+    # the first brake addressed to a pusher stops its stream for good;
+    # overheard brakes for other devices do not count
+    dst, brake_rx = {}, {}
     for e in res.sim.events:
-        if e.event == "rx" and e.kind == BRAKE:
-            brake_rx[(e.device, e.segment, e.peer)] = e.t
+        if e.event == "tx":
+            dst[e.msg] = e.peer
+        elif e.event == "rx" and e.kind == BRAKE and dst[e.msg] == e.device:
+            brake_rx.setdefault((e.device, e.segment, e.peer), e.t)
     for e in res.sim.events:
         if e.event == "push":
             t = brake_rx.get((e.device, e.segment, e.peer))
@@ -353,6 +359,40 @@ def test_standalone_downloads_never_touch_the_medium():
     assert m.completion_s[1] == pytest.approx(2.0)
     assert m.completion_s[2] is None
     assert m.avg_rate_bps == pytest.approx(550e3)
+
+
+# ---------------------------------------------------------------- trace
+
+
+@settings(max_examples=30, deadline=None)
+@given(protocol=st.sampled_from([PROTO_MICROCAST, PROTO_BITTORRENT, PROTO_R2]),
+       mode=st.sampled_from([MODE_CLIQUE, MODE_PSEUDO_ADHOC, MODE_STAR]),
+       n_devices=st.integers(2, 4), loss=st.sampled_from([0.0, 0.1, 0.3]),
+       segments=st.integers(1, 3), m=st.integers(2, 6),
+       seed=st.integers(0, 2**16))
+def test_every_reception_joins_its_transmission(protocol, mode, n_devices,
+                                                 loss, segments, m, seed):
+    res = run_proto(protocol, rates=(2000.0,) + (None,) * (n_devices - 1),
+                    segments=segments, m=m, n=8, seed=seed, loss=loss,
+                    mode=mode)
+    tx = {}
+    for e in tx_records(res.sim):
+        assert e.msg not in tx
+        tx[e.msg] = e
+    assert sorted(tx) == list(range(len(tx)))   # one number per delivery
+    received = set()
+    for e in res.sim.events:
+        if e.event != "rx":
+            continue
+        sent = tx[e.msg]
+        assert (e.t, e.kind, e.segment, e.dims) == \
+            (sent.t, sent.kind, sent.segment, sent.dims)
+        assert e.peer == sent.device != e.device
+        assert (e.device, e.msg) not in received
+        received.add((e.device, e.msg))
+    meter = res.sim.meter
+    assert sum(e.nbytes for e in tx.values()) == meter.local_bytes_total \
+        == meter.tx_bytes.sum()
 
 
 # ---------------------------------------------------------------- determinism
