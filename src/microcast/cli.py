@@ -18,7 +18,7 @@ import glob
 import os
 import sys
 
-from . import acceptance, num, rlnc, scenarios
+from . import acceptance, num, scenarios
 from .protocols import run_protocol
 
 PROTO_COLUMNS = ["protocol", "seed", "complete", "duration_s", "avg_rate_bps",
@@ -112,21 +112,12 @@ def cmd_proto_sim(args) -> int:
 # --------------------------------------------------------- bench-codec
 
 def cmd_bench(args) -> int:
-    m_values = _int_list(args.m)
-    results = rlnc.bench(m_values, n=args.n, seconds=args.seconds,
-                         seed=args.seed)
-    rows = [[r["m"], r["encode_mbps"], r["decode_mbps"]] for r in results]
-    comments = [
-        "command: bench-codec",
-        f"packet bytes n={args.n}, {args.seconds:g}s per measurement",
-        "throughputs are wall-clock measurements, not deterministic",
-    ]
-    raw, agg = scenarios.write_recipe_output(scenarios.recipe_output(
-        "bench-codec", comments, scenarios.BENCH_COLUMNS, rows,
-        ["m"], ["encode_mbps", "decode_mbps"]), args.out)
-    for r in results:
-        print(f"m={r['m']:>3}: encode {r['encode_mbps']:7.2f} Mbps, "
-              f"decode {r['decode_mbps']:7.2f} Mbps")
+    out = scenarios.codec_bench("bench-codec", "command: bench-codec",
+                                _int_list(args.m), args.n, args.seconds,
+                                args.seed)
+    raw, agg = scenarios.write_recipe_output(out, args.out)
+    for m, encode, decode in out.rows:
+        print(f"m={m:>3}: encode {encode:7.2f} Mbps, decode {decode:7.2f} Mbps")
     print(f"wrote {raw} and {agg}")
     return 0
 

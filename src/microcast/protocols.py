@@ -58,6 +58,11 @@ ASSIGN_STATIC = "static"
 
 _MD = "md"   # payload tag for scheduler control traffic
 
+BACKLOG_LIMIT = 3           # K, assignments in flight per device
+ADVERT_PERIOD_S = 0.1
+RECOVERY_TIMEOUT_S = 2.0    # recovery tick and control-message retry period
+DELTA = 0.03                # R2 redundancy fraction
+
 
 @dataclass
 class ProtocolConfig:
@@ -65,11 +70,7 @@ class ProtocolConfig:
     file_bytes: int = 9_930_000
     m: int = 25
     n: int = 900
-    backlog_limit: int = 3          # K, assignments in flight per device
-    advert_period_s: float = 0.1
-    recovery_timeout_s: float = 2.0
     video_kbps: float = 500.0       # playback clock for request priority
-    delta: float = 0.03             # R2 redundancy fraction
     assignment: str = ASSIGN_ADAPTIVE
     initiator: int = 0
 
@@ -78,10 +79,8 @@ class ProtocolConfig:
             raise ValueError(f"unknown protocol {self.protocol!r}")
         if self.assignment not in (ASSIGN_ADAPTIVE, ASSIGN_STATIC):
             raise ValueError(f"unknown assignment mode {self.assignment!r}")
-        if self.file_bytes <= 0 or self.backlog_limit <= 0:
-            raise ValueError("file_bytes and backlog_limit must be positive")
-        if not 0.0 <= self.delta <= 1.0:
-            raise ValueError("delta outside [0, 1]")
+        if self.file_bytes <= 0:
+            raise ValueError("file_bytes must be positive")
 
     @property
     def segment_bytes(self) -> int:
@@ -103,16 +102,17 @@ class ProtocolConfig:
         return CONTROL_BYTES + -(-self.n_segments // 8)
 
     @property
+    def cooperative(self) -> bool:
+        return self.protocol != PROTO_NONE
+
+    @property
     def push_cap_extra(self) -> int:
-        return math.ceil(self.delta * self.m)
+        return math.ceil(DELTA * self.m)
 
 
 @dataclass
 class Metrics:
     protocol: str
-    n_devices: int
-    file_bytes: int
-    n_segments: int
     completion_s: list
     complete: bool
     duration_s: float
@@ -121,7 +121,6 @@ class Metrics:
     local_control_bytes: int
     bytes_by_kind: dict
     count_by_kind: dict
-    per_device_rate_bps: list
     avg_rate_bps: float
 
 
@@ -144,7 +143,8 @@ def _full_state(segment: int, params: GenerationParams) -> DecoderState:
 
 
 class DownloadAgent:
-    """Per-device cellular side: executes assignments, reports feedback."""
+    """Per-device cellular side of the adaptive scheduler: executes
+    assignments, reports feedback until it is acknowledged."""
 
     def __init__(self, sim, device, proto, scheduler, node):
         self.sim = sim
@@ -167,14 +167,9 @@ class DownloadAgent:
             segment, self.proto.segment_bytes, self._downloaded)
 
     def _downloaded(self, segment: int, success: bool) -> None:
-        self.sim.log("feedback", self.device, segment=segment,
-                     nbytes=int(success))
-        if self.scheduler.wants_feedback:
-            self.unacked[segment] = success
-            self._send_feedback(segment)
-        else:
-            self.scheduler.on_feedback(self.device, segment, success)
-        if success and self.node is not None:
+        self.unacked[segment] = success
+        self._send_feedback(segment)
+        if success:
             self.node.on_cellular_segment(segment)
 
     def _send_feedback(self, segment: int) -> None:
@@ -197,21 +192,11 @@ class DownloadAgent:
                                payload=(_MD, "feedback", self.unacked[segment]))
 
             self.sim.medium.submit(build)
-        self.sim.schedule(self.proto.recovery_timeout_s,
-                          self._send_feedback, segment)
+        self.sim.schedule(RECOVERY_TIMEOUT_S, self._send_feedback, segment)
 
     def on_ack(self, segment: int) -> None:
         self.unacked.pop(segment, None)
         self.active.discard(segment)
-
-    def on_message(self, msg: Message) -> None:
-        if msg.dst != self.device:
-            return
-        tag = msg.payload
-        if tag[1] == "assign":
-            self.on_assign(msg.segment)
-        elif tag[1] == "ack":
-            self.on_ack(msg.segment)
 
 
 class MicroDownloadScheduler:
@@ -221,8 +206,6 @@ class MicroDownloadScheduler:
     medium as control messages and are retried until acknowledged
     (a feedback acknowledges its assignment).
     """
-
-    wants_feedback = True
 
     def __init__(self, sim, proto, agents, cellular_devices):
         self.sim = sim
@@ -243,7 +226,7 @@ class MicroDownloadScheduler:
     def _fill(self) -> None:
         while self.unassigned:
             device = min(self.cellular, key=lambda d: (self.backlog[d], d))
-            if self.backlog[device] >= self.proto.backlog_limit:
+            if self.backlog[device] >= BACKLOG_LIMIT:
                 return
             self._assign(self.unassigned.popleft(), device)
 
@@ -269,8 +252,7 @@ class MicroDownloadScheduler:
                                CONTROL_BYTES, payload=(_MD, "assign"))
 
             self.sim.medium.submit(build)
-        self.sim.schedule(self.proto.recovery_timeout_s,
-                          self._send_assign, segment, device)
+        self.sim.schedule(RECOVERY_TIMEOUT_S, self._send_assign, segment, device)
 
     def on_feedback(self, device: int, segment: int, success: bool) -> None:
         self._send_ack(device, segment)
@@ -295,45 +277,45 @@ class MicroDownloadScheduler:
                           CONTROL_BYTES, payload=(_MD, "ack"))
             self.sim.medium.submit(lambda: msg)
 
-    def on_message(self, msg: Message) -> None:
-        if msg.dst != self.device:
-            return
-        tag = msg.payload
-        if tag[1] == "feedback":
-            self.on_feedback(msg.src, msg.segment, tag[2])
-
 
 class StaticScheduler:
-    """Contiguous equal split seeded at t=0; no feedback, no reassignment."""
+    """A fixed plan queued on the modems at t=0; no messages, no reassignment.
 
-    wants_feedback = False
+    Under `none` every cellular device downloads the whole file alone, so
+    `downloaded_by` names the last device to finish each segment;
+    otherwise the cellular devices split the file contiguously.
+    """
 
-    def __init__(self, sim, proto, agents, cellular_devices):
+    def __init__(self, sim, proto, nodes, cellular_devices):
         self.sim = sim
-        self.device = proto.initiator
-        self.cellular = list(cellular_devices)
-        self.agents = agents
         self.proto = proto
+        self.nodes = nodes
+        self.cellular = list(cellular_devices)
         self.downloaded_by = {}
         self.failures = 0
 
-    def start(self) -> None:
+    def plan(self) -> list:
+        """(device, segments) pairs in the order they are queued."""
         total = self.proto.n_segments
+        if not self.proto.cooperative:
+            return [(device, range(total)) for device in self.cellular]
         share = total / len(self.cellular)
-        for k, device in enumerate(self.cellular):
-            lo, hi = round(k * share), round((k + 1) * share)
-            for segment in range(lo, hi):
-                self.agents[device].on_assign(segment)
+        return [(device, range(round(k * share), round((k + 1) * share)))
+                for k, device in enumerate(self.cellular)]
 
-    def on_feedback(self, device, segment, success):
+    def start(self) -> None:
+        for device, segments in self.plan():
+            modem = self.sim.modems[device]
+            for segment in segments:
+                modem.download(segment, self.proto.segment_bytes,
+                               lambda s, ok, d=device: self._downloaded(d, s, ok))
+
+    def _downloaded(self, device: int, segment: int, success: bool) -> None:
         if success:
             self.downloaded_by[segment] = device
+            self.nodes[device].on_cellular_segment(segment)
         else:
             self.failures += 1
-
-    def on_message(self, msg: Message) -> None:
-        if msg.dst == self.device and msg.payload[1] == "feedback":
-            self.on_feedback(msg.src, msg.segment, msg.payload[2])
 
 
 class BaseNode:
@@ -422,10 +404,9 @@ class MicroNCP2Node(BaseNode):
         self.in_flight: dict = {}         # segment -> request sent time
         self.pending: "OrderedDict" = OrderedDict()   # segment -> {req: dims}
         self.serve_job_queued = False
-        self.requests_sent = 0
         self._arrivals = 0
         self.highest_heard = -1           # largest segment id seen anywhere
-        sim.schedule(proto.recovery_timeout_s, self._recovery_tick)
+        sim.schedule(RECOVERY_TIMEOUT_S, self._recovery_tick)
 
     # ---- cellular side
 
@@ -450,7 +431,7 @@ class MicroNCP2Node(BaseNode):
     def _arm_advert_timer(self) -> None:
         if not self.advert_timer_armed:
             self.advert_timer_armed = True
-            self.sim.schedule(self.proto.advert_period_s, self._advert_tick)
+            self.sim.schedule(ADVERT_PERIOD_S, self._advert_tick)
 
     def _advert_tick(self) -> None:
         self.advert_timer_armed = False
@@ -475,7 +456,6 @@ class MicroNCP2Node(BaseNode):
             return
         dims = self.proto.m - self.rank(segment)
         self.in_flight[segment] = self.sim.now
-        self.requests_sent += 1
         msg = Message(REQUEST, self.device, target, segment,
                       CONTROL_BYTES, dims=dims)
         self.sim.medium.submit(lambda: msg)
@@ -485,7 +465,7 @@ class MicroNCP2Node(BaseNode):
     def _recovery_tick(self) -> None:
         now = self.sim.now
         stale = [s for s, t in self.in_flight.items()
-                 if now - t >= self.proto.recovery_timeout_s]
+                 if now - t >= RECOVERY_TIMEOUT_S]
         for segment in stale:
             del self.in_flight[segment]
         for segment in self.missing():
@@ -501,10 +481,10 @@ class MicroNCP2Node(BaseNode):
                     continue
                 # round robin, without pinning the guess, so the next tick
                 # tries someone else
-                k = segment + int(now / self.proto.recovery_timeout_s)
+                k = segment + int(now / RECOVERY_TIMEOUT_S)
                 probe = self.neighbors[k % len(self.neighbors)]
             self._consider_request(segment, probe)
-        self.sim.schedule(self.proto.recovery_timeout_s, self._recovery_tick)
+        self.sim.schedule(RECOVERY_TIMEOUT_S, self._recovery_tick)
 
     # ---- serving
 
@@ -556,8 +536,6 @@ class MicroNCP2Node(BaseNode):
                 self._consider_request(msg.segment)
             return
         if msg.kind == NOTIFICATION:
-            if isinstance(msg.payload, tuple) and msg.payload[0] == _MD:
-                return   # scheduler traffic, not ours
             self._note_heard(msg.segment)
             self.source_of[msg.segment] = msg.src
             if msg.dst == self.device:
@@ -592,7 +570,7 @@ class BitTorrentPullNode(BaseNode):
         self.bitfield_queued = False
         self.last_heard = None            # carrier sense: last rx of any kind
         sim.schedule(0.0, self._send_bitfields)
-        sim.schedule(proto.recovery_timeout_s, self._recovery_tick)
+        sim.schedule(RECOVERY_TIMEOUT_S, self._recovery_tick)
 
     def on_cellular_segment(self, segment: int) -> None:
         self._own_segment(segment)
@@ -633,10 +611,10 @@ class BitTorrentPullNode(BaseNode):
         # re-request would buy a duplicate Piece.  The medium is FIFO, so
         # a full quiet window proves everything older has drained.
         quiet = self.last_heard is None or \
-            now - self.last_heard >= self.proto.recovery_timeout_s
+            now - self.last_heard >= RECOVERY_TIMEOUT_S
         if quiet:
             for segment, (peer, t) in list(self.in_flight.items()):
-                if now - t >= self.proto.recovery_timeout_s:
+                if now - t >= RECOVERY_TIMEOUT_S:
                     del self.in_flight[segment]
                     self._consider_request(segment, peer)
         for segment in self.missing():
@@ -647,7 +625,7 @@ class BitTorrentPullNode(BaseNode):
                         break
         if quiet:
             self._send_bitfields()   # keep-alive, covers lost Haves
-        self.sim.schedule(self.proto.recovery_timeout_s, self._recovery_tick)
+        self.sim.schedule(RECOVERY_TIMEOUT_S, self._recovery_tick)
 
     def _ensure_serve_job(self) -> None:
         if not self.serve_job_queued and self.pending:
@@ -694,7 +672,7 @@ class R2PushNode(BaseNode):
     """Receipt-triggered pushing with brakes and a pull-based safety net.
 
     Every received packet of a segment queues one recombination push to
-    each overlay neighbor; a stream stops at rank + ceil(delta*m)
+    each overlay neighbor; a stream stops at rank + ceil(DELTA*m)
     unsolicited pushes or when the neighbor's Brake arrives.  Stalled
     receivers explicitly re-request missing dimensions; those solicited
     packets are tracked separately from the push cap.
@@ -709,7 +687,7 @@ class R2PushNode(BaseNode):
         self.last_rank_change: dict = {}
         self.recovery_tries: dict = {}    # segment -> requests since progress
         self.solicited_served = 0
-        sim.schedule(proto.recovery_timeout_s, self._recovery_tick)
+        sim.schedule(RECOVERY_TIMEOUT_S, self._recovery_tick)
 
     def on_cellular_segment(self, segment: int) -> None:
         self._own_segment(segment)
@@ -768,7 +746,7 @@ class R2PushNode(BaseNode):
             if rank == 0:
                 continue
             stamp = self.last_rank_change.get(segment)
-            if stamp is not None and now - stamp < self.proto.recovery_timeout_s:
+            if stamp is not None and now - stamp < RECOVERY_TIMEOUT_S:
                 continue
             target = self.last_source.get(segment)
             if target is None:
@@ -789,7 +767,7 @@ class R2PushNode(BaseNode):
             self.sim.medium.submit(lambda: msg)
             self.sim.log("request", self.device, segment=segment, peer=target,
                          dims=dims)
-        self.sim.schedule(self.proto.recovery_timeout_s, self._recovery_tick)
+        self.sim.schedule(RECOVERY_TIMEOUT_S, self._recovery_tick)
 
     def on_message(self, msg: Message) -> None:
         if msg.dst != self.device:
@@ -838,53 +816,44 @@ def run_protocol(sim_config: SimConfig, proto: ProtocolConfig) -> RunResult:
     cellular = [d for d in range(n) if sim_config.devices[d].has_cellular]
     if not cellular:
         raise ValueError("at least one device needs a cellular link")
+    if proto.initiator not in range(n):
+        raise ValueError("initiator must be a group member")
 
     node_cls = _NODE_CLASSES[proto.protocol]
     nodes = [node_cls(sim, d, proto) for d in range(n)]
-
-    if proto.protocol == PROTO_NONE:
-        scheduler = None
-        for d in cellular:
-            agent_done = nodes[d].on_cellular_segment
-            for segment in range(proto.n_segments):
-                sim.modems[d].download(
-                    segment, proto.segment_bytes,
-                    lambda s, ok, fn=agent_done: ok and fn(s))
-        for d in range(n):
-            sim.attach(d, nodes[d].on_message)
-        targets = [nodes[d] for d in cellular]
-    else:
-        if proto.initiator not in range(n):
-            raise ValueError("initiator must be a group member")
-        agents = {}
-        sched_cls = (MicroDownloadScheduler
-                     if proto.assignment == ASSIGN_ADAPTIVE else StaticScheduler)
-        scheduler = sched_cls(sim, proto, agents, cellular)
+    agents = {}
+    if proto.cooperative and proto.assignment == ASSIGN_ADAPTIVE:
+        scheduler = MicroDownloadScheduler(sim, proto, agents, cellular)
         for d in cellular:
             agents[d] = DownloadAgent(sim, d, proto, scheduler, nodes[d])
+    else:
+        scheduler = StaticScheduler(sim, proto, nodes, cellular)
+    # without cooperation a device with no cellular link never finishes
+    targets = nodes if proto.cooperative else [nodes[d] for d in cellular]
 
-        def dispatcher(device):
-            agent = agents.get(device)
-            node = nodes[device]
+    def router(device):
+        node = nodes[device]
 
-            def on_message(msg: Message) -> None:
-                payload = msg.payload
-                if (msg.kind == NOTIFICATION and isinstance(payload, tuple)
-                        and payload and payload[0] == _MD):
-                    if payload[1] == "feedback":
-                        if device == scheduler.device:
-                            scheduler.on_message(msg)
-                    elif agent is not None:
-                        agent.on_message(msg)
-                    return
-                node.on_message(msg)
+        def on_message(msg: Message) -> None:
+            payload = msg.payload
+            if (msg.kind == NOTIFICATION and isinstance(payload, tuple)
+                    and payload[0] == _MD):
+                if msg.dst != device:
+                    return   # overheard scheduler traffic
+                if payload[1] == "feedback":
+                    scheduler.on_feedback(msg.src, msg.segment, payload[2])
+                elif payload[1] == "assign":
+                    agents[device].on_assign(msg.segment)
+                else:
+                    agents[device].on_ack(msg.segment)
+                return
+            node.on_message(msg)
 
-            return on_message
+        return on_message
 
-        for d in range(n):
-            sim.attach(d, dispatcher(d))
-        sim.schedule(0.0, scheduler.start)
-        targets = nodes
+    for d in range(n):
+        sim.attach(d, router(d))
+    sim.schedule(0.0, scheduler.start)
 
     def report() -> str:
         lines = []
@@ -895,7 +864,7 @@ def run_protocol(sim_config: SimConfig, proto: ProtocolConfig) -> RunResult:
                 more = "..." if len(miss) > 8 else ""
                 lines.append(f"device {node.device}: {len(miss)} segments "
                              f"missing ({shown}{more})")
-        if scheduler is not None and getattr(scheduler, "unassigned", None):
+        if getattr(scheduler, "unassigned", None):
             lines.append(f"scheduler: {len(scheduler.unassigned)} unassigned")
         return "\n".join(lines)
 
@@ -910,27 +879,22 @@ def run_protocol(sim_config: SimConfig, proto: ProtocolConfig) -> RunResult:
         target.on_done = target_done
     sim.stall_reporter = report
     sim.run(until=lambda: not unfinished[0])
-    return RunResult(compute_metrics(sim, proto, nodes), sim, nodes, scheduler)
+    return RunResult(compute_metrics(sim, proto, nodes, targets), sim, nodes,
+                     scheduler)
 
 
-def compute_metrics(sim: Simulator, proto: ProtocolConfig, nodes) -> Metrics:
+def compute_metrics(sim: Simulator, proto: ProtocolConfig, nodes,
+                    targets) -> Metrics:
+    """Metrics of a finished run; it is complete when every target is."""
     completion = [node.completion_time for node in nodes]
     finished = [c for c in completion if c is not None]
-    if proto.protocol == PROTO_NONE:
-        relevant = [c for node, c in zip(nodes, completion)
-                    if sim.config.devices[node.device].has_cellular]
-        complete = all(c is not None for c in relevant)
-    else:
-        complete = len(finished) == len(nodes)
+    complete = all(t.completion_time is not None for t in targets)
     bits = proto.file_bytes * 8
     rates = [0.0 if c is None else bits / c for c in completion]
     usable = [r for r in rates if r > 0]
     meter = sim.meter
     return Metrics(
         protocol=proto.protocol,
-        n_devices=sim.config.n,
-        file_bytes=proto.file_bytes,
-        n_segments=proto.n_segments,
         completion_s=completion,
         complete=complete,
         duration_s=max(finished) if finished else sim.now,
@@ -939,6 +903,5 @@ def compute_metrics(sim: Simulator, proto: ProtocolConfig, nodes) -> Metrics:
         local_control_bytes=meter.control_bytes,
         bytes_by_kind=dict(meter.bytes_by_kind),
         count_by_kind=dict(meter.count_by_kind),
-        per_device_rate_bps=rates,
         avg_rate_bps=float(np.mean(usable)) if usable else 0.0,
     )

@@ -168,9 +168,6 @@ class DecoderState:
     def complete(self) -> bool:
         return self.rank == self.params.m
 
-    def missing_dimensions(self) -> int:
-        return self.params.m - self.rank
-
     @classmethod
     def from_plain(cls, generation: Sequence[PlainPacket],
                    params: GenerationParams) -> "DecoderState":

@@ -423,20 +423,26 @@ def _congested_recipe(seeds) -> RecipeOutput:
 BENCH_COLUMNS = ["m", "encode_mbps", "decode_mbps"]
 
 
-def _bench_recipe(seeds) -> RecipeOutput:
-    m_values = (16, 25, 32, 64)
-    rows = []
-    if seeds:
-        for r in rlnc.bench(m_values, 900, seconds=0.3, seed=seeds[0]):
-            rows.append([r["m"], r["encode_mbps"], r["decode_mbps"]])
+def codec_bench(name: str, header: str, m_values, n: int, seconds: float,
+                seed: int | None) -> RecipeOutput:
+    """One `rlnc.bench` run as BENCH_COLUMNS rows; no seed, no rows."""
+    m_values = list(m_values)
+    rows = [] if seed is None else [
+        [r["m"], r["encode_mbps"], r["decode_mbps"]]
+        for r in rlnc.bench(m_values, n, seconds=seconds, seed=seed)]
     comments = [
-        "recipe: fig7b",
-        f"codec bench: m in {list(m_values)}, n=900, 0.3s per phase",
+        header,
+        f"codec bench: m in {m_values}, n={n}, {seconds:g}s per phase",
         "throughputs are wall-clock measurements, not deterministic",
-        f"seed: {seeds[0] if seeds else None}",
+        f"seed: {seed}",
     ]
-    return recipe_output("fig7b", comments, BENCH_COLUMNS, rows, ["m"],
+    return recipe_output(name, comments, BENCH_COLUMNS, rows, ["m"],
                          ["encode_mbps", "decode_mbps"])
+
+
+def _bench_recipe(seeds) -> RecipeOutput:
+    return codec_bench("fig7b", "recipe: fig7b", (16, 25, 32, 64), 900, 0.3,
+                       seeds[0] if seeds else None)
 
 
 RECIPES = {r.name: r for r in [

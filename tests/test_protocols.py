@@ -25,6 +25,7 @@ from microcast.netsim import (
     Simulator,
 )
 from microcast.protocols import (
+    ASSIGN_ADAPTIVE,
     ASSIGN_STATIC,
     PROTO_BITTORRENT,
     PROTO_MICROCAST,
@@ -113,10 +114,8 @@ def test_config_validation():
         ProtocolConfig(protocol="gossip")
     with pytest.raises(ValueError, match="assignment"):
         ProtocolConfig(assignment="roundrobin")
-    with pytest.raises(ValueError, match="delta"):
-        ProtocolConfig(delta=1.5)
     with pytest.raises(ValueError, match="positive"):
-        ProtocolConfig(backlog_limit=0)
+        ProtocolConfig(file_bytes=0)
 
 
 def test_run_protocol_validation():
@@ -124,6 +123,8 @@ def test_run_protocol_validation():
         run_proto(rates=(None, None))
     with pytest.raises(ValueError, match="initiator"):
         run_proto(rates=(500.0, None), initiator=7)
+    with pytest.raises(ValueError, match="initiator"):
+        run_proto(PROTO_NONE, rates=(500.0, None), initiator=7)
 
 
 # ---------------------------------------------------------------- scheduling
@@ -297,7 +298,7 @@ def test_no_push_after_brake():
     node.on_cellular_segment(0)
     settle(sim)
     coded = tx_records(sim, CODED_DATA)
-    assert len(coded) == 6                  # m + ceil(delta * m) queued jobs
+    assert len(coded) == 6                  # m + ceil(DELTA * m) queued jobs
     assert all(e.peer == 2 for e in coded)  # the braked neighbor gets nothing
     assert len(tx_records(sim, BRAKE)) == 2
 
@@ -305,7 +306,7 @@ def test_no_push_after_brake():
 def test_unsolicited_pushes_respect_the_cap():
     res = run_proto(PROTO_R2, rates=(2000.0, None, None), segments=3)
     assert res.metrics.complete
-    cap = 5 + 1                             # m + ceil(delta * m)
+    cap = 5 + 1                             # m + ceil(DELTA * m)
     for node in res.nodes:
         assert all(c <= cap for c in node.pushed.values())
     # the first brake addressed to a pusher stops its stream for good;
@@ -361,6 +362,17 @@ def test_standalone_downloads_never_touch_the_medium():
     assert m.avg_rate_bps == pytest.approx(550e3)
 
 
+def test_standalone_failure_strands_only_its_device():
+    devices = make_devices((550.0, 550.0, None), fail={0})
+    res = run_proto(PROTO_NONE, devices=devices, segments=2, m=5, n=13750)
+    m = res.metrics
+    assert m.completion_s[0] is None
+    assert m.completion_s[1] == pytest.approx(2.0)
+    assert not m.complete
+    assert m.local_bytes == 0
+    assert res.scheduler.failures >= 1
+
+
 # ---------------------------------------------------------------- trace
 
 
@@ -369,12 +381,19 @@ def test_standalone_downloads_never_touch_the_medium():
        mode=st.sampled_from([MODE_CLIQUE, MODE_PSEUDO_ADHOC, MODE_STAR]),
        n_devices=st.integers(2, 4), loss=st.sampled_from([0.0, 0.1, 0.3]),
        segments=st.integers(1, 3), m=st.integers(2, 6),
-       seed=st.integers(0, 2**16))
+       seed=st.integers(0, 2**16),
+       assignment=st.sampled_from([ASSIGN_ADAPTIVE, ASSIGN_STATIC]),
+       data=st.data())
 def test_every_reception_joins_its_transmission(protocol, mode, n_devices,
-                                                 loss, segments, m, seed):
-    res = run_proto(protocol, rates=(2000.0,) + (None,) * (n_devices - 1),
+                                                 loss, segments, m, seed,
+                                                 assignment, data):
+    # adaptive assignment to a second cellular device puts scheduler
+    # traffic on the medium
+    n_cell = data.draw(st.integers(1, n_devices), label="n_cell")
+    res = run_proto(protocol,
+                    rates=(2000.0,) * n_cell + (None,) * (n_devices - n_cell),
                     segments=segments, m=m, n=8, seed=seed, loss=loss,
-                    mode=mode)
+                    mode=mode, assignment=assignment)
     tx = {}
     for e in tx_records(res.sim):
         assert e.msg not in tx
