@@ -326,6 +326,7 @@ class BaseNode:
         self.device = device
         self.proto = proto
         self.params = _math_params(proto.m)
+        self.coded_bytes = proto.coded_bytes  # the property validates params per read
         self.neighbors = sim.config.overlay_neighbors(device)
         self.decoders: dict = {}
         self.complete: set = set()
@@ -378,7 +379,7 @@ class BaseNode:
         for _ in range(count):
             pkt = recode(state, self.sim.rng)
             out.append(Message(kind, self.device, dst, segment,
-                               self.proto.coded_bytes, payload=pkt))
+                               self.coded_bytes, payload=pkt))
         return out
 
     def missing(self) -> list:

@@ -151,6 +151,13 @@ class DecoderState:
     gather clears its lead column from them. Each costs O(rank * (m + n))
     byte operations, so an insert is O(m(m + n)) and extraction is a
     read-off.
+
+    At full rank every column is a pivot column, so the coefficient
+    block is a permutation matrix: row `slot` is e_{_pivot_cols[slot]}.
+    That allows two shortcuts. `insert` returns False straight after its
+    checks, since nothing is innovative any more, and `recode` scatters
+    its weights into the coefficients (coeff[_pivot_cols] = w) and
+    combines only the payload columns.
     """
 
     def __init__(self, segment_id: int, params: GenerationParams):
@@ -194,8 +201,10 @@ class DecoderState:
             )
         if len(packet.coefficients) != m or len(packet.payload) != n:
             raise ValueError("coded packet shape does not match generation params")
-        work = np.concatenate((packet.coefficients, packet.payload))
         r = self.rank
+        if r == m:
+            return False
+        work = np.concatenate((packet.coefficients, packet.payload))
         held = self.rows[:r]
         if r:
             work ^= gf256.gf_dot(work.take(self._pivot_cols[:r]), held)
@@ -227,14 +236,18 @@ class DecoderState:
 
 def recode(state: DecoderState, rng: np.random.Generator) -> CodedPacket:
     """Uniform random combination of the rows a device currently holds."""
-    if state.rank == 0:
+    m, r = state.params.m, state.rank
+    if r == 0:
         raise ValueError("cannot recode from a decoder with no packets")
-    m = state.params.m
     while True:
-        w = rng.integers(0, 256, state.rank, dtype=np.uint8)
+        w = rng.integers(0, 256, r, dtype=np.uint8)
         if w.any():
             break
-    row = gf256.gf_dot(w, state.rows[: state.rank])
+    if r == m:  # permutation coefficient block, see DecoderState
+        coeff = np.zeros(m, dtype=np.uint8)
+        coeff[state._pivot_cols] = w
+        return CodedPacket(state.segment_id, coeff, gf256.gf_dot(w, state.rows[:, m:]))
+    row = gf256.gf_dot(w, state.rows[:r])
     return CodedPacket(state.segment_id, row[:m].copy(), row[m:].copy())
 
 

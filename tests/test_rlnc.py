@@ -5,6 +5,8 @@ whole receive history on every call. It shares only the (separately
 verified) scalar field ops with the production decoder.
 """
 
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -310,3 +312,68 @@ def test_insert_matches_rank_oracle_property(m, n, seed, ops):
     out = state.extract()
     assert b"".join(p.payload for p in out) == data
     assert [p.index for p in out] == list(range(m))
+
+
+def _decode_with_pivots(perm, rng, matrix, params):
+    # the packet for slot k is nonzero at perm[k] and random on perm[:k],
+    # so after elimination its lead column, and slot k's pivot, is perm[k]
+    state = DecoderState(0, params)
+    for k, col in enumerate(perm):
+        coeff = np.zeros(params.m, dtype=np.uint8)
+        coeff[list(perm[:k])] = rng.integers(0, 256, k, dtype=np.uint8)
+        coeff[col] = rng.integers(1, 256, dtype=np.uint8)
+        assert state.insert(CodedPacket(0, coeff, gf256.gf_dot(coeff, matrix)))
+    assert state.complete and list(state._pivot_cols) == list(perm)
+    return state
+
+
+def _general_recode(state, rng):
+    # reference: the general path, a full-width combination of the held rows
+    while True:
+        w = rng.integers(0, 256, state.rank, dtype=np.uint8)
+        if w.any():
+            break
+    return gf256.gf_dot(w, state.rows[: state.rank])
+
+
+@settings(max_examples=60, deadline=None)
+@given(mp=st.integers(1, 12).flatmap(
+           lambda m: st.tuples(st.just(m), st.permutations(range(m)))),
+       n=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))
+def test_full_rank_fast_paths_match_general_path(mp, n, seed):
+    m, perm = mp
+    rng = np.random.default_rng(seed)
+    params = GenerationParams(m=m, n=n)
+    gen, data = make_generation(rng, params)
+    matrix = np.frombuffer(data, dtype=np.uint8).reshape(m, n)
+    for state in (DecoderState.from_plain(gen, params),
+                  _decode_with_pivots(perm, rng, matrix, params)):
+        # recode: same bytes and same rng draws as the general formula
+        for _ in range(3):
+            ref_rng = copy.deepcopy(rng)
+            pkt = recode(state, rng)
+            row = _general_recode(state, ref_rng)
+            assert np.array_equal(pkt.coefficients, row[:m])
+            assert np.array_equal(pkt.payload, row[m:])
+            assert np.array_equal(pkt.payload, gf256.gf_dot(pkt.coefficients, matrix))
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+        zero_first = _ZeroFirstRng()
+        ref_rng = copy.deepcopy(zero_first.inner)
+        pkt = recode(state, zero_first)
+        assert zero_first.calls == 2
+        assert np.array_equal(pkt.coefficients, _general_recode(state, ref_rng)[:m])
+
+        # insert: never innovative, leaves the state alone, still checks
+        before = (state.rows.copy(), dict(state.pivots), state._pivot_cols.copy())
+        for pkt in (encode(gen, rng, params), recode(state, rng)):
+            assert state.insert(pkt) is False
+        assert np.array_equal(state.rows, before[0])
+        assert state.pivots == before[1]
+        assert np.array_equal(state._pivot_cols, before[2])
+        pkt = encode(gen, rng, params)
+        with pytest.raises(ValueError, match="segment"):
+            state.insert(CodedPacket(1, pkt.coefficients, pkt.payload))
+        with pytest.raises(ValueError, match="shape"):
+            state.insert(CodedPacket(0, pkt.coefficients, pkt.payload[1:]))
+        with pytest.raises(ValueError, match="shape"):
+            state.insert(CodedPacket(0, np.append(pkt.coefficients, 1), pkt.payload))
