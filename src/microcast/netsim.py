@@ -368,20 +368,27 @@ class LocalMedium:
         sim = self.sim
         msg_id = self.delivered
         self.delivered += 1
+        cfg = sim.config
+        logging = cfg.log_events
         sim.meter.record_tx(msg, occupations)
-        sim.log("tx", msg.src, kind=msg.kind, segment=msg.segment,
-                nbytes=msg.nbytes * occupations, peer=msg.dst,
-                msg=msg_id, dims=msg.dims)
-        loss = sim.config.loss[msg.src]
-        for d in range(sim.config.n):
+        if logging:
+            sim.log("tx", msg.src, kind=msg.kind, segment=msg.segment,
+                    nbytes=msg.nbytes * occupations, peer=msg.dst,
+                    msg=msg_id, dims=msg.dims)
+        loss = cfg.loss[msg.src]
+        # one draw per receiver, in order: a handler may draw from the
+        # same generator mid-loop (an assignment starts a cellular download)
+        draw = sim.rng.random
+        for d in range(cfg.n):
             if d == msg.src:
                 continue
-            received = sim.rng.random() >= loss[d]
+            received = draw() >= loss[d]
             if not received:
                 continue
             sim.meter.record_rx(d, msg)
-            sim.log("rx", d, kind=msg.kind, segment=msg.segment,
-                    nbytes=msg.nbytes, peer=msg.src, msg=msg_id, dims=msg.dims)
+            if logging:
+                sim.log("rx", d, kind=msg.kind, segment=msg.segment,
+                        nbytes=msg.nbytes, peer=msg.src, msg=msg_id, dims=msg.dims)
             sim.note_progress()
             handler = sim.handlers[d]
             if handler is not None:

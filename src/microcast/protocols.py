@@ -16,9 +16,11 @@ medium:
   none             every cellular device downloads the whole file alone
 
 Decoder bookkeeping runs the real GF(256) elimination on coefficient
-vectors; the carried payload column is 1 byte wide while all metered
-sizes use the configured wire packet size (rank dynamics and byte
-accounting are exact, video content itself is not simulated).
+vectors; the carried payload column is 1 byte wide and always zero,
+while all metered sizes use the configured wire packet size (rank
+dynamics and byte accounting are exact, video content itself is not
+simulated).  A complete decoder therefore recodes without a GF kernel
+call on its payload (see rlnc.DecoderState).
 """
 
 from __future__ import annotations

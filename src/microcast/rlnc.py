@@ -113,10 +113,12 @@ def _payload_matrix(generation: Sequence[PlainPacket], params: GenerationParams)
 
 
 def draw_coefficients(m: int, rng: np.random.Generator) -> np.ndarray:
-    # all-zero draws are discarded and redrawn
+    # all-zero draws are discarded and redrawn; comparing bytes costs a
+    # fraction of c.any() on a short vector
+    zero = bytes(m)
     while True:
         c = rng.integers(0, 256, m, dtype=np.uint8)
-        if c.any():
+        if c.tobytes() != zero:
             return c
 
 
@@ -158,6 +160,13 @@ class DecoderState:
     checks, since nothing is innovative any more, and `recode` scatters
     its weights into the coefficients (coeff[_pivot_cols] = w) and
     combines only the payload columns.
+
+    A full-rank state never changes again, so when it is reached (in
+    `insert` or `from_plain`) the state records once whether its payload
+    block rows[:, m:] is all zero. Any combination of zero rows is zero,
+    so `recode` from such a state returns a zero payload without a GF
+    kernel call. The simulator's decoders carry a zero payload column,
+    which makes this the common case there.
     """
 
     def __init__(self, segment_id: int, params: GenerationParams):
@@ -166,6 +175,7 @@ class DecoderState:
         self.rows = np.zeros((params.m, params.m + params.n), dtype=np.uint8)
         self.pivots: dict[int, int] = {}  # pivot column -> row slot
         self._pivot_cols = np.zeros(params.m, dtype=np.intp)  # row slot -> pivot column
+        self._zero_payload = False  # set at full rank: rows[:, m:] is all zero
 
     @property
     def rank(self) -> int:
@@ -189,6 +199,7 @@ class DecoderState:
         state.rows[:, m:] = _payload_matrix(generation, params)
         state.pivots = {k: k for k in range(m)}
         state._pivot_cols[:] = np.arange(m)
+        state._zero_payload = not state.rows[:, m:].any()
         return state
 
     def insert(self, packet: CodedPacket) -> bool:
@@ -218,6 +229,8 @@ class DecoderState:
         self.rows[r] = work
         self.pivots[lead] = r
         self._pivot_cols[r] = lead
+        if r + 1 == m:
+            self._zero_payload = not self.rows[:, m:].any()
         return True
 
     def extract(self) -> list[PlainPacket]:
@@ -239,14 +252,15 @@ def recode(state: DecoderState, rng: np.random.Generator) -> CodedPacket:
     m, r = state.params.m, state.rank
     if r == 0:
         raise ValueError("cannot recode from a decoder with no packets")
-    while True:
-        w = rng.integers(0, 256, r, dtype=np.uint8)
-        if w.any():
-            break
+    w = draw_coefficients(r, rng)
     if r == m:  # permutation coefficient block, see DecoderState
         coeff = np.zeros(m, dtype=np.uint8)
         coeff[state._pivot_cols] = w
-        return CodedPacket(state.segment_id, coeff, gf256.gf_dot(w, state.rows[:, m:]))
+        if state._zero_payload:
+            payload = np.zeros(state.params.n, dtype=np.uint8)
+        else:
+            payload = gf256.gf_dot(w, state.rows[:, m:])
+        return CodedPacket(state.segment_id, coeff, payload)
     row = gf256.gf_dot(w, state.rows[:r])
     return CodedPacket(state.segment_id, row[:m].copy(), row[m:].copy())
 

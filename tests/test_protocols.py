@@ -56,10 +56,10 @@ def run_proto(protocol=PROTO_MICROCAST, rates=(2000.0, None, None), segments=6,
               **kw):
     if devices is None:
         devices = make_devices(rates)
-    sim_kw = {k: kw.pop(k) for k in ("ap", "capacity_bps", "idle_window_s")
-              if k in kw}
-    cfg = SimConfig(devices=devices, loss=loss, mode=mode, seed=seed,
-                    log_events=True, **sim_kw)
+    sim_kw = {"log_events": True}
+    sim_kw.update({k: kw.pop(k) for k in ("ap", "capacity_bps", "idle_window_s",
+                                           "log_events") if k in kw})
+    cfg = SimConfig(devices=devices, loss=loss, mode=mode, seed=seed, **sim_kw)
     proto = ProtocolConfig(protocol=protocol, file_bytes=segments * m * n,
                            m=m, n=n, **kw)
     return run_protocol(cfg, proto)
@@ -426,3 +426,26 @@ def test_runs_replay_deterministically():
     assert a.metrics.completion_s == b.metrics.completion_s
     assert a.metrics.local_bytes == b.metrics.local_bytes
     assert a.sim.events != c.sim.events
+
+
+@pytest.mark.parametrize("protocol",
+                         [PROTO_MICROCAST, PROTO_BITTORRENT, PROTO_R2, PROTO_NONE])
+def test_logging_only_observes(protocol):
+    # adaptive assignment to a second cellular device puts scheduler
+    # traffic on the medium; an assignment received in the middle of a
+    # delivery starts a cellular download, which draws its failure from
+    # the run's rng before the next receiver draws its loss
+    devices = [DeviceSpec(cellular=RateTrace.constant(2e6)),
+               DeviceSpec(cellular=RateTrace.constant(1.5e6), cell_fail_prob=0.5),
+               DeviceSpec(), DeviceSpec()]
+    quiet, logged = (run_proto(protocol, devices=devices, segments=6,
+                               loss=0.2, seed=3, assignment=ASSIGN_ADAPTIVE,
+                               log_events=log)
+                     for log in (False, True))
+    assert not quiet.sim.events and logged.sim.events
+    assert quiet.metrics == logged.metrics
+    assert [[node.rank(s) for s in range(6)] for node in quiet.nodes] == \
+        [[node.rank(s) for s in range(6)] for node in logged.nodes]
+    assert quiet.sim.now == logged.sim.now
+    assert quiet.sim.medium.delivered == logged.sim.medium.delivered
+    assert quiet.sim.rng.random() == logged.sim.rng.random()

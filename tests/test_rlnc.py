@@ -336,27 +336,55 @@ def _general_recode(state, rng):
     return gf256.gf_dot(w, state.rows[: state.rank])
 
 
+def _recode_counting_kernel(state, rng):
+    # recode, plus how many times it called the GF(256) kernel
+    kernel, calls = gf256.gf_dot, []
+
+    def counted(coeffs, matrix):
+        calls.append(1)
+        return kernel(coeffs, matrix)
+    gf256.gf_dot = counted
+    try:
+        return recode(state, rng), len(calls)
+    finally:
+        gf256.gf_dot = kernel
+
+
+def _payload_data(kind, rng, params):
+    # random bytes, all zero, or all zero but one nonzero byte
+    if kind == "random":
+        return rng.integers(0, 256, params.segment_bytes, dtype=np.uint8).tobytes()
+    data = bytearray(params.segment_bytes)
+    if kind == "one":
+        data[int(rng.integers(0, len(data)))] = int(rng.integers(1, 256))
+    return bytes(data)
+
+
 @settings(max_examples=60, deadline=None)
 @given(mp=st.integers(1, 12).flatmap(
            lambda m: st.tuples(st.just(m), st.permutations(range(m)))),
-       n=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))
-def test_full_rank_fast_paths_match_general_path(mp, n, seed):
+       n=st.integers(1, 12), seed=st.integers(0, 2**32 - 1),
+       kind=st.sampled_from(["random", "zero", "one"]))
+def test_full_rank_fast_paths_match_general_path(mp, n, seed, kind):
     m, perm = mp
     rng = np.random.default_rng(seed)
     params = GenerationParams(m=m, n=n)
-    gen, data = make_generation(rng, params)
+    data = _payload_data(kind, rng, params)
+    gen = split_segment(0, data, params)
     matrix = np.frombuffer(data, dtype=np.uint8).reshape(m, n)
     for state in (DecoderState.from_plain(gen, params),
                   _decode_with_pivots(perm, rng, matrix, params)):
-        # recode: same bytes and same rng draws as the general formula
+        # recode: same bytes and same rng draws as the general formula;
+        # the payload kernel is skipped exactly when every payload byte is 0
         for _ in range(3):
             ref_rng = copy.deepcopy(rng)
-            pkt = recode(state, rng)
+            pkt, kernel_calls = _recode_counting_kernel(state, rng)
             row = _general_recode(state, ref_rng)
             assert np.array_equal(pkt.coefficients, row[:m])
             assert np.array_equal(pkt.payload, row[m:])
             assert np.array_equal(pkt.payload, gf256.gf_dot(pkt.coefficients, matrix))
             assert rng.bit_generator.state == ref_rng.bit_generator.state
+            assert kernel_calls == int(matrix.any())
         zero_first = _ZeroFirstRng()
         ref_rng = copy.deepcopy(zero_first.inner)
         pkt = recode(state, zero_first)
