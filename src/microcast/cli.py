@@ -7,7 +7,9 @@ named figure sweep, and `check` evaluates the acceptance criteria against
 a results directory.  Every run writes raw rows plus a mean/std aggregate
 CSV; headers carry the parameters as `#` comments.
 
-Exit codes: 0 success, 1 failed acceptance check, 2 bad configuration.
+Exit codes: 0 success, 1 failed acceptance check, 2 bad configuration,
+3 some `proto-sim` seed stalled (the rows of every seed are still
+written; a stalled seed's row has status `stalled` and no metrics).
 """
 
 from __future__ import annotations
@@ -19,10 +21,13 @@ import os
 import sys
 
 from . import acceptance, num, scenarios
+from .netsim import SimStalled
 from .protocols import run_protocol
 
 PROTO_COLUMNS = ["protocol", "seed", "complete", "duration_s", "avg_rate_bps",
-                 "local_bytes", "local_data_bytes", "local_control_bytes"]
+                 "local_bytes", "local_data_bytes", "local_control_bytes",
+                 "status"]
+EXIT_STALLED = 3
 EVENT_COLUMNS = ["t", "device", "event_kind", "segment", "bytes", "peer",
                  "msg", "dims"]
 
@@ -76,17 +81,25 @@ def cmd_proto_sim(args) -> int:
     n_seeds = args.seeds if args.seeds is not None else 1
     seeds = range(args.seed, args.seed + n_seeds)
     stem = os.path.splitext(os.path.basename(args.scenario))[0]
-    rows = []
+    rows, stalled = [], []
     os.makedirs(args.out, exist_ok=True)
     for s in seeds:
         sim_cfg, proto = scenarios.load_scenario(args.scenario, seed=s)
         if args.event_log:
             sim_cfg = dataclasses.replace(sim_cfg, log_events=True)
-        res = run_protocol(sim_cfg, proto)
+        try:
+            res = run_protocol(sim_cfg, proto)
+        except SimStalled as exc:
+            # no metrics: a stalled run never finished
+            stalled.append(s)
+            rows.append([proto.protocol, s, 0, "", "", "", "", "", "stalled"])
+            print(f"seed {s}: stalled: {exc}", file=sys.stderr)
+            continue
         met = res.metrics
         rows.append([met.protocol, s, int(met.complete), met.duration_s,
                      met.avg_rate_bps, met.local_bytes, met.local_data_bytes,
-                     met.local_control_bytes])
+                     met.local_control_bytes,
+                     "done" if met.complete else "capped"])
         print(f"seed {s}: {'complete' if met.complete else 'INCOMPLETE'} "
               f"in {met.duration_s:.2f}s, avg rate "
               f"{met.avg_rate_bps / 1e6:.3f} Mbps, local traffic "
@@ -102,10 +115,18 @@ def cmd_proto_sim(args) -> int:
             print(f"  event log: {path} ({len(ev_rows)} records)")
     comments = [f"command: proto-sim {args.scenario}",
                 f"seeds: {list(seeds)}"]
-    raw, agg = scenarios.write_recipe_output(scenarios.recipe_output(
-        stem, comments, PROTO_COLUMNS, rows,
-        ["protocol"], ["duration_s", "avg_rate_bps"]), args.out)
+    if stalled:
+        comments.append(f"stalled seeds, not aggregated: {stalled}")
+    agg_cols, agg_rows = scenarios.aggregate(
+        [r for r in rows if r[-1] != "stalled"], PROTO_COLUMNS,
+        ["protocol"], ["duration_s", "avg_rate_bps"])
+    raw, agg = scenarios.write_recipe_output(scenarios.RecipeOutput(
+        stem, comments, PROTO_COLUMNS, rows, agg_cols, agg_rows), args.out)
     print(f"wrote {raw} ({len(rows)} rows) and {agg}")
+    if stalled:
+        print(f"error: {len(stalled)} of {n_seeds} seeds stalled: {stalled}",
+              file=sys.stderr)
+        return EXIT_STALLED
     return 0
 
 

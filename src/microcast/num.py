@@ -28,6 +28,18 @@ problem exactly as an LP for small groups.
 takes a leading seed axis: lam is (S, n), eta is (S, n, n). Each seed
 draws its channel from its own generator (`channel_draws`), so a seed's
 run depends neither on the policy nor on the other seeds in the batch.
+
+The loop keeps both price families in one stacked (S, n + n*n) array:
+lam is its first n columns and eta the rest, as views. The arrivals (x
+per device, then x_dl) and the departures (inflow, then g) share that
+layout, so `update_queues` is one in-place step over all prices. Every
+control law takes `out=`: given an array of the result's shape, it writes
+its result there and returns it. The laws write into `out` as given and
+never reshape it (they reshape their inputs instead), so a result cannot
+land in a copy. The loop allocates its arrays and makes its views once,
+before the first iteration; each law performs the same float operations
+in the same order as without `out`, so a run's bits do not depend on
+where its results are written.
 """
 
 from __future__ import annotations
@@ -210,7 +222,8 @@ def channel_draws(topo: Topology, seeds: Sequence[int],
 
 
 def flow_control(lam: np.ndarray, cap: float,
-                 uprime_inv: Callable[[float], float] | None = None) -> np.ndarray:
+                 uprime_inv: Callable[[float], float] | None = None,
+                 out: np.ndarray | None = None) -> np.ndarray:
     """Stream rate per seed maximizing U(x) - x * sum(lam): (U')^{-1} clamped to (0, cap].
 
     Zero prices divide to inf, which clamps to the cap; callers silence
@@ -218,30 +231,38 @@ def flow_control(lam: np.ndarray, cap: float,
     """
     s = lam.sum(axis=1)
     if uprime_inv is None:
-        return np.minimum(1.0 / s, cap)  # log utility: U'(x) = 1/x
-    return np.array([min(uprime_inv(float(v)), cap) if v > 0.0 else cap for v in s])
+        return np.minimum(1.0 / s, cap, out=out)  # log utility: U'(x) = 1/x
+    if out is None:
+        out = np.empty(len(s))
+    out[:] = [min(uprime_inv(float(v)), cap) if v > 0.0 else cap for v in s]
+    return out
 
 
-def downlink_rates(lam: np.ndarray, eta: np.ndarray, rate: np.ndarray) -> np.ndarray:
+def downlink_rates(lam: np.ndarray, eta: np.ndarray, rate: np.ndarray,
+                   out: np.ndarray | None = None) -> np.ndarray:
     """Bang-bang downlink: device i pulls at its full rate (S,n,1) for every
     receiver j whose price lam_j exceeds the relay backlog price eta_ij."""
-    return (lam[:, None, :] > eta) * rate
+    return np.multiply(lam[:, None, :] > eta, rate, out=out)
 
 
-def hyperarc_weights(eta: np.ndarray, arcs: HyperarcSet, policy: str) -> np.ndarray:
+def hyperarc_weights(eta: np.ndarray, arcs: HyperarcSet, policy: str,
+                     out: np.ndarray | None = None) -> np.ndarray:
     """Backlog-times-rate weight (S, arcs) of every hyperarc: (sum_j eta_ij) * kappa.
 
     Each sender's arcs are summed as one broadcast block, not as a
     mask-matrix product: a matmul orders the float additions differently,
     and the changed bits flip argmax ties between equal-weight arcs.
     """
-    backlog = (eta[:, :, None, :] * arcs.block_mask).sum(axis=-1)
-    return (backlog * arcs.kappa(policy).reshape(backlog.shape[1:])).reshape(len(eta), -1)
+    blocks = eta[:, :, None, :] * arcs.block_mask  # (S, n, arcs per sender, n)
+    backlog = np.add.reduce(blocks.reshape(len(eta), -1, arcs.n), axis=-1, out=out)
+    return np.multiply(backlog, arcs.kappa(policy), out=backlog)
 
 
-def unicast_weights(eta: np.ndarray, topo: Topology) -> np.ndarray:
+def unicast_weights(eta: np.ndarray, topo: Topology,
+                    out: np.ndarray | None = None) -> np.ndarray:
     """Backlog-times-goodput weight (S, n*n) of every link (i, j), row-major."""
-    return (eta * topo.local_capacity * (1.0 - topo.local_loss)).reshape(len(eta), -1)
+    links = np.multiply(eta.reshape(len(eta), -1), topo.local_capacity.ravel(), out=out)
+    return np.multiply(links, (1.0 - topo.local_loss).ravel(), out=links)
 
 
 class LocalActions:
@@ -273,26 +294,36 @@ class LocalActions:
     def max_weight(self, eta: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Each seed's max-weight action (S,), given relay queues eta (S,n,n).
 
-        `out` (S, 1 + arcs) receives the weights, the idle action's 0. No
-        weight is negative, so a seed idles exactly when none is positive
-        (unicast's i == i links weigh eta_ii = 0). Ties go to the first
-        action: the lowest sender, then the smallest receiver set.
+        `out` (S, 1 + arcs) receives the weights; its column 0, the idle
+        action's weight, must hold 0. No weight is negative, so a seed
+        idles exactly when none is positive (unicast's i == i links weigh
+        eta_ii = 0). Ties go to the first action: the lowest sender, then
+        the smallest receiver set.
         """
         if out is None:
             out = np.zeros((len(eta), len(self.arcs) + 1))
-        out[:, 1:] = (unicast_weights(eta, self.topo) if self.policy == UNICAST
-                      else hyperarc_weights(eta, self.hyperarcs, self.policy))
+        if self.policy == UNICAST:
+            unicast_weights(eta, self.topo, out=out[:, 1:])
+        else:
+            hyperarc_weights(eta, self.hyperarcs, self.policy, out=out[:, 1:])
         return out.argmax(axis=1)
 
 
-def update_queues(lam: np.ndarray, eta: np.ndarray, x: np.ndarray, inflow: np.ndarray,
-                  x_dl: np.ndarray, g: np.ndarray, beta: float):
-    """Projected subgradient steps lam += beta (x - inflow) and
-    eta += beta (x_dl - g), floored at zero; eta's diagonal stays 0."""
-    lam = np.maximum(lam + beta * (x[:, None] - inflow), 0.0)
-    eta = np.maximum(eta + beta * (x_dl - g), 0.0)
-    eta.reshape(len(eta), -1)[:, :: eta.shape[-1] + 1] = 0.0
-    return lam, eta
+def update_queues(prices: np.ndarray, arrivals: np.ndarray, departures: np.ndarray,
+                  beta: float, n: int) -> np.ndarray:
+    """Projected subgradient step on the stacked prices (S, n + n*n), in place.
+
+    lam += beta (x - inflow) and eta += beta (x_dl - g), floored at zero,
+    with eta's diagonal pinned at 0. `arrivals` stacks x per device and
+    x_dl, `departures` stacks inflow and g; the step overwrites
+    `arrivals`. Returns `prices`.
+    """
+    step = np.subtract(arrivals, departures, out=arrivals)
+    np.multiply(step, beta, out=step)
+    np.add(prices, step, out=prices)
+    np.maximum(prices, 0.0, out=prices)
+    prices[:, n::n + 1] = 0.0
+    return prices
 
 
 @dataclass
@@ -334,30 +365,44 @@ def simulate(topo: Topology, cfg: SolverConfig) -> SimulateReport:
     final half of the horizon; no_coop bypasses the solver entirely.
     """
     n, t_max, beta, policy = topo.n, cfg.iterations, cfg.step_size, cfg.policy
+    n_seeds = len(cfg.seeds)
     cell_on, local_on = channel_draws(topo, cfg.seeds, t_max)
     # decisions use expected rates; an ON link delivers at raw capacity
     rc_on = topo.cell_capacity * cell_on
-    delivered = rc_on
-    if policy != NO_COOP:
-        delivered = np.empty_like(rc_on)
-        lam, eta = np.zeros((len(cfg.seeds), n)), np.zeros((len(cfg.seeds), n, n))
+    if policy == NO_COOP:
+        delivered = rc_on
+    else:
         cap = stream_cap(topo, cfg)
         actions = LocalActions(topo, policy)
-        w = np.zeros((len(cfg.seeds), len(actions.arcs) + 1))
+        # iteration-major channel states and deliveries: iteration t is one index
+        rate_on = np.ascontiguousarray(rc_on.transpose(1, 0, 2)[..., None])
+        link_on = np.ascontiguousarray(local_on.transpose(1, 0, 2, 3))
+        delivered = np.empty((t_max, n_seeds, n))
+        # stacked layout (S, n + n*n): the lam part, then the eta part
+        prices = np.zeros((n_seeds, n + n * n))
+        arrivals, departures = np.empty_like(prices), np.empty_like(prices)
+        lam, eta = prices[:, :n], prices[:, n:].reshape(n_seeds, n, n)
+        x_per_device, x_dl = arrivals[:, :n], arrivals[:, n:].reshape(n_seeds, n, n)
+        inflow, g = departures[:, :n], departures[:, n:].reshape(n_seeds, n, n)
+        x = np.empty(n_seeds)
+        x_column = x[:, None]
+        w = np.zeros((n_seeds, len(actions.arcs) + 1))
         with np.errstate(divide="ignore"):
             for t in range(t_max):
-                x = flow_control(lam, cap, cfg.uprime_inv)
-                x_dl = downlink_rates(lam, eta, rc_on[:, t, :, None])
-                inflow = x_dl.sum(axis=1)
-                delivered[:, t] = inflow
+                flow_control(lam, cap, cfg.uprime_inv, out=x)
+                np.copyto(x_per_device, x_column)
+                downlink_rates(lam, eta, rate_on[t], out=x_dl)
+                x_dl.sum(axis=1, out=inflow)
+                delivered[t] = inflow
                 best = actions.max_weight(eta, out=w)
                 if policy == PSEUDO_BROADCAST_NO_NC:
                     # plain copies fail unless every member link is ON
-                    all_on = (local_on[:, t] >= actions.members[best]).all(axis=(1, 2))
-                    g = actions.service[best] * all_on[:, None, None]
+                    all_on = (link_on[t] >= actions.members[best]).all(axis=(1, 2))
+                    np.multiply(actions.service[best], all_on[:, None, None], out=g)
                 else:
-                    g = actions.service[best] * local_on[:, t]
-                lam, eta = update_queues(lam, eta, x, inflow, x_dl, g, beta)
+                    np.multiply(actions.service[best], link_on[t], out=g)
+                update_queues(prices, arrivals, departures, beta, n)
+        delivered = delivered.transpose(1, 0, 2)
     half = t_max // 2
     return SimulateReport(policy, [SeedRun(s, delivered[k, half:].mean(axis=0))
                                    for k, s in enumerate(cfg.seeds)])

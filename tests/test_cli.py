@@ -4,8 +4,9 @@ import os
 
 import pytest
 
-from microcast import acceptance, scenarios
-from microcast.cli import main
+from microcast import acceptance, cli, scenarios
+from microcast.cli import EXIT_STALLED, main
+from microcast.netsim import SimStalled
 
 
 def run_cli(*argv) -> int:
@@ -88,6 +89,7 @@ def test_proto_sim_writes_rows_and_events(tmp_path):
     _, columns, rows = scenarios.read_csv(os.path.join(out, "tiny.csv"))
     assert columns[:4] == ["protocol", "seed", "complete", "duration_s"]
     assert len(rows) == 1 and rows[0]["complete"] == "1"
+    assert rows[0]["status"] == "done"
     _, ev_cols, events = scenarios.read_csv(os.path.join(out, "tiny_events.csv"))
     assert ev_cols == ["t", "device", "event_kind", "segment", "bytes", "peer",
                        "msg", "dims"]
@@ -107,6 +109,68 @@ def test_proto_sim_multi_seed_rows(tmp_path):
                    "--out", out) == 0
     _, _, rows = scenarios.read_csv(os.path.join(out, "tiny.csv"))
     assert [r["seed"] for r in rows] == ["5", "6"]
+
+
+def test_proto_sim_keeps_finished_seeds_when_one_stalls(tmp_path, capsys, monkeypatch):
+    real = cli.run_protocol
+
+    def stall_seed_6(sim_cfg, proto):
+        if sim_cfg.seed == 6:
+            raise SimStalled("no progress for 30s at t=9.0s", "device 1: 1 segments missing (0)")
+        return real(sim_cfg, proto)
+
+    monkeypatch.setattr(cli, "run_protocol", stall_seed_6)
+    out = str(tmp_path / "res")
+    code = run_cli("proto-sim", scenario_file(tmp_path), "--seeds", "3", "--seed", "5",
+                   "--out", out)
+    assert code == EXIT_STALLED == 3
+    _, columns, rows = scenarios.read_csv(os.path.join(out, "tiny.csv"))
+    assert columns[-1] == "status"
+    assert [(r["seed"], r["status"], r["complete"]) for r in rows] == [
+        ("5", "done", "1"), ("6", "stalled", "0"), ("7", "done", "1")]
+    assert all(r[c] == "" for c in columns[3:-1] for r in rows[1:2])
+    assert float(rows[0]["duration_s"]) > 0.0
+    _, _, agg = scenarios.read_csv(os.path.join(out, "tiny_agg.csv"))
+    assert [a["runs"] for a in agg] == ["2"]
+    err = capsys.readouterr().err
+    assert "seed 6: stalled: no progress" in err and "device 1: 1 segments missing" in err
+
+
+def test_proto_sim_capped_run_is_data(tmp_path):
+    scen = scenario_file(tmp_path, """
+protocol: microcast
+file_mb: 0.01
+devices:
+  - cellular_kbps: 2000
+  - {}
+local: {capacity_mbps: 10}
+segment_params: {m: 5, n: 200}
+max_time_s: 0.01
+""")
+    out = str(tmp_path / "res")
+    assert run_cli("proto-sim", scen, "--out", out) == 0
+    _, _, rows = scenarios.read_csv(os.path.join(out, "tiny.csv"))
+    assert [(r["complete"], r["status"]) for r in rows] == [("0", "capped")]
+
+
+def test_proto_sim_zero_rate_device_stalls(tmp_path, capsys):
+    # a static split gives the 0 kbps device a share it can never download
+    scen = scenario_file(tmp_path, """
+protocol: microcast
+assignment: static
+file_mb: 0.01
+devices:
+  - cellular_kbps: 2000
+  - cellular_kbps: 0
+  - {}
+local: {capacity_mbps: 10}
+segment_params: {m: 5, n: 200}
+""")
+    out = str(tmp_path / "res")
+    assert run_cli("proto-sim", scen, "--seeds", "2", "--out", out) == EXIT_STALLED
+    _, _, rows = scenarios.read_csv(os.path.join(out, "tiny.csv"))
+    assert [r["status"] for r in rows] == ["stalled", "stalled"]
+    assert "cellular rate is zero forever" in capsys.readouterr().err
 
 
 def test_proto_sim_bad_config_exit_2(tmp_path, capsys):

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from microcast.num import (
     NO_COOP,
@@ -118,18 +120,107 @@ def test_downlink_bang_bang():
 
 
 def test_queue_updates_project_to_zero():
-    lam, eta = update_queues(
-        np.array([[0.1, 0.0]]),
-        np.array([[[0.0, 0.02], [0.3, 0.0]]]),
-        np.array([1.0]),
-        np.array([[5.0, 0.0]]),
-        np.zeros((1, 2, 2)),
-        np.full((1, 2, 2), 1.0),
-        0.05,
-    )
+    # stacked layout, n = 2: lam_0 lam_1 | eta_00 eta_01 eta_10 eta_11
+    prices = np.array([[0.1, 0.0, 0.0, 0.02, 0.3, 0.0]])
+    # x per device | x_dl, where each device also pulls for itself
+    arrivals = np.array([[1.0, 1.0, 2.0, 0.0, 0.0, 2.0]])
+    departures = np.array([[5.0, 0.0, 0.0, 1.0, 1.0, 0.0]])  # inflow | g
+    assert update_queues(prices, arrivals, departures, 0.05, 2) is prices
+    lam, eta = prices[:, :2], prices[:, 2:].reshape(1, 2, 2)
     assert lam[0, 0] == 0.0 and lam[0, 1] == pytest.approx(0.05)
     assert eta[0, 0, 1] == 0.0 and eta[0, 1, 0] == pytest.approx(0.25)
     assert eta[0, 0, 0] == 0.0 and eta[0, 1, 1] == 0.0  # diagonal pinned
+
+
+def update_queues_ref(lam, eta, x, inflow, x_dl, g, beta):
+    """The two-formula step on separate lam (S,n) and eta (S,n,n) arrays."""
+    lam = np.maximum(lam + beta * (x[:, None] - inflow), 0.0)
+    eta = np.maximum(eta + beta * (x_dl - g), 0.0)
+    eta.reshape(len(eta), -1)[:, :: eta.shape[-1] + 1] = 0.0
+    return lam, eta
+
+
+# zero-heavy values with exact ties, plus arbitrary floats whose sums round
+LEVELS = st.one_of(st.sampled_from([0.0, 0.0, 0.5, 1.0, 2.5]),
+                   st.floats(0.0, 3.0, allow_subnormal=False))
+
+
+def draw_grid(data, shape, label, values=LEVELS):
+    size = math.prod(shape)
+    return np.array(data.draw(st.lists(values, min_size=size, max_size=size),
+                              label=label), dtype=float).reshape(shape)
+
+
+def zero_diagonal(eta):
+    eta[:, np.arange(eta.shape[-1]), np.arange(eta.shape[-1])] = 0.0
+    return eta
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_stacked_step_matches_two_formula_step(data):
+    n = data.draw(st.integers(1, 8), label="n")
+    s = data.draw(st.integers(1, 3), label="seeds")
+    beta = data.draw(st.sampled_from([0.01, 0.05, 0.3]), label="beta")
+    lam, inflow = draw_grid(data, (s, n), "lam"), draw_grid(data, (s, n), "inflow")
+    eta = zero_diagonal(draw_grid(data, (s, n, n), "eta"))
+    x = draw_grid(data, (s,), "x")
+    x_dl, g = draw_grid(data, (s, n, n), "x_dl"), draw_grid(data, (s, n, n), "g")
+    prices = np.concatenate([lam, eta.reshape(s, -1)], axis=1)
+    arrivals = np.concatenate([np.repeat(x[:, None], n, axis=1), x_dl.reshape(s, -1)], axis=1)
+    departures = np.concatenate([inflow, g.reshape(s, -1)], axis=1)
+    update_queues(prices, arrivals, departures, beta, n)
+    want_lam, want_eta = update_queues_ref(lam, eta, x, inflow, x_dl, g, beta)
+    assert prices[:, :n].tobytes() == want_lam.tobytes()
+    assert prices[:, n:].tobytes() == want_eta.reshape(s, -1).tobytes()
+    assert not prices[:, n:].reshape(s, n, n)[:, np.arange(n), np.arange(n)].any()
+    assert (prices >= 0.0).all()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_out_paths_write_the_allocating_bytes(data):
+    n = data.draw(st.integers(1, 8), label="n")
+    s = data.draw(st.integers(1, 3), label="seeds")
+    policy = data.draw(st.sampled_from([PSEUDO_BROADCAST, PSEUDO_BROADCAST_NO_NC, UNICAST]),
+                       label="policy")
+    topo = Topology(
+        cell_capacity=np.ones(n), cell_loss=np.zeros(n),
+        local_capacity=draw_grid(data, (n, n), "capacity", st.sampled_from([1.0, 2.0, 10.0])),
+        local_loss=draw_grid(data, (n, n), "loss", st.sampled_from([0.0, 0.2, 0.5])))
+    lam = draw_grid(data, (s, n), "lam")
+    eta = zero_diagonal(draw_grid(data, (s, n, n), "eta"))
+    rate = draw_grid(data, (s, n, 1), "rate")
+
+    # the weights land in the slice of the weight row that max_weight passes
+    actions = LocalActions(topo, policy)
+    w = np.full((s, len(actions.arcs) + 1), np.nan)
+    w[:, 0] = 0.0
+    out = w[:, 1:]
+    if policy == UNICAST:
+        want, got = unicast_weights(eta, topo), unicast_weights(eta, topo, out=out)
+    else:
+        arcs = actions.hyperarcs
+        want = hyperarc_weights(eta, arcs, policy)
+        got = hyperarc_weights(eta, arcs, policy, out=out)
+    assert got is out and w[:, 1:].tobytes() == want.tobytes()
+    w[:, 1:] = np.nan
+    best = actions.max_weight(eta, out=w)
+    assert w[:, 1:].tobytes() == want.tobytes()
+    assert best.tolist() == np.hstack([np.zeros((s, 1)), want]).argmax(axis=1).tolist()
+
+    # downlink rates land in the x_dl part of a stacked row
+    stacked = np.full((s, n + n * n), np.nan)
+    x_dl = stacked[:, n:].reshape(s, n, n)
+    assert downlink_rates(lam, eta, rate, out=x_dl) is x_dl
+    assert stacked[:, n:].tobytes() == downlink_rates(lam, eta, rate).tobytes()
+
+    for uprime_inv in (None, lambda v: v**-0.5):
+        x = np.full(s, np.nan)
+        with np.errstate(divide="ignore"):
+            want = flow_control(lam, 3.0, uprime_inv)
+            assert flow_control(lam, 3.0, uprime_inv, out=x) is x
+        assert x.tobytes() == want.tobytes()
 
 
 # ------------------------------------------------------------------ scheduling

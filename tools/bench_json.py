@@ -8,9 +8,18 @@ run_seconds, then once traced.  To spread.py's summary (each end-to-end
 metric's median, quartile spread and values; the unpaced times; the
 per-layer metrics of the traced run) it adds each end-to-end metric's
 quartiles, the CPU count, the Python and numpy versions, the git commit
-and whether src/ differs from it.  It exits with spread.py's status:
-1 if a run was not correct or a spread is wider than a third of its
-bound, after writing the file.
+and whether src/ differs from it.
+
+Then it takes the two north-star numbers that no workload covers, one
+run each, after the perfbench runs so that none of them overlap:
+`microcast recipe all` into a temporary directory, timed per recipe
+from when each recipe's output line appears (the first recipe's time
+includes start-up; a `bench` recipe such as fig7b runs for a fixed
+wall-clock budget and is marked `wall_clock`), and the Tier-1 suite,
+with its wall time and pytest's outcome counts.
+
+It exits with spread.py's status: 1 if a run was not correct or a
+spread is wider than a third of its bound, after writing the file.
 """
 
 from __future__ import annotations
@@ -19,9 +28,11 @@ import argparse
 import json
 import os
 import platform
+import re
 import subprocess
 import sys
 import tempfile
+import time
 
 import numpy as np
 
@@ -33,6 +44,48 @@ def _git(*args) -> str | None:
     except (OSError, subprocess.CalledProcessError):
         return None
     return out.stdout.decode().strip()
+
+
+def _src_env() -> dict:
+    src = os.path.abspath("src")
+    path = os.environ.get("PYTHONPATH")
+    return {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+
+
+def recipe_times() -> dict:
+    """Wall time of one `microcast recipe all` run, and of each recipe in it."""
+    sys.path.insert(0, os.path.abspath("src"))
+    from microcast.scenarios import RECIPES
+
+    recipes = {}
+    with tempfile.TemporaryDirectory() as out:
+        start = last = time.perf_counter()
+        proc = subprocess.Popen(
+            [sys.executable, "-u", "-m", "microcast", "recipe", "all", "--out", out],
+            stdout=subprocess.PIPE, text=True, env=_src_env())
+        for line in proc.stdout:
+            name = line.split(":", 1)[0]
+            if name in RECIPES:
+                now = time.perf_counter()
+                recipes[name] = {"wall_s": now - last,
+                                 "wall_clock": RECIPES[name].kind == "bench"}
+                last = now
+        status = proc.wait()
+    return {"wall_s": time.perf_counter() - start, "exit": status, "recipes": recipes}
+
+
+def tier1_time() -> dict:
+    """Wall time and outcome counts of one Tier-1 run."""
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q",
+         "--continue-on-collection-errors"],
+        stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True, env=_src_env())
+    wall = time.perf_counter() - start
+    summary = proc.stdout.strip().splitlines()[-1] if proc.stdout.strip() else ""
+    counts = {word: int(num) for num, word in
+              re.findall(r"(\d+) (passed|failed|errors?|skipped|xfailed|xpassed)", summary)}
+    return {"wall_s": wall, "exit": proc.returncode, "summary": summary, **counts}
 
 
 def main(argv=None) -> int:
@@ -62,6 +115,7 @@ def main(argv=None) -> int:
         "environment": {"cpu_count": os.cpu_count(),
                         "python": platform.python_version(),
                         "numpy": np.__version__},
+        "north_star": {"recipe_all": recipe_times(), "tier1": tier1_time()},
     })
     out = f"BENCH_{args.label}.json"
     with open(out, "w", encoding="utf-8") as fh:
