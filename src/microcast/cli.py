@@ -83,6 +83,17 @@ def cmd_proto_sim(args) -> int:
     stem = os.path.splitext(os.path.basename(args.scenario))[0]
     rows, stalled = [], []
     os.makedirs(args.out, exist_ok=True)
+
+    def write_event_log(seed, events):
+        suffix = "_events.csv" if n_seeds == 1 else f"_events_s{seed}.csv"
+        path = os.path.join(args.out, stem + suffix)
+        ev_rows = [[e.t, e.device, _event_kind(e), _blank(e.segment),
+                    e.nbytes, _blank(e.peer), _blank(e.msg), e.dims]
+                   for e in events]
+        scenarios.write_csv(path, [f"scenario: {args.scenario}",
+                                   f"seed: {seed}"], EVENT_COLUMNS, ev_rows)
+        print(f"  event log: {path} ({len(ev_rows)} records)")
+
     for s in seeds:
         sim_cfg, proto = scenarios.load_scenario(args.scenario, seed=s)
         if args.event_log:
@@ -90,10 +101,13 @@ def cmd_proto_sim(args) -> int:
         try:
             res = run_protocol(sim_cfg, proto)
         except SimStalled as exc:
-            # no metrics: a stalled run never finished
+            # no metrics: a stalled run never finished; its records up to
+            # the stall are the evidence
             stalled.append(s)
             rows.append([proto.protocol, s, 0, "", "", "", "", "", "stalled"])
             print(f"seed {s}: stalled: {exc}", file=sys.stderr)
+            if args.event_log:
+                write_event_log(s, exc.events)
             continue
         met = res.metrics
         rows.append([met.protocol, s, int(met.complete), met.duration_s,
@@ -105,14 +119,7 @@ def cmd_proto_sim(args) -> int:
               f"{met.avg_rate_bps / 1e6:.3f} Mbps, local traffic "
               f"{met.local_bytes / 1e6:.3f} MB")
         if args.event_log:
-            suffix = "_events.csv" if n_seeds == 1 else f"_events_s{s}.csv"
-            path = os.path.join(args.out, stem + suffix)
-            ev_rows = [[e.t, e.device, _event_kind(e), _blank(e.segment),
-                        e.nbytes, _blank(e.peer), _blank(e.msg), e.dims]
-                       for e in res.sim.events]
-            scenarios.write_csv(path, [f"scenario: {args.scenario}",
-                                       f"seed: {s}"], EVENT_COLUMNS, ev_rows)
-            print(f"  event log: {path} ({len(ev_rows)} records)")
+            write_event_log(s, res.sim.events)
     comments = [f"command: proto-sim {args.scenario}",
                 f"seeds: {list(seeds)}"]
     if stalled:

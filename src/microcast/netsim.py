@@ -57,11 +57,16 @@ MODES = (MODE_CLIQUE, MODE_PSEUDO_ADHOC, MODE_STAR)
 
 
 class SimStalled(RuntimeError):
-    """No progress for a full idle window while devices are incomplete."""
+    """No progress for a full idle window while devices are incomplete.
 
-    def __init__(self, message: str, report: str = ""):
+    `events` holds the simulator's log records up to the stall (empty
+    unless the run logged events), the evidence of what went wrong.
+    """
+
+    def __init__(self, message: str, report: str = "", events: list | None = None):
         super().__init__(message + ("\n" + report if report else ""))
         self.report = report
+        self.events = [] if events is None else events
 
 
 @dataclass(frozen=True)
@@ -304,7 +309,8 @@ class CellularModem:
         if finish == float("inf"):
             raise SimStalled(
                 f"device {self.device} cellular rate is zero forever "
-                f"(segment {segment} cannot complete)"
+                f"(segment {segment} cannot complete)",
+                events=self.sim.events,
             )
         self.sim.log("cell_start", self.device, segment=segment, nbytes=nbytes)
         self.sim.schedule(finish, self._finish, segment, nbytes, on_done, success)
@@ -457,7 +463,7 @@ class Simulator:
                 report = self.stall_reporter() if self.stall_reporter else ""
                 raise SimStalled(
                     f"no progress for {cfg.idle_window_s:.0f}s at t={self.now:.1f}s",
-                    report,
+                    report, self.events,
                 )
             fn(*args)
         return "done" if until is not None and until() else "drained"

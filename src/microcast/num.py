@@ -40,6 +40,18 @@ land in a copy. The loop allocates its arrays and makes its views once,
 before the first iteration; each law performs the same float operations
 in the same order as without `out`, so a run's bits do not depend on
 where its results are written.
+
+Max-weight under pseudo_broadcast weighs only the arcs that can win. An
+arc serves its receiver set at the minimum member goodput, so the sets
+nest: for each sender and goodput c, the threshold set A_c of receivers
+at goodput >= c and its prefixes in receiver order cover every arc that
+max-weight can return (`threshold_prefixes`; the argument is in
+`LocalActions.max_weight`). Each sender's list is padded to equal length
+by repeating its last candidate. That is n - 1 arcs per sender in a
+uniform group instead of 2^(n-1) - 1, with the same weights and the same
+ties. pseudo_broadcast_no_nc, whose service rate multiplies success
+probabilities and so does not nest, and the LP oracle keep the full
+enumeration.
 """
 
 from __future__ import annotations
@@ -96,10 +108,12 @@ class Topology:
         self.local_capacity = _as_matrix(self.local_capacity, n)
         self.local_loss = _as_matrix(self.local_loss, n)
         for name, arr in (("cell_loss", self.cell_loss), ("local_loss", self.local_loss)):
-            if ((arr < 0) | (arr > 1)).any():
+            if not ((arr >= 0) & (arr <= 1)).all():  # NaN fails too
                 raise ValueError(f"{name} outside [0, 1]")
-        if (self.cell_capacity < 0).any() or (self.local_capacity < 0).any():
-            raise ValueError("capacities must be nonnegative")
+        # a goodput must be a number that orders: inf * (1 - 1) is NaN
+        for arr in (self.cell_capacity, self.local_capacity):
+            if not ((arr >= 0) & np.isfinite(arr)).all():
+                raise ValueError("capacities must be finite and nonnegative")
         if self.gamma <= 0:
             raise ValueError("airtime budget gamma must be positive")
 
@@ -140,11 +154,44 @@ def enumerate_hyperarcs(n: int) -> list[tuple[int, tuple[int, ...]]]:
     return arcs
 
 
-class HyperarcSet:
-    """Precomputed arrays over the hyperarc enumeration of one topology."""
+def threshold_prefixes(topo: Topology) -> list[tuple[int, tuple[int, ...]]]:
+    """The pseudo-broadcast hyperarcs that max-weight can choose.
 
-    def __init__(self, topo: Topology):
-        self.arcs = enumerate_hyperarcs(topo.n)
+    For each sender i and each distinct goodput c = good_ij of its links
+    (good = cap * (1 - loss)), A_c = {j != i : good_ij >= c} is the
+    threshold set; the candidates are every prefix of every A_c in
+    receiver-index order, sorted by their `enumerate_hyperarcs` order.
+    Each sender's list is padded to the longest one by repeating its last
+    candidate, so the result comes in equal per-sender blocks, as
+    `HyperarcSet` needs; a repeat weighs the same as the arc before it and
+    never wins an argmax-first. A uniform group gets n - 1 candidates per
+    sender; distinct goodputs give at most (n - 1) n / 2.
+    """
+    n = topo.n
+    good = topo.local_capacity * (1.0 - topo.local_loss)
+    blocks = []
+    for i in range(n):
+        others = [j for j in range(n) if j != i]
+        found = set()
+        for c in set(good[i, others].tolist()):
+            above = tuple(j for j in others if good[i, j] >= c)
+            found.update(above[:k] for k in range(1, len(above) + 1))
+        blocks.append(sorted(found))
+    width = max(map(len, blocks), default=0)
+    return [(i, block[min(k, len(block) - 1)])
+            for i, block in enumerate(blocks) for k in range(width)]
+
+
+class HyperarcSet:
+    """Precomputed arrays over the hyperarcs of one topology.
+
+    `arcs` defaults to the full `enumerate_hyperarcs`; a subset must come
+    in equal per-sender blocks, in sender order.
+    """
+
+    def __init__(self, topo: Topology,
+                 arcs: list[tuple[int, tuple[int, ...]]] | None = None):
+        self.arcs = enumerate_hyperarcs(topo.n) if arcs is None else arcs
         self.n = topo.n
         a = len(self.arcs)
         self.sender = np.array([i for i, _ in self.arcs], dtype=np.intp)
@@ -266,10 +313,14 @@ def unicast_weights(eta: np.ndarray, topo: Topology,
 
 
 class LocalActions:
-    """Every local-channel action of one policy; action 0 idles.
+    """The local-channel actions max-weight chooses from; action 0 idles.
 
     Action k >= 1 is `arcs[k - 1]`: the links (i, j) in row-major order
-    under unicast, the hyperarcs of `enumerate_hyperarcs` otherwise.
+    under unicast, the hyperarcs of `enumerate_hyperarcs` under
+    pseudo_broadcast_no_nc, and under pseudo_broadcast only the
+    `threshold_prefixes`: per sender, every prefix of every threshold set
+    A_c = {j : good_ij >= c}, in enumeration order, padded to equal
+    per-sender blocks by repeating the last one (see `max_weight`).
     `service[k]` holds the action's over-the-air rate times gamma on each
     of its links, `members[k]` marks those links.
     """
@@ -281,7 +332,8 @@ class LocalActions:
             self.arcs = [(i, (j,)) for i in range(n) for j in range(n)]
             rate = topo.local_capacity.ravel()
         elif policy in (PSEUDO_BROADCAST, PSEUDO_BROADCAST_NO_NC):
-            self.hyperarcs = HyperarcSet(topo)
+            candidates = threshold_prefixes(topo) if policy == PSEUDO_BROADCAST else None
+            self.hyperarcs = HyperarcSet(topo, candidates)
             self.arcs = self.hyperarcs.arcs
             rate = self.hyperarcs.raw_rate
         else:
@@ -299,6 +351,24 @@ class LocalActions:
         idles exactly when none is positive (unicast's i == i links weigh
         eta_ii = 0). Ties go to the first action: the lowest sender, then
         the smallest receiver set.
+
+        Under pseudo_broadcast the threshold prefixes return the action and
+        the weight bits that the full enumeration would:
+          - eta >= 0, and round-to-nearest addition is monotone in each
+            operand, so a superset's masked add.reduce over the same eta
+            row is never smaller, whatever the summation tree;
+          - an arc J whose minimum goodput is c is a subset of A_c with the
+            same kappa = c >= 0, so A_c weighs at least as much as J and
+            the candidates' maximum is the enumeration's, bit for bit;
+          - among tied arcs the first in enumeration order is a prefix of
+            its A_c: if J skipped a member a < max(J), then J + {a} would
+            tie too and come earlier;
+          - so argmax-first over the candidates, in enumeration order,
+            picks the enumeration's action, even where exact-zero or
+            absorbed tiny eta make ties. The full A_c sets alone would
+            not: they miss the ties a strict prefix wins.
+        A padding repeat weighs the same as the candidate it repeats and
+        comes after it, so it never wins.
         """
         if out is None:
             out = np.zeros((len(eta), len(self.arcs) + 1))

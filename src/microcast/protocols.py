@@ -409,6 +409,7 @@ class MicroNCP2Node(BaseNode):
         self.serve_job_queued = False
         self._arrivals = 0
         self.highest_heard = -1           # largest segment id seen anywhere
+        self.last_progress = 0.0          # last own segment or innovative rx
         sim.schedule(RECOVERY_TIMEOUT_S, self._recovery_tick)
 
     # ---- cellular side
@@ -416,6 +417,7 @@ class MicroNCP2Node(BaseNode):
     def on_cellular_segment(self, segment: int) -> None:
         self._own_segment(segment)
         self._note_heard(segment)
+        self.last_progress = self.sim.now
         if self.neighbors:
             target = self.neighbors[int(self.sim.rng.integers(len(self.neighbors)))]
             self.sim.medium.submit(
@@ -487,6 +489,14 @@ class MicroNCP2Node(BaseNode):
                 k = segment + int(now / RECOVERY_TIMEOUT_S)
                 probe = self.neighbors[k % len(self.neighbors)]
             self._consider_request(segment, probe)
+        # A segment whose push and advertisement were all lost leaves no
+        # trace here.  Once a whole timeout passes without progress, probe
+        # the first segment above the high-water mark, one neighbor a tick.
+        segment = self.highest_heard + 1
+        if (segment < self.proto.n_segments and self.neighbors
+                and now - self.last_progress >= RECOVERY_TIMEOUT_S):
+            k = segment + int(now / RECOVERY_TIMEOUT_S)
+            self._consider_request(segment, self.neighbors[k % len(self.neighbors)])
         self.sim.schedule(RECOVERY_TIMEOUT_S, self._recovery_tick)
 
     # ---- serving
@@ -528,7 +538,8 @@ class MicroNCP2Node(BaseNode):
         if msg.kind == CODED_DATA:
             self._note_heard(msg.segment)
             self.source_of.setdefault(msg.segment, msg.src)
-            self._insert(msg.segment, msg.payload)
+            if self._insert(msg.segment, msg.payload):
+                self.last_progress = self.sim.now
             if self.rank(msg.segment) >= self.proto.m:
                 self.in_flight.pop(msg.segment, None)
             return
@@ -689,11 +700,13 @@ class R2PushNode(BaseNode):
         self.last_source: dict = {}
         self.last_rank_change: dict = {}
         self.recovery_tries: dict = {}    # segment -> requests since progress
+        self.last_progress = 0.0          # last own segment or rank change
         self.solicited_served = 0
         sim.schedule(RECOVERY_TIMEOUT_S, self._recovery_tick)
 
     def on_cellular_segment(self, segment: int) -> None:
         self._own_segment(segment)
+        self.last_progress = self.sim.now
         self._send_brakes(segment)
         # spend the whole redundancy budget up front; the cap gate stops
         # the stream anyway once a brake lands
@@ -763,14 +776,26 @@ class R2PushNode(BaseNode):
             if tries > 0 and self.neighbors:
                 pool = [target] + [d for d in self.neighbors if d != target]
                 target = pool[tries % len(pool)]
-            dims = self.proto.m - rank
             self.last_rank_change[segment] = now
-            msg = Message(REQUEST, self.device, target, segment,
-                          CONTROL_BYTES, dims=dims)
-            self.sim.medium.submit(lambda: msg)
-            self.sim.log("request", self.device, segment=segment, peer=target,
-                         dims=dims)
+            self._request(segment, target, self.proto.m - rank)
+        # Every push of a segment to us lost, its brake too: nothing here
+        # names the segment or a holder.  Once a whole timeout passes without
+        # progress, ask for the first such segment, one neighbor a tick.
+        if self.neighbors and now - self.last_progress >= RECOVERY_TIMEOUT_S:
+            for segment in self.missing():
+                if segment not in self.last_source:
+                    k = segment + int(now / RECOVERY_TIMEOUT_S)
+                    self._request(segment, self.neighbors[k % len(self.neighbors)],
+                                  self.proto.m)
+                    break
         self.sim.schedule(RECOVERY_TIMEOUT_S, self._recovery_tick)
+
+    def _request(self, segment: int, target: int, dims: int) -> None:
+        msg = Message(REQUEST, self.device, target, segment,
+                      CONTROL_BYTES, dims=dims)
+        self.sim.medium.submit(lambda: msg)
+        self.sim.log("request", self.device, segment=segment, peer=target,
+                     dims=dims)
 
     def on_message(self, msg: Message) -> None:
         if msg.dst != self.device:
@@ -781,7 +806,7 @@ class R2PushNode(BaseNode):
             before = self.rank(segment)
             self._insert(segment, msg.payload)
             if self.rank(segment) != before:
-                self.last_rank_change[segment] = self.sim.now
+                self.last_rank_change[segment] = self.last_progress = self.sim.now
                 self.recovery_tries.pop(segment, None)
             if segment in self.complete:
                 self._send_brakes(segment)

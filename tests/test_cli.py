@@ -167,10 +167,17 @@ local: {capacity_mbps: 10}
 segment_params: {m: 5, n: 200}
 """)
     out = str(tmp_path / "res")
-    assert run_cli("proto-sim", scen, "--seeds", "2", "--out", out) == EXIT_STALLED
+    assert run_cli("proto-sim", scen, "--seeds", "2", "--out", out,
+                   "--event-log") == EXIT_STALLED
     _, _, rows = scenarios.read_csv(os.path.join(out, "tiny.csv"))
     assert [r["status"] for r in rows] == ["stalled", "stalled"]
     assert "cellular rate is zero forever" in capsys.readouterr().err
+    # a stalled seed keeps its records up to the stall
+    for seed in (0, 1):
+        comments, columns, events = scenarios.read_csv(
+            os.path.join(out, f"tiny_events_s{seed}.csv"))
+        assert columns == cli.EVENT_COLUMNS and f"seed: {seed}" in comments
+        assert events and {e["event_kind"] for e in events} >= {"cell_start"}
 
 
 def test_proto_sim_bad_config_exit_2(tmp_path, capsys):

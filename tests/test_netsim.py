@@ -218,23 +218,28 @@ def test_modem_requires_cellular():
 def test_modem_zero_rate_raises():
     spec = DeviceSpec(cellular=RateTrace((0.0,), (0.0,)))
     sim = make_sim(1, devices=[spec])
-    with pytest.raises(SimStalled, match="zero"):
+    with pytest.raises(SimStalled, match="zero") as stall:
         sim.modems[0].download(0, 100, lambda s, ok: None)
+    assert stall.value.events is sim.events
 
 
 # ------------------------------------------------------------ loop guarantees
 
 
 def test_watchdog_flags_idle_no_progress():
-    sim = make_sim(2, idle_window_s=5.0, mode=MODE_CLIQUE)
+    sim = make_sim(2, idle_window_s=5.0, mode=MODE_CLIQUE, log_events=True)
     sim.stall_reporter = lambda: "segment 7 stuck"
 
     def tick():
+        sim.log("tick", 0)
         sim.schedule(1.0, tick)
 
     sim.schedule(1.0, tick)
-    with pytest.raises(SimStalled, match="segment 7 stuck"):
+    with pytest.raises(SimStalled, match="segment 7 stuck") as stall:
         sim.run()
+    # the exception carries the run's records up to the stall
+    assert stall.value.events is sim.events
+    assert [e.event for e in stall.value.events] == ["tick"] * 5
 
 
 def test_long_transfer_is_not_a_stall():

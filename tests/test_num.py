@@ -369,6 +369,89 @@ def test_schedule_tie_breaks_lexicographic():
     assert picked(actions, best, 0) == (0, (1,)) and picked(actions, best, 1) == (2, (0,))
 
 
+def max_weight_ref(eta, topo):
+    """Pseudo-broadcast max-weight by brute force over `enumerate_hyperarcs`.
+
+    Weighs every arc as `hyperarc_weights` does (a masked add.reduce over
+    the sender's eta row times the minimum member goodput) and returns the
+    first arc of maximal positive weight and that weight, or (None, 0.0).
+    """
+    good = topo.local_capacity * (1.0 - topo.local_loss)
+    best, best_w = None, np.float64(0.0)
+    for i, members in enumerate_hyperarcs(topo.n):
+        mask = np.zeros(topo.n)
+        mask[list(members)] = 1.0
+        w = np.add.reduce(eta[i] * mask) * min(good[i, j] for j in members)
+        if w > best_w:
+            best, best_w = (i, members), w
+    return best, best_w
+
+
+# zero-heavy backlogs with exact duplicates, and 1e-17-sized values that a
+# neighbouring 1.0 absorbs (1.0 + 1e-17 == 1.0), so that sets tie
+TIE_LEVELS = st.one_of(st.sampled_from([0.0, 0.0, 0.0, 1.0, 1.0, 2.0, 0.5, 1e-17, 3e-17]),
+                       st.sampled_from([0.0, 1.0, 2.0, 4.0]),
+                       st.floats(0.0, 3.0, allow_subnormal=False))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_threshold_scan_matches_enumeration(data):
+    n = data.draw(st.integers(1, 8), label="n")
+    s = data.draw(st.integers(1, 3), label="seeds")
+    if data.draw(st.booleans(), label="uniform"):
+        capacity = np.full((n, n), data.draw(st.sampled_from([0.0, 1.0, 4.0]), label="cap"))
+        loss = np.full((n, n), data.draw(st.sampled_from([0.0, 0.5, 1.0]), label="loss"))
+    else:
+        # few levels, so goodputs cap * (1 - loss) repeat: 2 at loss 0.5 is
+        # 1 at loss 0, 4 at loss 0.75 is 1 too
+        capacity = draw_grid(data, (n, n), "capacity", st.sampled_from([0.0, 1.0, 2.0, 4.0]))
+        loss = draw_grid(data, (n, n), "loss", st.sampled_from([0.0, 0.5, 0.75, 1.0]))
+    topo = Topology(cell_capacity=np.ones(n), cell_loss=np.zeros(n),
+                    local_capacity=capacity, local_loss=loss)
+    eta = zero_diagonal(draw_grid(data, (s, n, n), "eta", TIE_LEVELS))
+    actions = LocalActions(topo, PSEUDO_BROADCAST)
+    w = np.zeros((s, len(actions.arcs) + 1))
+    best = actions.max_weight(eta, out=w)
+    for k in range(s):
+        key, want = max_weight_ref(eta[k], topo)
+        assert picked(actions, best, k) == key
+        assert w[k, best[k]].tobytes() == want.tobytes()
+
+
+def test_threshold_prefixes_of_a_uniform_group():
+    # one goodput per sender: A_c is every other device, and its n - 1
+    # prefixes are the candidates, 8 * 7 of them instead of 8 * 127 arcs
+    topo = Topology.uniform(8, local_capacity=3.0, local_loss=0.2)
+    actions = LocalActions(topo, PSEUDO_BROADCAST)
+    assert len(actions.arcs) == 56
+    others = [j for j in range(8) if j != 3]
+    assert actions.arcs[3 * 7:4 * 7] == [(3, tuple(others[:k])) for k in range(1, 8)]
+    assert len(LocalActions(topo, PSEUDO_BROADCAST_NO_NC).arcs) == 8 * 127
+
+
+def test_absorbed_backlog_tie_goes_to_a_strict_prefix():
+    # 1.0 + 1.0 + 1e-17 rounds to 2.0, so {1, 2} and {1, 2, 3} tie and the
+    # enumeration's first, {1, 2}, is a strict prefix of A_c = {1, 2, 3}
+    topo = Topology.uniform(4, local_capacity=2.0, local_loss=0.5)
+    eta = np.zeros((1, 4, 4))
+    eta[0, 0, 1:] = [1.0, 1.0, 1e-17]
+    actions = LocalActions(topo, PSEUDO_BROADCAST)
+    w = np.zeros((1, len(actions.arcs) + 1))
+    best = actions.max_weight(eta, out=w)
+    assert picked(actions, best, 0) == max_weight_ref(eta[0], topo)[0] == (0, (1, 2))
+    assert w[0, best[0]] == 2.0
+    # a sender whose goodputs differ: {3} alone ties the widest set
+    # (2.0 * 2 == (1 + 1 + 2) * 1), which comes first in the enumeration
+    topo = Topology(cell_capacity=np.ones(4), cell_loss=np.zeros(4),
+                    local_capacity=np.array([[1.0, 1.0, 1.0, 2.0]] * 4),
+                    local_loss=np.zeros((4, 4)))
+    eta[0, 0, 1:] = [1.0, 1.0, 2.0]
+    actions = LocalActions(topo, PSEUDO_BROADCAST)
+    best = actions.max_weight(eta)
+    assert picked(actions, best, 0) == max_weight_ref(eta[0], topo)[0] == (0, (1, 2, 3))
+
+
 # ------------------------------------------------------------------ the oracle
 
 
@@ -574,5 +657,11 @@ def test_config_validation():
         SolverConfig(step_size=0.0)
     with pytest.raises(ValueError):
         Topology.uniform(2, cell_loss=1.5)
+    with pytest.raises(ValueError, match="outside"):
+        Topology.uniform(2, local_loss=np.nan)
+    with pytest.raises(ValueError, match="finite"):
+        Topology.uniform(2, local_capacity=np.inf, local_loss=1.0)
+    with pytest.raises(ValueError, match="finite"):
+        Topology.uniform(2, cell_capacity=-1.0)
     with pytest.raises(ValueError):
         Topology.uniform(2, gamma=0.0)

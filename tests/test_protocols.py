@@ -347,6 +347,25 @@ def test_stalled_push_receiver_pulls_the_rest():
     assert served > 0
 
 
+@pytest.mark.parametrize(
+    "protocol,mode,n_devices,n_cell,loss,segments,seed,assignment", [
+        (PROTO_R2, MODE_STAR, 3, 2, 0.3, 2, 2, ASSIGN_ADAPTIVE),
+        (PROTO_R2, MODE_STAR, 4, 2, 0.1, 2, 2, ASSIGN_ADAPTIVE),
+        (PROTO_R2, MODE_PSEUDO_ADHOC, 4, 2, 0.3, 2, 51222, ASSIGN_STATIC),
+        (PROTO_MICROCAST, MODE_CLIQUE, 2, 1, 0.3, 3, 65536, ASSIGN_STATIC),
+    ])
+def test_segment_lost_without_trace_is_still_fetched(protocol, mode, n_devices,
+                                                     n_cell, loss, segments,
+                                                     seed, assignment):
+    # in each run one device loses every message that names one segment to
+    # it (pushes, brakes, advertisements), so only a probe finds it
+    res = run_proto(protocol,
+                    rates=(2000.0,) * n_cell + (None,) * (n_devices - n_cell),
+                    segments=segments, m=2, n=8, seed=seed, loss=loss,
+                    mode=mode, assignment=assignment)
+    assert res.metrics.complete
+
+
 # -------------------------------------------------------------- no cooperation
 
 

@@ -18,8 +18,16 @@ includes start-up; a `bench` recipe such as fig7b runs for a fixed
 wall-clock budget and is marked `wall_clock`), and the Tier-1 suite,
 with its wall time and pytest's outcome counts.
 
-It exits with spread.py's status: 1 if a run was not correct or a
-spread is wider than a third of its bound, after writing the file.
+Each workload's entry lists its runs under `runs` (seed, whether
+traced, and the run's `correct`), and `wide_spreads` names every
+`workload.metric` whose quartile spread is wider than a third of its
+bound, the rule spread.py marks `WIDE`.
+
+Exit status, after writing the file: 0 when every run was correct and
+no spread is wide; 1 when a run was not correct (a crashed run also
+exits 1, with its message and no file); 3 when every run was correct
+but some spread is wide, which says the host was noisy, not that the
+program is wrong; 2 for bad arguments.
 """
 
 from __future__ import annotations
@@ -35,6 +43,9 @@ import tempfile
 import time
 
 import numpy as np
+
+EXIT_NOT_CORRECT = 1
+EXIT_WIDE_SPREAD = 3
 
 
 def _git(*args) -> str | None:
@@ -97,15 +108,30 @@ def main(argv=None) -> int:
     sys.path.insert(0, os.path.abspath("perfbench"))
     import spread
 
+    runs = {}
+    run_once = spread.run_once
+
+    def recording_run_once(workload, seed, seconds, trace):
+        result, raw, elapsed = run_once(workload, seed, seconds, trace)
+        runs.setdefault(workload, []).append(
+            {"seed": seed, "traced": bool(trace), "correct": bool(result["correct"])})
+        return result, raw, elapsed
+
+    spread.run_once = recording_run_once
     with tempfile.TemporaryDirectory() as tmp:
         saved = os.path.join(tmp, "spread.json")
-        status = spread.main(["--seeds", args.seeds, "--trace", "--save", saved])
+        spread.main(["--seeds", args.seeds, "--trace", "--save", saved])
         with open(saved, encoding="utf-8") as fh:
             point = json.load(fh)
-    for entry in point["workloads"].values():
-        for metric in entry["end_to_end"].values():
+    wide = []
+    for workload, entry in point["workloads"].items():
+        entry["runs"] = runs[workload]
+        for name, metric in entry["end_to_end"].items():
             q1, q3 = np.percentile(metric["values"], [25, 75])
             metric["q1"], metric["q3"] = float(q1), float(q3)
+            if metric["spread"] > metric["bound"] / 3:
+                wide.append(f"{workload}.{name}")
+    correct = all(r["correct"] for rs in runs.values() for r in rs)
     commit = _git("rev-parse", "HEAD")
     point.update({
         "label": args.label,
@@ -115,6 +141,8 @@ def main(argv=None) -> int:
         "environment": {"cpu_count": os.cpu_count(),
                         "python": platform.python_version(),
                         "numpy": np.__version__},
+        "correct": correct,
+        "wide_spreads": wide,
         "north_star": {"recipe_all": recipe_times(), "tier1": tier1_time()},
     })
     out = f"BENCH_{args.label}.json"
@@ -122,7 +150,12 @@ def main(argv=None) -> int:
         json.dump(point, fh, indent=1, sort_keys=True)
         fh.write("\n")
     print(f"wrote {out}", file=sys.stderr)
-    return status
+    if not correct:
+        return EXIT_NOT_CORRECT
+    if wide:
+        print(f"wide spreads: {', '.join(wide)}", file=sys.stderr)
+        return EXIT_WIDE_SPREAD
+    return 0
 
 
 if __name__ == "__main__":
