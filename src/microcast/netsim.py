@@ -27,6 +27,7 @@ competing packet by packet.
 from __future__ import annotations
 
 import heapq
+import math
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Sequence
@@ -65,7 +66,6 @@ class SimStalled(RuntimeError):
 
     def __init__(self, message: str, report: str = "", events: list | None = None):
         super().__init__(message + ("\n" + report if report else ""))
-        self.report = report
         self.events = [] if events is None else events
 
 
@@ -79,6 +79,8 @@ class RateTrace:
     def __post_init__(self):
         if len(self.times) != len(self.rates) or not self.times:
             raise ValueError("times and rates must be equal-length, nonempty")
+        if not all(map(math.isfinite, (*self.times, *self.rates))):
+            raise ValueError("trace times and rates must be finite")
         if self.times[0] != 0.0:
             raise ValueError("trace must start at t=0")
         if any(b <= a for a, b in zip(self.times, self.times[1:])):
@@ -187,7 +189,7 @@ class SimConfig:
             loss = np.full((n, n), float(loss))
         if loss.shape != (n, n):
             raise ValueError(f"loss must be scalar or ({n},{n})")
-        if ((loss < 0) | (loss > 1)).any():
+        if not ((loss >= 0) & (loss <= 1)).all():  # NaN fails too
             raise ValueError("loss outside [0, 1]")
         np.fill_diagonal(loss, 0.0)
         self.loss = loss
@@ -241,22 +243,18 @@ class LogRecord(NamedTuple):
 class TrafficMeter:
     """Local-medium byte accounting; one count per transmission."""
 
-    def __init__(self, n: int):
-        self.local_bytes_total = 0
+    def __init__(self):
         self.bytes_by_kind: dict = {}
         self.count_by_kind: dict = {}
-        self.tx_bytes = np.zeros(n, dtype=np.int64)
-        self.rx_bytes = np.zeros(n, dtype=np.int64)
 
     def record_tx(self, msg: Message, occupations: int) -> None:
         nbytes = msg.nbytes * occupations
-        self.local_bytes_total += nbytes
         self.bytes_by_kind[msg.kind] = self.bytes_by_kind.get(msg.kind, 0) + nbytes
         self.count_by_kind[msg.kind] = self.count_by_kind.get(msg.kind, 0) + occupations
-        self.tx_bytes[msg.src] += nbytes
 
-    def record_rx(self, device: int, msg: Message) -> None:
-        self.rx_bytes[device] += msg.nbytes
+    @property
+    def local_bytes_total(self) -> int:
+        return sum(self.bytes_by_kind.values())
 
     @property
     def data_bytes(self) -> int:
@@ -330,7 +328,6 @@ class LocalMedium:
         self.sim = sim
         self.queue: deque = deque()
         self.busy = False
-        self.busy_intervals: list = []   # populated when log_events
         self.delivered = 0               # deliveries so far; numbers the next
 
     def occupations(self, msg: Message) -> int:
@@ -364,8 +361,6 @@ class LocalMedium:
                 occ = self.occupations(msg)
                 offset += msg.nbytes * 8 * occ / rate
                 self.sim.schedule(offset, self._deliver, msg, occ)
-            if self.sim.config.log_events:
-                self.busy_intervals.append((self.sim.now, self.sim.now + offset))
             self.sim.schedule(offset, self._release)
             return
         self.busy = False
@@ -391,7 +386,6 @@ class LocalMedium:
             received = draw() >= loss[d]
             if not received:
                 continue
-            sim.meter.record_rx(d, msg)
             if logging:
                 sim.log("rx", d, kind=msg.kind, segment=msg.segment,
                         nbytes=msg.nbytes, peer=msg.src, msg=msg_id, dims=msg.dims)
@@ -414,7 +408,7 @@ class Simulator:
         self.rng = np.random.default_rng(config.seed)
         self._heap: list = []
         self._seq = 0
-        self.meter = TrafficMeter(config.n)
+        self.meter = TrafficMeter()
         self.medium = LocalMedium(self)
         self.modems = [CellularModem(self, d, spec)
                        for d, spec in enumerate(config.devices)]

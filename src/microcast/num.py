@@ -69,6 +69,11 @@ UNICAST = "unicast"
 NO_COOP = "no_coop"
 POLICIES = (PSEUDO_BROADCAST, PSEUDO_BROADCAST_NO_NC, UNICAST, NO_COOP)
 
+# constant-step subgradient: steady-state suboptimality scales with the
+# step, and 0.01 keeps it within a few percent of the LP optimum across
+# the supported topology sizes without hurting the T=1000 transient
+STEP_SIZE = 0.01
+
 HYPERARC_DEVICE_LIMIT = 10  # 10 * (2^9 - 1) arcs; enumeration stops being sane past this
 ORACLE_DEVICE_LIMIT = 5
 
@@ -103,6 +108,8 @@ class Topology:
 
     def __post_init__(self) -> None:
         n = len(np.atleast_1d(np.asarray(self.cell_capacity, dtype=float)))
+        if n == 0:
+            raise ValueError("need at least one device")
         self.cell_capacity = _as_vector(self.cell_capacity, n)
         self.cell_loss = _as_vector(self.cell_loss, n)
         self.local_capacity = _as_matrix(self.local_capacity, n)
@@ -224,10 +231,6 @@ class HyperarcSet:
 class SolverConfig:
     policy: str = PSEUDO_BROADCAST
     iterations: int = 1000
-    # constant-step subgradient: steady-state suboptimality scales with the
-    # step, and 0.01 keeps it within a few percent of the LP optimum across
-    # the supported topology sizes without hurting the T=1000 transient
-    step_size: float = 0.01
     seeds: Sequence[int] = tuple(range(10))
     x_cap: float | None = None
     uprime_inv: Callable[[float], float] | None = None  # marginal-utility inverse
@@ -237,8 +240,6 @@ class SolverConfig:
             raise ValueError(f"unknown policy {self.policy!r}")
         if self.iterations < 2:
             raise ValueError("need at least 2 iterations")
-        if self.step_size <= 0:
-            raise ValueError("step size must be positive")
         if len(self.seeds) == 0:
             raise ValueError("need at least one seed")
 
@@ -420,10 +421,6 @@ class SimulateReport:
         return float(np.mean([r.avg for r in self.runs]))
 
     @property
-    def std_rate(self) -> float:
-        return float(np.std([r.avg for r in self.runs]))
-
-    @property
     def device_avg(self) -> np.ndarray:
         return np.mean([r.device_avg for r in self.runs], axis=0)
 
@@ -434,7 +431,7 @@ def simulate(topo: Topology, cfg: SolverConfig) -> SimulateReport:
     Per seed, reports each device's delivered rate averaged over the
     final half of the horizon; no_coop bypasses the solver entirely.
     """
-    n, t_max, beta, policy = topo.n, cfg.iterations, cfg.step_size, cfg.policy
+    n, t_max, beta, policy = topo.n, cfg.iterations, STEP_SIZE, cfg.policy
     n_seeds = len(cfg.seeds)
     cell_on, local_on = channel_draws(topo, cfg.seeds, t_max)
     # decisions use expected rates; an ON link delivers at raw capacity

@@ -701,7 +701,6 @@ class R2PushNode(BaseNode):
         self.last_rank_change: dict = {}
         self.recovery_tries: dict = {}    # segment -> requests since progress
         self.last_progress = 0.0          # last own segment or rank change
-        self.solicited_served = 0
         sim.schedule(RECOVERY_TIMEOUT_S, self._recovery_tick)
 
     def on_cellular_segment(self, segment: int) -> None:
@@ -746,7 +745,6 @@ class R2PushNode(BaseNode):
     def _build_solicited(self, segment: int, neighbor: int, dims: int):
         msgs = self._recode_messages(segment, dims, neighbor)
         if msgs:
-            self.solicited_served += dims
             self.sim.log("push_solicited", self.device, segment=segment,
                          peer=neighbor, dims=dims)
         return msgs

@@ -289,14 +289,18 @@ def bench(m_values: Iterable[int], n: int, seconds: float,
     _BENCH_SLICES slices that alternate across the m values; a rate is
     the median over its slices.
     """
+    # reject bad sizes before drawing: draw_coefficients(0) never returns
+    generations = [GenerationParams(m=m, n=n) for m in m_values]
+    if not 0 < seconds < float("inf"):
+        raise ValueError(f"seconds={seconds} must be positive and finite")
     rng = np.random.default_rng(seed)
     setups = []
-    for m in m_values:
-        matrix = rng.integers(0, 256, (m, n), dtype=np.uint8)
+    for gen in generations:
+        matrix = rng.integers(0, 256, (gen.m, gen.n), dtype=np.uint8)
         # pre-draw coded batches so decode timing excludes encoding
-        batches = [[encode_matrix(0, matrix, rng) for _ in range(m + 8)]
+        batches = [[encode_matrix(0, matrix, rng) for _ in range(gen.m + 8)]
                    for _ in range(24)]
-        setups.append((GenerationParams(m=m, n=n), matrix, itertools.cycle(batches)))
+        setups.append((gen, matrix, itertools.cycle(batches)))
 
     budget = seconds / _BENCH_SLICES
     rates = [([], []) for _ in setups]  # generations/s per slice: encode, decode

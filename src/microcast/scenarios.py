@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import os
+import sys
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -53,11 +54,23 @@ def _number(mapping, key, where, default=None, lo=None):
     value = mapping.get(key, default)
     if value is None:
         return None
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ScenarioError(f"{where}: {key} must be a number")
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not abs(value) <= sys.float_info.max):   # NaN and inf fail
+        raise ScenarioError(f"{where}: {key} must be a finite number")
     if lo is not None and value < lo:
         raise ScenarioError(f"{where}: {key} must be >= {lo}")
     return float(value)
+
+
+def _integer(mapping, key, where, default=None, lo=None):
+    value = mapping.get(key, default)
+    if value is None:
+        return None
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ScenarioError(f"{where}: {key} must be an integer")
+    if lo is not None and value < lo:
+        raise ScenarioError(f"{where}: {key} must be >= {lo}")
+    return value
 
 
 def load_rate_trace(path: str) -> RateTrace:
@@ -145,9 +158,10 @@ def build_configs(doc: dict, base_dir: str = ".", seed: int | None = None):
     seg = _check_keys(doc.get("segment_params"), {"m", "n"}, "segment_params")
 
     file_mb = _number(doc, "file_mb", "scenario", default=9.93, lo=1e-6)
-    doc_seed = doc.get("seed", 0)
-    if not isinstance(doc_seed, int) or isinstance(doc_seed, bool):
-        raise ScenarioError("scenario: seed must be an integer")
+    doc_seed = _integer(doc, "seed", "scenario", default=0)
+    log_events = doc.get("log_events", False)
+    if not isinstance(log_events, bool):
+        raise ScenarioError("scenario: log_events must be true or false")
 
     try:
         sim_cfg = SimConfig(
@@ -156,21 +170,23 @@ def build_configs(doc: dict, base_dir: str = ".", seed: int | None = None):
             background_bps=(_number(local, "background_mbps", "local", default=0.0, lo=0.0)) * 1e6,
             loss=loss,
             mode=mode,
-            ap=doc.get("ap"),
+            ap=_integer(doc, "ap", "scenario"),
             seed=doc_seed if seed is None else seed,
             idle_window_s=_number(doc, "idle_window_s", "scenario", default=30.0, lo=1e-9),
             max_time_s=_number(doc, "max_time_s", "scenario", default=3600.0, lo=1e-9),
-            log_events=bool(doc.get("log_events", False)),
+            log_events=log_events,
         )
         proto_cfg = ProtocolConfig(
             protocol=doc.get("protocol", PROTO_MICROCAST),
             file_bytes=int(round(file_mb * 1e6)),
-            m=int(_number(seg, "m", "segment_params", default=25, lo=1)),
-            n=int(_number(seg, "n", "segment_params", default=900, lo=1)),
+            m=_integer(seg, "m", "segment_params", default=25, lo=1),
+            n=_integer(seg, "n", "segment_params", default=900, lo=1),
             video_kbps=_number(doc, "video_kbps", "scenario", default=500.0, lo=0.0),
             assignment=doc.get("assignment", ASSIGN_ADAPTIVE),
-            initiator=int(_number(doc, "initiator", "scenario", default=0, lo=0)),
+            initiator=_integer(doc, "initiator", "scenario", default=0, lo=0),
         )
+    except ScenarioError:
+        raise
     except ValueError as exc:
         raise ScenarioError(f"scenario: {exc}") from None
     return sim_cfg, proto_cfg
@@ -259,7 +275,6 @@ def recipe_output(name: str, comments, columns, rows, group_cols,
 class Recipe:
     name: str
     kind: str                     # num | proto | bench
-    description: str
     default_seeds: int
     run: Callable                 # (seeds: Sequence[int]) -> RecipeOutput
 
@@ -291,7 +306,7 @@ def num_sweep(header: str, n_values, p_values, seeds, iterations: int = 1000, *,
         f" policies={','.join(policies)}",
         f"topology: cell_capacity={cell_capacity:g} cell_loss=0"
         f" local_capacity={local_capacity:g} gamma={gamma:g}",
-        f"solver: iterations={iterations} step_size={num.SolverConfig().step_size:g}",
+        f"solver: iterations={iterations} step_size={num.STEP_SIZE:g}",
         f"seeds: {list(seeds)}",
     ]
     return comments, rows
@@ -446,30 +461,18 @@ def _bench_recipe(seeds) -> RecipeOutput:
 
 
 RECIPES = {r.name: r for r in [
-    Recipe("fig4a", "num",
-           "throughput vs group size, lossless local medium",
-           10, lambda seeds: _num_recipe("fig4a", range(1, 9), [0.0], 10.0, seeds)),
-    Recipe("fig4b", "num",
-           "throughput vs group size, 20% local loss",
-           10, lambda seeds: _num_recipe("fig4b", range(1, 9), [0.2], 10.0, seeds)),
-    Recipe("fig5a", "num",
-           "throughput vs local loss, 3 devices",
-           10, lambda seeds: _num_recipe("fig5a", [3], [0.0, 0.1, 0.2, 0.3], 1.0, seeds)),
-    Recipe("fig5b", "num",
-           "throughput vs local loss, 4 devices",
-           10, lambda seeds: _num_recipe("fig5b", [4], [0.0, 0.1, 0.2, 0.3], 1.0, seeds)),
-    Recipe("fig6b", "proto",
-           "local traffic ratios of the three dissemination protocols",
-           2, _fig6b_recipe),
-    Recipe("fig-microdownload", "proto",
-           "adaptive vs static segment assignment over uneven links",
-           3, _microdownload_recipe),
-    Recipe("fig-congested", "proto",
-           "download rate vs group size on a congested medium",
-           2, _congested_recipe),
-    Recipe("fig7b", "bench",
-           "codec throughput vs generation size",
-           1, _bench_recipe),
+    Recipe("fig4a", "num", 10,
+           lambda seeds: _num_recipe("fig4a", range(1, 9), [0.0], 10.0, seeds)),
+    Recipe("fig4b", "num", 10,
+           lambda seeds: _num_recipe("fig4b", range(1, 9), [0.2], 10.0, seeds)),
+    Recipe("fig5a", "num", 10,
+           lambda seeds: _num_recipe("fig5a", [3], [0.0, 0.1, 0.2, 0.3], 1.0, seeds)),
+    Recipe("fig5b", "num", 10,
+           lambda seeds: _num_recipe("fig5b", [4], [0.0, 0.1, 0.2, 0.3], 1.0, seeds)),
+    Recipe("fig6b", "proto", 2, _fig6b_recipe),
+    Recipe("fig-microdownload", "proto", 3, _microdownload_recipe),
+    Recipe("fig-congested", "proto", 2, _congested_recipe),
+    Recipe("fig7b", "bench", 1, _bench_recipe),
 ]}
 
 

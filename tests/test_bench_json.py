@@ -1,4 +1,5 @@
-"""tools/bench_json.py: a failed run and a wide spread exit differently."""
+"""tools/bench_json.py: a failed run and a wide spread exit differently;
+every point counts the package's source lines."""
 
 import importlib.util
 import json
@@ -52,11 +53,17 @@ def test_exit_status_tells_a_wrong_run_from_a_noisy_host(
     monkeypatch.setattr(tool, "recipe_times", dict)
     monkeypatch.setattr(tool, "tier1_time", dict)
     monkeypatch.chdir(tmp_path)
+    package = tmp_path / "src" / "microcast"
+    package.mkdir(parents=True)
+    (package / "a.py").write_text("x = 1\n\ny = 2\n", encoding="utf-8")
+    (package / "b.py").write_text("z = 3", encoding="utf-8")   # no final newline
+    (package / "notes.txt").write_text("not source\n", encoding="utf-8")
     assert tool.main(["--label", "t"]) == code
     with open(tmp_path / "BENCH_t.json", encoding="utf-8") as fh:
         point = json.load(fh)
     assert point["wide_spreads"] == wide
     assert point["correct"] == (not incorrect)
+    assert point["src_lines"] == {"files": {"a.py": 3, "b.py": 1}, "total": 4}
     assert point["workloads"]["w"]["runs"] == [
         {"seed": s, "traced": t, "correct": s not in incorrect}
         for s, t in ((1, False), (2, False), (3, False), (1, True))]

@@ -191,6 +191,49 @@ def test_proto_sim_missing_file_exit_2(tmp_path, capsys):
     assert "nope.yaml" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, fields", [
+    ("ap", {"mode": "star", "ap": "'1'"}),
+    ("ap", {"mode": "star", "ap": "1.5"}),
+    ("cellular_kbps", {"devices": "[{cellular_kbps: .inf}, {}]"}),
+    ("cellular_kbps", {"devices": "[{cellular_kbps: .nan}, {}]"}),
+    ("inf.csv", {"devices": "[{trace_file: inf.csv}, {}]"}),
+    ("file_mb", {"file_mb": ".inf"}),
+    ("capacity_mbps", {"local": "{capacity_mbps: .nan}"}),
+    ("loss", {"local": "{loss_uniform: .nan}"}),
+    ("m must be an integer", {"segment_params": "{m: 2.5}"}),
+    ("initiator", {"initiator": "0.5"}),
+    ("log_events", {"log_events": "'no'"}),
+])
+def test_proto_sim_bad_value_exit_2(tmp_path, capsys, key, fields):
+    (tmp_path / "inf.csv").write_text("t_seconds,kbps\n0,inf\n", encoding="utf-8")
+    doc = {"file_mb": "0.05", "devices": "[{cellular_kbps: 2000}, {}]", **fields}
+    scen = scenario_file(tmp_path, "".join(f"{k}: {v}\n" for k, v in doc.items()))
+    # an exception escaping main would fail here: it is a traceback at the shell
+    assert run_cli("proto-sim", scen, "--out", str(tmp_path / "res")) == 2
+    err = capsys.readouterr().err
+    assert key in err and "Traceback" not in err
+    assert not os.path.exists(tmp_path / "res" / "tiny.csv")
+
+
+def test_proto_sim_is_byte_deterministic(tmp_path):
+    scen = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios",
+                        "group-stream.yaml")
+
+    def run(name, *argv):
+        out = tmp_path / name
+        assert run_cli("proto-sim", scen, "--seeds", "2", "--event-log",
+                       "--out", str(out), *argv) == 0
+        return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+    a, b = run("a"), run("b")
+    assert sorted(a) == ["group-stream.csv", "group-stream_agg.csv",
+                         "group-stream_events_s0.csv", "group-stream_events_s1.csv"]
+    assert a == b
+    other = run("c", "--seed", "5")
+    assert other["group-stream_events_s5.csv"] != a["group-stream_events_s0.csv"]
+    assert other["group-stream.csv"] != a["group-stream.csv"]
+
+
 # --------------------------------------------------------------- bench-codec
 
 
@@ -202,6 +245,19 @@ def test_bench_codec_writes_csv(tmp_path):
     assert columns == scenarios.BENCH_COLUMNS
     assert [r["m"] for r in rows] == ["4", "8"]
     assert all(float(r["encode_mbps"]) > 0 for r in rows)
+
+
+@pytest.mark.parametrize("argv, needle", [
+    (("bench-codec", "--m", "0"), "m=0"),
+    (("bench-codec", "--seconds", "0"), "seconds"),
+    (("bench-codec", "--seconds", "-1"), "seconds"),
+    (("num-sim", "--n-devices", "0"), "at least one device"),
+])
+def test_bad_numbers_exit_2(tmp_path, capsys, argv, needle):
+    # draw_coefficients(0) never returns, so m is checked before any draw
+    assert run_cli(*argv, "--out", str(tmp_path)) == 2
+    assert needle in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
 
 
 # -------------------------------------------------------------------- recipe

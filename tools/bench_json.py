@@ -18,6 +18,9 @@ includes start-up; a `bench` recipe such as fig7b runs for a fixed
 wall-clock budget and is marked `wall_clock`), and the Tier-1 suite,
 with its wall time and pytest's outcome counts.
 
+`src_lines` holds the line count of each src/microcast/*.py file and
+their total, so the size of the package is a number in every point.
+
 Each workload's entry lists its runs under `runs` (seed, whether
 traced, and the run's `correct`), and `wide_spreads` names every
 `workload.metric` whose quartile spread is wider than a third of its
@@ -33,6 +36,7 @@ program is wrong; 2 for bad arguments.
 from __future__ import annotations
 
 import argparse
+import glob
 import json
 import os
 import platform
@@ -61,6 +65,15 @@ def _src_env() -> dict:
     src = os.path.abspath("src")
     path = os.environ.get("PYTHONPATH")
     return {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+
+
+def src_lines() -> dict:
+    """Line count of each src/microcast/*.py file, and their total."""
+    files = {}
+    for path in sorted(glob.glob(os.path.join("src", "microcast", "*.py"))):
+        with open(path, encoding="utf-8") as fh:
+            files[os.path.basename(path)] = sum(1 for _ in fh)
+    return {"files": files, "total": sum(files.values())}
 
 
 def recipe_times() -> dict:
@@ -143,6 +156,7 @@ def main(argv=None) -> int:
                         "numpy": np.__version__},
         "correct": correct,
         "wide_spreads": wide,
+        "src_lines": src_lines(),
         "north_star": {"recipe_all": recipe_times(), "tier1": tier1_time()},
     })
     out = f"BENCH_{args.label}.json"
