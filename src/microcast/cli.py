@@ -81,6 +81,10 @@ def cmd_proto_sim(args) -> int:
     n_seeds = args.seeds if args.seeds is not None else 1
     seeds = range(args.seed, args.seed + n_seeds)
     stem = os.path.splitext(os.path.basename(args.scenario))[0]
+    # the seed is the only field that differs between the runs
+    base_cfg, proto = scenarios.load_scenario(args.scenario)
+    if args.event_log:
+        base_cfg = dataclasses.replace(base_cfg, log_events=True)
     rows, stalled = [], []
     os.makedirs(args.out, exist_ok=True)
 
@@ -95,9 +99,7 @@ def cmd_proto_sim(args) -> int:
         print(f"  event log: {path} ({len(ev_rows)} records)")
 
     for s in seeds:
-        sim_cfg, proto = scenarios.load_scenario(args.scenario, seed=s)
-        if args.event_log:
-            sim_cfg = dataclasses.replace(sim_cfg, log_events=True)
+        sim_cfg = dataclasses.replace(base_cfg, seed=s)
         try:
             res = run_protocol(sim_cfg, proto)
         except SimStalled as exc:
@@ -106,7 +108,7 @@ def cmd_proto_sim(args) -> int:
             stalled.append(s)
             rows.append([proto.protocol, s, 0, "", "", "", "", "", "stalled"])
             print(f"seed {s}: stalled: {exc}", file=sys.stderr)
-            if args.event_log:
+            if sim_cfg.log_events:
                 write_event_log(s, exc.events)
             continue
         met = res.metrics
@@ -118,7 +120,7 @@ def cmd_proto_sim(args) -> int:
               f"in {met.duration_s:.2f}s, avg rate "
               f"{met.avg_rate_bps / 1e6:.3f} Mbps, local traffic "
               f"{met.local_bytes / 1e6:.3f} MB")
-        if args.event_log:
+        if sim_cfg.log_events:
             write_event_log(s, res.sim.events)
     comments = [f"command: proto-sim {args.scenario}",
                 f"seeds: {list(seeds)}"]
@@ -230,7 +232,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="run one scenario file through the simulator")
     p.add_argument("scenario", help="scenario YAML file")
     p.add_argument("--event-log", action="store_true",
-                   help="also write per-run event records")
+                   help="also write per-run event records (as the "
+                        "scenario key log_events: true does)")
     p.set_defaults(func=cmd_proto_sim)
 
     p = sub.add_parser("bench-codec", parents=[common],

@@ -22,7 +22,8 @@ downlink arrivals, and per-(sender, receiver) relay queues (eta) fed by
 downlink arrivals and drained by the local schedule. All three control
 laws are closed-form in the queues; `simulate` iterates them against
 Bernoulli ON/OFF link draws, and `centralized_oracle` solves the same
-problem exactly as an LP for small groups.
+problem exactly as an LP for small groups. Only the oracle needs scipy,
+so it imports `scipy.optimize` on its first call, not at module load.
 
 `simulate` steps all of a run's seeds together, so every control law
 takes a leading seed axis: lam is (S, n), eta is (S, n, n). Each seed
@@ -61,7 +62,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.optimize import linprog
 
 PSEUDO_BROADCAST = "pseudo_broadcast"
 PSEUDO_BROADCAST_NO_NC = "pseudo_broadcast_no_nc"
@@ -487,6 +487,8 @@ def centralized_oracle(topo: Topology, policy: str) -> float:
     n = topo.n
     if n > ORACLE_DEVICE_LIMIT:
         raise ValueError(f"oracle limited to {ORACLE_DEVICE_LIMIT} devices, got {n}")
+    from scipy.optimize import linprog
+
     pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
     pair_idx = {p: k for k, p in enumerate(pairs)}
     if policy == UNICAST:

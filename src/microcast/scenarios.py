@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-import yaml
 
 from . import num, rlnc
 from .netsim import (MODE_CLIQUE, MODE_PSEUDO_ADHOC, MODE_STAR, MODES,
@@ -103,6 +102,8 @@ def load_rate_trace(path: str) -> RateTrace:
 
 def load_scenario(path: str, seed: int | None = None):
     """Parse a YAML scenario file into (SimConfig, ProtocolConfig)."""
+    import yaml   # only scenario files need PyYAML; recipes build configs directly
+
     try:
         with open(path, encoding="utf-8") as fh:
             doc = yaml.safe_load(fh)

@@ -1,5 +1,5 @@
 """tools/bench_json.py: a failed run and a wide spread exit differently;
-every point counts the package's source lines."""
+every point counts the package's source lines and times start-up."""
 
 import importlib.util
 import json
@@ -52,6 +52,7 @@ def test_exit_status_tells_a_wrong_run_from_a_noisy_host(
     monkeypatch.setitem(sys.modules, "spread", fake_spread(incorrect, spread))
     monkeypatch.setattr(tool, "recipe_times", dict)
     monkeypatch.setattr(tool, "tier1_time", dict)
+    monkeypatch.setattr(tool, "startup_s", lambda: 0.25)
     monkeypatch.chdir(tmp_path)
     package = tmp_path / "src" / "microcast"
     package.mkdir(parents=True)
@@ -64,6 +65,14 @@ def test_exit_status_tells_a_wrong_run_from_a_noisy_host(
     assert point["wide_spreads"] == wide
     assert point["correct"] == (not incorrect)
     assert point["src_lines"] == {"files": {"a.py": 3, "b.py": 1}, "total": 4}
+    assert point["north_star"] == {"startup_s": 0.25, "recipe_all": {}, "tier1": {}}
     assert point["workloads"]["w"]["runs"] == [
         {"seed": s, "traced": t, "correct": s not in incorrect}
         for s, t in ((1, False), (2, False), (3, False), (1, True))]
+
+
+def test_startup_time_runs_the_command_line(monkeypatch):
+    tool = load_tool()
+    monkeypatch.chdir(os.path.join(os.path.dirname(TOOL), os.pardir))
+    seconds = tool.startup_s()
+    assert 0.0 < seconds < 60.0

@@ -1,9 +1,12 @@
 """Command line harness: subcommands, CSV contracts, exit codes."""
 
 import os
+import subprocess
+import sys
 
 import pytest
 
+import microcast
 from microcast import acceptance, cli, scenarios
 from microcast.cli import EXIT_STALLED, main
 from microcast.netsim import SimStalled
@@ -191,6 +194,13 @@ def test_proto_sim_missing_file_exit_2(tmp_path, capsys):
     assert "nope.yaml" in capsys.readouterr().err
 
 
+def test_proto_sim_unparsable_yaml_exit_2(tmp_path, capsys):
+    scen = scenario_file(tmp_path, "devices: [\n")
+    assert run_cli("proto-sim", scen, "--out", str(tmp_path / "res")) == 2
+    err = capsys.readouterr().err
+    assert "tiny.yaml" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("key, fields", [
     ("ap", {"mode": "star", "ap": "'1'"}),
     ("ap", {"mode": "star", "ap": "1.5"}),
@@ -213,6 +223,51 @@ def test_proto_sim_bad_value_exit_2(tmp_path, capsys, key, fields):
     err = capsys.readouterr().err
     assert key in err and "Traceback" not in err
     assert not os.path.exists(tmp_path / "res" / "tiny.csv")
+
+
+def test_proto_sim_loads_the_scenario_once(tmp_path, monkeypatch):
+    scen = scenario_file(tmp_path)
+    calls = []
+    real = scenarios.load_scenario
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(scenarios, "load_scenario", counting)
+    out = str(tmp_path / "res")
+    assert run_cli("proto-sim", scen, "--seeds", "3", "--seed", "4",
+                   "--event-log", "--out", out) == 0
+    assert calls == [(scen,)]
+    # each seed's run is the one a fresh load with that seed gives
+    _, columns, rows = scenarios.read_csv(os.path.join(out, "tiny.csv"))
+    for row, seed in zip(rows, (4, 5, 6), strict=True):
+        sim_cfg, proto = real(scen, seed=seed)
+        met = cli.run_protocol(sim_cfg, proto).metrics
+        expected = [met.protocol, seed, int(met.complete), met.duration_s,
+                    met.avg_rate_bps, met.local_bytes, met.local_data_bytes,
+                    met.local_control_bytes, "done"]
+        assert [row[c] for c in columns] == [scenarios.fmt_value(v) for v in expected]
+
+
+def test_log_events_key_writes_the_event_log(tmp_path):
+    # the same path both times: the CSV headers name the scenario file
+    scen = scenario_file(tmp_path)
+    with open(scen, encoding="utf-8") as fh:
+        base = fh.read()
+    scenario_file(tmp_path, base + "log_events: true\n")
+    by_key = tmp_path / "key"
+    assert run_cli("proto-sim", scen, "--seeds", "2", "--out", str(by_key)) == 0
+    scenario_file(tmp_path, base)
+    by_flag = tmp_path / "flag"
+    assert run_cli("proto-sim", scen, "--seeds", "2", "--event-log",
+                   "--out", str(by_flag)) == 0
+
+    def files(out):
+        return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+    assert "tiny_events_s0.csv" in files(by_key)
+    assert files(by_key) == files(by_flag)
 
 
 def test_proto_sim_is_byte_deterministic(tmp_path):
@@ -317,3 +372,27 @@ def test_check_warns_on_stale_csv(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(acceptance, "evaluate_all", lambda d: [])
     run_cli("check", "--out", str(out))
     assert "stale" in capsys.readouterr().out
+
+
+# ------------------------------------------------------------ lazy imports
+
+
+def test_heavy_dependencies_load_on_first_use():
+    # a fresh interpreter: this one has long since imported scipy and yaml
+    src = os.path.dirname(os.path.dirname(os.path.abspath(microcast.__file__)))
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+    code = """
+import sys
+import microcast.cli
+from microcast import num
+assert "scipy.optimize" not in sys.modules, "scipy.optimize loaded at import"
+assert "yaml" not in sys.modules, "yaml loaded at import"
+topo = num.Topology(cell_capacity=[1.0, 1.0], cell_loss=[0.0, 0.0],
+                    local_capacity=10.0, local_loss=0.0)
+num.centralized_oracle(topo, num.PSEUDO_BROADCAST)
+assert "scipy.optimize" in sys.modules, "the oracle ran without scipy.optimize"
+"""
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True)
+    assert proc.returncode == 0, proc.stdout

@@ -113,6 +113,12 @@ def test_scenario_must_be_mapping(tmp_path):
         scenarios.load_scenario(path)
 
 
+def test_unparsable_yaml_names_the_file(tmp_path):
+    path = write_yaml(tmp_path, "devices: [\n", name="broken.yaml")
+    with pytest.raises(ScenarioError, match="broken.yaml"):
+        scenarios.load_scenario(path)
+
+
 # ------------------------------------------------------------- CSV round trip
 
 

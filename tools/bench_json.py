@@ -10,8 +10,10 @@ per-layer metrics of the traced run) it adds each end-to-end metric's
 quartiles, the CPU count, the Python and numpy versions, the git commit
 and whether src/ differs from it.
 
-Then it takes the two north-star numbers that no workload covers, one
-run each, after the perfbench runs so that none of them overlap:
+Then it takes the north-star numbers that no workload covers, after
+the perfbench runs so that none of them overlap: `startup_s`, the
+median wall time of five `python -m microcast --help` runs (interpreter
+start plus the import of every package module), and one run each of
 `microcast recipe all` into a temporary directory, timed per recipe
 from when each recipe's output line appears (the first recipe's time
 includes start-up; a `bench` recipe such as fig7b runs for a fixed
@@ -41,6 +43,7 @@ import json
 import os
 import platform
 import re
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -74,6 +77,17 @@ def src_lines() -> dict:
         with open(path, encoding="utf-8") as fh:
             files[os.path.basename(path)] = sum(1 for _ in fh)
     return {"files": files, "total": sum(files.values())}
+
+
+def startup_s() -> float:
+    """Median wall time of five `python -m microcast --help` runs."""
+    times = []
+    for _ in range(5):
+        start = time.perf_counter()
+        subprocess.run([sys.executable, "-m", "microcast", "--help"],
+                       stdout=subprocess.DEVNULL, check=True, env=_src_env())
+        times.append(time.perf_counter() - start)
+    return statistics.median(times)
 
 
 def recipe_times() -> dict:
@@ -157,7 +171,8 @@ def main(argv=None) -> int:
         "correct": correct,
         "wide_spreads": wide,
         "src_lines": src_lines(),
-        "north_star": {"recipe_all": recipe_times(), "tier1": tier1_time()},
+        "north_star": {"startup_s": startup_s(), "recipe_all": recipe_times(),
+                       "tier1": tier1_time()},
     })
     out = f"BENCH_{args.label}.json"
     with open(out, "w", encoding="utf-8") as fh:
