@@ -47,11 +47,17 @@ def _not_run(number, name, bound, missing) -> CriterionResult:
                            f"{missing.split('.')[0].removesuffix('_agg')} --out DIR")
 
 
-def _load_rows(results_dir: str, filename: str):
+def _load_rows(results_dir: str, filename: str, columns):
+    """The file's rows, or None when it is absent; ScenarioError names the
+    file and every one of `columns` it lacks."""
     path = os.path.join(results_dir, filename)
     if not os.path.exists(path):
         return None
-    _, _, rows = scenarios.read_csv(path)
+    _, have, rows = scenarios.read_csv(path)
+    missing = [c for c in columns if c not in have]
+    if missing:
+        raise scenarios.ScenarioError(
+            f"{path}: missing column(s) {', '.join(missing)}")
     return rows
 
 
@@ -142,7 +148,8 @@ def evaluate_codec_roundtrip(trips: int = 1000, seed: int = 7) -> CriterionResul
 
 def evaluate_codec_throughput(results_dir: str) -> CriterionResult:
     bound = "m=25 encode and decode >= 8 Mbps; both fall monotonically in m"
-    rows = _load_rows(results_dir, "fig7b.csv")
+    rows = _load_rows(results_dir, "fig7b.csv",
+                      ("m", "encode_mbps", "decode_mbps"))
     if rows is None:
         return _not_run(2, "codec-throughput", bound, "fig7b.csv")
     table = {int(r["m"]): (float(r["encode_mbps"]), float(r["decode_mbps"]))
@@ -225,8 +232,9 @@ def evaluate_group_size_shapes(results_dir: str) -> CriterionResult:
     bound = ("no_coop flat within 2%; unicast rises then strictly falls; "
              "lossless coded == plain; at 20% loss coded >= plain everywhere "
              "and plain declines after a threshold")
-    rows_a = _load_rows(results_dir, "fig4a_agg.csv")
-    rows_b = _load_rows(results_dir, "fig4b_agg.csv")
+    columns = ("policy", "n_devices", "avg_rate_mean")
+    rows_a = _load_rows(results_dir, "fig4a_agg.csv", columns)
+    rows_b = _load_rows(results_dir, "fig4b_agg.csv", columns)
     if rows_a is None:
         return _not_run(4, "group-size-shapes", bound, "fig4a_agg.csv")
     if rows_b is None:
@@ -282,8 +290,9 @@ def _loss_series(rows, policy):
 def evaluate_loss_shapes(results_dir: str) -> CriterionResult:
     bound = ("every policy non-increasing in loss; coded >= plain >= unicast "
              "at loss > 0; coded-vs-plain gap at p=0.3 grows with group size")
-    rows_3 = _load_rows(results_dir, "fig5a_agg.csv")
-    rows_4 = _load_rows(results_dir, "fig5b_agg.csv")
+    columns = ("policy", "p_local", "avg_rate_mean")
+    rows_3 = _load_rows(results_dir, "fig5a_agg.csv", columns)
+    rows_4 = _load_rows(results_dir, "fig5b_agg.csv", columns)
     if rows_3 is None:
         return _not_run(5, "loss-shapes", bound, "fig5a_agg.csv")
     if rows_4 is None:
@@ -320,7 +329,8 @@ def evaluate_loss_shapes(results_dir: str) -> CriterionResult:
 def evaluate_traffic_ratios(results_dir: str) -> CriterionResult:
     bound = ("pull-swarm/coded >= 2.5; push-star/coded >= 2.5; "
              "push clique > push star")
-    rows = _load_rows(results_dir, "fig6b_agg.csv")
+    rows = _load_rows(results_dir, "fig6b_agg.csv",
+                      ("protocol", "topology", "traffic_ratio_mean"))
     if rows is None:
         return _not_run(6, "traffic-ratios", bound, "fig6b_agg.csv")
     ratio = {(r["protocol"], r["topology"]): float(r["traffic_ratio_mean"])
@@ -345,7 +355,8 @@ def evaluate_traffic_ratios(results_dir: str) -> CriterionResult:
 
 def evaluate_download_adaptivity(results_dir: str) -> CriterionResult:
     bound = "adaptive assignment completes >= 5x faster than a static split"
-    rows = _load_rows(results_dir, "fig-microdownload_agg.csv")
+    rows = _load_rows(results_dir, "fig-microdownload_agg.csv",
+                      ("assignment", "completion_s_mean"))
     if rows is None:
         return _not_run(7, "download-adaptivity", bound,
                         "fig-microdownload_agg.csv")
@@ -365,7 +376,8 @@ def evaluate_congestion(results_dir: str) -> CriterionResult:
     bound = ("coded group rate non-decreasing to 4 devices and >= 3x the "
              "standalone rate from 4 on; pull swarm strictly decreasing "
              "after some count <= 5")
-    rows = _load_rows(results_dir, "fig-congested_agg.csv")
+    rows = _load_rows(results_dir, "fig-congested_agg.csv",
+                      ("protocol", "n_devices", "avg_rate_bps_mean"))
     if rows is None:
         return _not_run(8, "congestion-behavior", bound, "fig-congested_agg.csv")
     curve: dict = {}

@@ -259,6 +259,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.seeds is not None and args.seeds < 1:
+            raise scenarios.ScenarioError("need at least one seed")
         return args.func(args)
     except scenarios.ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -29,8 +29,8 @@ from __future__ import annotations
 import heapq
 import math
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Sequence
+from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 

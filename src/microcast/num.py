@@ -1,10 +1,11 @@
 """Rate allocation for cooperative download groups.
 
 Devices pull one shared stream over lossy cellular downlinks and
-re-distribute on a shared local wireless channel. The common stream
-rate is chosen by maximizing sum log x subject to per-device flow
-conservation, downlink caps, local forwarding conservation, and an
-airtime budget for the local channel. Three local policies:
+re-distribute on a shared local wireless channel. The stream utility
+is log x: the common stream rate is chosen by maximizing sum log x
+subject to per-device flow conservation, downlink caps, local
+forwarding conservation, and an airtime budget for the local channel.
+Three local policies:
 
   pseudo_broadcast        network-coded: one local transmission serves a
                           receiver set at min-capacity, each receiver
@@ -58,8 +59,8 @@ enumeration.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -233,7 +234,6 @@ class SolverConfig:
     iterations: int = 1000
     seeds: Sequence[int] = tuple(range(10))
     x_cap: float | None = None
-    uprime_inv: Callable[[float], float] | None = None  # marginal-utility inverse
 
     def __post_init__(self) -> None:
         if self.policy not in POLICIES:
@@ -270,20 +270,14 @@ def channel_draws(topo: Topology, seeds: Sequence[int],
 
 
 def flow_control(lam: np.ndarray, cap: float,
-                 uprime_inv: Callable[[float], float] | None = None,
                  out: np.ndarray | None = None) -> np.ndarray:
-    """Stream rate per seed maximizing U(x) - x * sum(lam): (U')^{-1} clamped to (0, cap].
+    """Stream rate per seed maximizing log x - x * sum(lam), clamped to cap.
 
-    Zero prices divide to inf, which clamps to the cap; callers silence
-    numpy's divide-by-zero warning.
+    The stream utility is log x, so U'(x) = 1/x and the rate is
+    1 / sum(lam). Zero prices divide to inf, which clamps to the cap;
+    callers silence numpy's divide-by-zero warning.
     """
-    s = lam.sum(axis=1)
-    if uprime_inv is None:
-        return np.minimum(1.0 / s, cap, out=out)  # log utility: U'(x) = 1/x
-    if out is None:
-        out = np.empty(len(s))
-    out[:] = [min(uprime_inv(float(v)), cap) if v > 0.0 else cap for v in s]
-    return out
+    return np.minimum(1.0 / lam.sum(axis=1), cap, out=out)
 
 
 def downlink_rates(lam: np.ndarray, eta: np.ndarray, rate: np.ndarray,
@@ -413,16 +407,11 @@ class SeedRun:
 
 @dataclass
 class SimulateReport:
-    policy: str
     runs: list[SeedRun]
 
     @property
     def avg_rate(self) -> float:
         return float(np.mean([r.avg for r in self.runs]))
-
-    @property
-    def device_avg(self) -> np.ndarray:
-        return np.mean([r.device_avg for r in self.runs], axis=0)
 
 
 def simulate(topo: Topology, cfg: SolverConfig) -> SimulateReport:
@@ -456,7 +445,7 @@ def simulate(topo: Topology, cfg: SolverConfig) -> SimulateReport:
         w = np.zeros((n_seeds, len(actions.arcs) + 1))
         with np.errstate(divide="ignore"):
             for t in range(t_max):
-                flow_control(lam, cap, cfg.uprime_inv, out=x)
+                flow_control(lam, cap, out=x)
                 np.copyto(x_per_device, x_column)
                 downlink_rates(lam, eta, rate_on[t], out=x_dl)
                 x_dl.sum(axis=1, out=inflow)
@@ -471,8 +460,8 @@ def simulate(topo: Topology, cfg: SolverConfig) -> SimulateReport:
                 update_queues(prices, arrivals, departures, beta, n)
         delivered = delivered.transpose(1, 0, 2)
     half = t_max // 2
-    return SimulateReport(policy, [SeedRun(s, delivered[k, half:].mean(axis=0))
-                                   for k, s in enumerate(cfg.seeds)])
+    return SimulateReport([SeedRun(s, delivered[k, half:].mean(axis=0))
+                           for k, s in enumerate(cfg.seeds)])
 
 
 def centralized_oracle(topo: Topology, policy: str) -> float:
@@ -494,8 +483,8 @@ def centralized_oracle(topo: Topology, policy: str) -> float:
     if policy == UNICAST:
         arcs_list: list[tuple[int, tuple[int, ...]]] = []
     else:
-        arcs_list = enumerate_hyperarcs(n)
         hset = HyperarcSet(topo)
+        arcs_list = hset.arcs
         kappa = hset.kappa(policy)
 
     # variable layout: x | x_dl (n*n) | g (pairs) | f (arcs) | tau

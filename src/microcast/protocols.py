@@ -26,7 +26,7 @@ call on its payload (see rlnc.DecoderState).
 from __future__ import annotations
 
 import math
-from collections import OrderedDict, deque
+from collections import deque
 from dataclasses import dataclass
 from typing import Callable
 
@@ -354,7 +354,6 @@ class BaseNode:
         if segment in self.complete:
             return
         self.complete.add(segment)
-        self.sim.note_progress()
         if self.done and self.completion_time is None:
             self.completion_time = self.sim.now
             if self.on_done is not None:
@@ -367,11 +366,21 @@ class BaseNode:
     def _insert(self, segment: int, packet) -> bool:
         state = self._decoder(segment)
         innovative = state.insert(packet)
-        if innovative:
-            self.sim.note_progress()
         if state.complete:
             self._mark_complete(segment)
         return innovative
+
+    def _request(self, segment: int, target: int, dims: int = 0,
+                 kind: str = REQUEST) -> None:
+        msg = Message(kind, self.device, target, segment, CONTROL_BYTES, dims=dims)
+        self.sim.medium.submit(lambda: msg)
+        self.sim.log("request", self.device, segment=segment, peer=target,
+                     dims=dims)
+
+    def _rotating_neighbor(self, segment: int) -> int:
+        """Round robin: a segment's pick moves on by one every recovery tick."""
+        k = segment + int(self.sim.now / RECOVERY_TIMEOUT_S)
+        return self.neighbors[k % len(self.neighbors)]
 
     def _recode_messages(self, segment, count, dst, kind=CODED_DATA):
         state = self.decoders.get(segment)
@@ -405,9 +414,8 @@ class MicroNCP2Node(BaseNode):
         self.advert_timer_armed = False
         self.source_of: dict = {}         # segment -> device to ask
         self.in_flight: dict = {}         # segment -> request sent time
-        self.pending: "OrderedDict" = OrderedDict()   # segment -> {req: dims}
+        self.pending: dict = {}           # segment -> {requester: dims}, in ask order
         self.serve_job_queued = False
-        self._arrivals = 0
         self.highest_heard = -1           # largest segment id seen anywhere
         self.last_progress = 0.0          # last own segment or innovative rx
         sim.schedule(RECOVERY_TIMEOUT_S, self._recovery_tick)
@@ -459,13 +467,8 @@ class MicroNCP2Node(BaseNode):
             target = self.source_of.get(segment)
         if target is None:
             return
-        dims = self.proto.m - self.rank(segment)
         self.in_flight[segment] = self.sim.now
-        msg = Message(REQUEST, self.device, target, segment,
-                      CONTROL_BYTES, dims=dims)
-        self.sim.medium.submit(lambda: msg)
-        self.sim.log("request", self.device, segment=segment, peer=target,
-                     dims=dims)
+        self._request(segment, target, self.proto.m - self.rank(segment))
 
     def _recovery_tick(self) -> None:
         now = self.sim.now
@@ -484,10 +487,8 @@ class MicroNCP2Node(BaseNode):
                 # yet, and probing it every tick would flood the medium.
                 if segment > self.highest_heard or not self.neighbors:
                     continue
-                # round robin, without pinning the guess, so the next tick
-                # tries someone else
-                k = segment + int(now / RECOVERY_TIMEOUT_S)
-                probe = self.neighbors[k % len(self.neighbors)]
+                # without pinning the guess, so the next tick tries someone else
+                probe = self._rotating_neighbor(segment)
             self._consider_request(segment, probe)
         # A segment whose push and advertisement were all lost leaves no
         # trace here.  Once a whole timeout passes without progress, probe
@@ -495,8 +496,7 @@ class MicroNCP2Node(BaseNode):
         segment = self.highest_heard + 1
         if (segment < self.proto.n_segments and self.neighbors
                 and now - self.last_progress >= RECOVERY_TIMEOUT_S):
-            k = segment + int(now / RECOVERY_TIMEOUT_S)
-            self._consider_request(segment, self.neighbors[k % len(self.neighbors)])
+            self._consider_request(segment, self._rotating_neighbor(segment))
         self.sim.schedule(RECOVERY_TIMEOUT_S, self._recovery_tick)
 
     # ---- serving
@@ -514,16 +514,17 @@ class MicroNCP2Node(BaseNode):
         self.serve_job_queued = False
         head = self._playback_head()
         while self.pending:
-            segment = min(self.pending,
-                          key=lambda s: (s - head, self.pending[s]["seq"]))
+            # ties go to the segment asked for first: min keeps the first
+            # of equal keys, and the dict iterates in first-ask order
+            segment = min(self.pending, key=lambda s: s - head)
             group = self.pending.pop(segment)
-            dims = max(group["dims"].values())
+            dims = max(group.values())
             state = self.decoders.get(segment)
             if dims <= 0 or state is None or state.rank == 0:
                 continue
-            first = group["order"][0]
+            first = next(iter(group))
             msgs = self._recode_messages(segment, dims, first)
-            for requester in group["order"]:
+            for requester in group:
                 msgs.append(Message(NOTIFICATION, self.device, requester,
                                     segment, CONTROL_BYTES, dims=dims))
             self.sim.log("serve", self.device, segment=segment, peer=first,
@@ -557,14 +558,8 @@ class MicroNCP2Node(BaseNode):
             self._consider_request(msg.segment)
             return
         if msg.kind == REQUEST and msg.dst == self.device:
-            self._arrivals += 1
-            entry = self.pending.get(msg.segment)
-            if entry is None:
-                entry = {"dims": {}, "order": [], "seq": self._arrivals}
-                self.pending[msg.segment] = entry
-            if msg.src not in entry["dims"]:
-                entry["order"].append(msg.src)
-            entry["dims"][msg.src] = msg.dims   # coalescing replaces
+            # a repeat ask replaces its dims and keeps its place
+            self.pending.setdefault(msg.segment, {})[msg.src] = msg.dims
             self._ensure_serve_job()
 
 
@@ -579,7 +574,7 @@ class BitTorrentPullNode(BaseNode):
         super().__init__(sim, device, proto)
         self.peers_have: dict = {d: set() for d in self.neighbors}
         self.in_flight: dict = {}         # segment -> (peer, sent time)
-        self.pending: "OrderedDict" = OrderedDict()   # (req, seg) -> None
+        self.pending: dict = {}           # (req, seg) -> None, in ask order
         self.serve_job_queued = False
         self.bitfield_queued = False
         self.last_heard = None            # carrier sense: last rx of any kind
@@ -614,9 +609,7 @@ class BitTorrentPullNode(BaseNode):
         if segment in self.complete or segment in self.in_flight:
             return
         self.in_flight[segment] = (peer, self.sim.now)
-        msg = Message(PIECE_REQUEST, self.device, peer, segment, CONTROL_BYTES)
-        self.sim.medium.submit(lambda: msg)
-        self.sim.log("request", self.device, segment=segment, peer=peer)
+        self._request(segment, peer, kind=PIECE_REQUEST)
 
     def _recovery_tick(self) -> None:
         now = self.sim.now
@@ -782,18 +775,10 @@ class R2PushNode(BaseNode):
         if self.neighbors and now - self.last_progress >= RECOVERY_TIMEOUT_S:
             for segment in self.missing():
                 if segment not in self.last_source:
-                    k = segment + int(now / RECOVERY_TIMEOUT_S)
-                    self._request(segment, self.neighbors[k % len(self.neighbors)],
+                    self._request(segment, self._rotating_neighbor(segment),
                                   self.proto.m)
                     break
         self.sim.schedule(RECOVERY_TIMEOUT_S, self._recovery_tick)
-
-    def _request(self, segment: int, target: int, dims: int) -> None:
-        msg = Message(REQUEST, self.device, target, segment,
-                      CONTROL_BYTES, dims=dims)
-        self.sim.medium.submit(lambda: msg)
-        self.sim.log("request", self.device, segment=segment, peer=target,
-                     dims=dims)
 
     def on_message(self, msg: Message) -> None:
         if msg.dst != self.device:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import struct
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -130,12 +130,8 @@ def encode_matrix(
 
 
 def encode(generation: Sequence[PlainPacket], rng: np.random.Generator,
-           params: GenerationParams | None = None) -> CodedPacket:
+           params: GenerationParams) -> CodedPacket:
     """Draw a uniform nonzero coefficient vector and mix the generation."""
-    if params is None:
-        if not generation:
-            raise ValueError("cannot encode an empty generation")
-        params = GenerationParams(m=len(generation), n=len(generation[0].payload))
     matrix = _payload_matrix(generation, params)
     return encode_matrix(generation[0].segment_id, matrix, rng)
 

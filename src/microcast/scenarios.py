@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -20,8 +20,8 @@ from . import num, rlnc
 from .netsim import (MODE_CLIQUE, MODE_PSEUDO_ADHOC, MODE_STAR, MODES,
                      DeviceSpec, RateTrace, SimConfig)
 from .protocols import (ASSIGN_ADAPTIVE, ASSIGN_STATIC, PROTO_BITTORRENT,
-                        PROTO_MICROCAST, PROTO_NONE, PROTO_R2, PROTOCOLS,
-                        ProtocolConfig, run_protocol)
+                        PROTO_MICROCAST, PROTO_NONE, PROTO_R2, ProtocolConfig,
+                        run_protocol)
 
 
 class ScenarioError(ValueError):
@@ -321,6 +321,14 @@ def _num_recipe(name: str, n_values, p_values, local_capacity: float,
                          ["policy", "n_devices", "p_local"], ["avg_rate"])
 
 
+def _protocol_rows(runs, seeds, row) -> list:
+    """Run each (key, SimConfig, ProtocolConfig) of `runs` under each seed,
+    runs outermost and only the seed changed; a row is the key's fields,
+    the seed, then row(result)."""
+    return [[*key, seed, *row(run_protocol(replace(sim_cfg, seed=seed), proto))]
+            for key, sim_cfg, proto in runs for seed in seeds]
+
+
 def microdownload_traces():
     """Three cellular links: fast but wavy, steady, choked then recovering."""
     fast = RateTrace.from_kbps_points(
@@ -334,23 +342,20 @@ MICRODOWNLOAD_COLUMNS = ["assignment", "seed", "completion_s", "failures", "comp
 
 
 def _microdownload_recipe(seeds) -> RecipeOutput:
-    rows = []
+    runs = []
     for assignment in (ASSIGN_ADAPTIVE, ASSIGN_STATIC):
         # the static split has no failure path, so a download timeout would
         # strand the choked device's share; only the adaptive runs use one
         timeout = 3.0 if assignment == ASSIGN_ADAPTIVE else None
-        for seed in seeds:
-            devices = [DeviceSpec(cellular=t, cell_timeout=timeout)
-                       for t in microdownload_traces()]
-            sim_cfg = SimConfig(devices=devices, capacity_bps=20e6, loss=0.0,
-                                mode=MODE_PSEUDO_ADHOC, seed=seed,
-                                max_time_s=600.0)
-            proto = ProtocolConfig(PROTO_MICROCAST, file_bytes=750_000,
-                                   m=25, n=900, assignment=assignment)
-            res = run_protocol(sim_cfg, proto)
-            met = res.metrics
-            rows.append([assignment, seed, met.duration_s,
-                         res.scheduler.failures, int(met.complete)])
+        devices = [DeviceSpec(cellular=t, cell_timeout=timeout)
+                   for t in microdownload_traces()]
+        runs.append(((assignment,),
+                     SimConfig(devices=devices, capacity_bps=20e6, loss=0.0,
+                               mode=MODE_PSEUDO_ADHOC, max_time_s=600.0),
+                     ProtocolConfig(PROTO_MICROCAST, file_bytes=750_000,
+                                    m=25, n=900, assignment=assignment)))
+    rows = _protocol_rows(runs, seeds, lambda res: [
+        res.metrics.duration_s, res.scheduler.failures, int(res.metrics.complete)])
     comments = [
         "recipe: fig-microdownload",
         "traces_kbps: fast=800/1000 alternating every 10s, steady=500,"
@@ -369,23 +374,23 @@ FIG6B_COLUMNS = ["protocol", "topology", "seed", "local_bytes", "data_bytes",
 
 def _fig6b_recipe(seeds) -> RecipeOutput:
     file_bytes = 9_930_000
-    rows = []
-    for protocol, mode in ((PROTO_MICROCAST, MODE_PSEUDO_ADHOC),
-                           (PROTO_BITTORRENT, MODE_PSEUDO_ADHOC),
-                           (PROTO_R2, MODE_STAR),
-                           (PROTO_R2, MODE_CLIQUE)):
-        for seed in seeds:
-            devices = [DeviceSpec(cellular=RateTrace.constant(550e3)),
-                       DeviceSpec(), DeviceSpec(), DeviceSpec()]
-            sim_cfg = SimConfig(devices=devices, capacity_bps=20e6, loss=0.01,
-                                mode=mode, seed=seed, max_time_s=900.0)
-            proto = ProtocolConfig(protocol, file_bytes=file_bytes, m=25, n=900,
-                                   initiator=0)
-            met = run_protocol(sim_cfg, proto).metrics
-            rows.append([protocol, mode, seed, met.local_bytes,
-                         met.local_data_bytes, met.local_control_bytes,
-                         met.local_bytes / file_bytes, met.duration_s,
-                         int(met.complete)])
+    devices = [DeviceSpec(cellular=RateTrace.constant(550e3)),
+               DeviceSpec(), DeviceSpec(), DeviceSpec()]
+    runs = [((protocol, mode),
+             SimConfig(devices=devices, capacity_bps=20e6, loss=0.01, mode=mode,
+                       max_time_s=900.0),
+             ProtocolConfig(protocol, file_bytes=file_bytes, m=25, n=900,
+                            initiator=0))
+            for protocol, mode in ((PROTO_MICROCAST, MODE_PSEUDO_ADHOC),
+                                   (PROTO_BITTORRENT, MODE_PSEUDO_ADHOC),
+                                   (PROTO_R2, MODE_STAR), (PROTO_R2, MODE_CLIQUE))]
+
+    def row(res):
+        met = res.metrics
+        return [met.local_bytes, met.local_data_bytes, met.local_control_bytes,
+                met.local_bytes / file_bytes, met.duration_s, int(met.complete)]
+
+    rows = _protocol_rows(runs, seeds, row)
     comments = [
         "recipe: fig6b",
         "devices: 4, one cellular downloader at 550 kbps (device 0)",
@@ -405,24 +410,22 @@ CONGESTED_KBPS = (480.0, 550.0, 600.0, 670.0)
 
 
 def _congested_recipe(seeds) -> RecipeOutput:
-    rows = []
+    runs = []
     for protocol in (PROTO_MICROCAST, PROTO_BITTORRENT, PROTO_NONE):
         for k in range(1, 8):
             n_cell = min(k, 4)
-            for seed in seeds:
-                devices = [
-                    DeviceSpec(cellular=RateTrace.constant(CONGESTED_KBPS[d] * 1e3))
-                    if d < n_cell else DeviceSpec()
-                    for d in range(k)]
-                sim_cfg = SimConfig(devices=devices, capacity_bps=20e6,
-                                    background_bps=16e6, loss=0.0,
-                                    mode=MODE_PSEUDO_ADHOC, seed=seed,
-                                    max_time_s=900.0)
-                proto = ProtocolConfig(protocol, file_bytes=2_000_000,
-                                       m=25, n=900, initiator=0)
-                met = run_protocol(sim_cfg, proto).metrics
-                rows.append([protocol, k, seed, met.avg_rate_bps,
-                             met.duration_s, int(met.complete)])
+            devices = [
+                DeviceSpec(cellular=RateTrace.constant(CONGESTED_KBPS[d] * 1e3))
+                if d < n_cell else DeviceSpec()
+                for d in range(k)]
+            runs.append(((protocol, k),
+                         SimConfig(devices=devices, capacity_bps=20e6,
+                                   background_bps=16e6, loss=0.0,
+                                   mode=MODE_PSEUDO_ADHOC, max_time_s=900.0),
+                         ProtocolConfig(protocol, file_bytes=2_000_000,
+                                        m=25, n=900, initiator=0)))
+    rows = _protocol_rows(runs, seeds, lambda res: [
+        res.metrics.avg_rate_bps, res.metrics.duration_s, int(res.metrics.complete)])
     comments = [
         "recipe: fig-congested",
         f"devices: up to 7, cellular on the first min(k,4) at"
@@ -440,12 +443,11 @@ BENCH_COLUMNS = ["m", "encode_mbps", "decode_mbps"]
 
 
 def codec_bench(name: str, header: str, m_values, n: int, seconds: float,
-                seed: int | None) -> RecipeOutput:
-    """One `rlnc.bench` run as BENCH_COLUMNS rows; no seed, no rows."""
+                seed: int) -> RecipeOutput:
+    """One `rlnc.bench` run as BENCH_COLUMNS rows."""
     m_values = list(m_values)
-    rows = [] if seed is None else [
-        [r["m"], r["encode_mbps"], r["decode_mbps"]]
-        for r in rlnc.bench(m_values, n, seconds=seconds, seed=seed)]
+    rows = [[r["m"], r["encode_mbps"], r["decode_mbps"]]
+            for r in rlnc.bench(m_values, n, seconds=seconds, seed=seed)]
     comments = [
         header,
         f"codec bench: m in {m_values}, n={n}, {seconds:g}s per phase",
@@ -458,7 +460,7 @@ def codec_bench(name: str, header: str, m_values, n: int, seconds: float,
 
 def _bench_recipe(seeds) -> RecipeOutput:
     return codec_bench("fig7b", "recipe: fig7b", (16, 25, 32, 64), 900, 0.3,
-                       seeds[0] if seeds else None)
+                       seeds[0])
 
 
 RECIPES = {r.name: r for r in [

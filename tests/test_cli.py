@@ -55,13 +55,21 @@ def test_num_sim_empty_sweep_writes_header_only(tmp_path):
     assert columns == scenarios.NUM_COLUMNS and rows == []
 
 
-@pytest.mark.parametrize("n_seeds", ["0", "-2"])
-def test_num_sim_rejects_empty_seed_list(tmp_path, capsys, n_seeds):
-    code = run_cli("num-sim", "--n-devices", "2", "--seeds", n_seeds,
-                   "--out", str(tmp_path))
-    assert code == 2
+@pytest.mark.parametrize("command, n_seeds", [
+    pytest.param("num-sim --n-devices 2", "0", id="0"),
+    pytest.param("num-sim --n-devices 2", "-2", id="-2"),
+    pytest.param("proto-sim", "-2", id="proto-sim"),
+    pytest.param("recipe fig6b", "0", id="fig6b"),
+    pytest.param("recipe fig7b", "-1", id="fig7b"),
+])
+def test_num_sim_rejects_empty_seed_list(tmp_path, capsys, command, n_seeds):
+    argv = command.split()
+    if command == "proto-sim":
+        argv.append(scenario_file(tmp_path))
+    out = str(tmp_path / "out")
+    assert run_cli(*argv, "--seeds", n_seeds, "--out", out) == 2
     assert "error: need at least one seed" in capsys.readouterr().err
-    assert not os.path.exists(os.path.join(str(tmp_path), "num-sim.csv"))
+    assert not os.path.exists(out)   # no CSV, not even the directory
 
 
 def test_num_sim_rejects_garbled_list(tmp_path, capsys):
@@ -347,6 +355,24 @@ def test_check_missing_results_fails_not_run(tmp_path, capsys, monkeypatch):
     assert run_cli("check", "--out", str(tmp_path / "none")) == 1
     text = capsys.readouterr().out
     assert "not run" in text and "FAIL" in text
+
+
+@pytest.mark.parametrize("name, header, column", [
+    ("fig7b.csv", "m,encode_mbps\n25,40.0\n", "decode_mbps"),
+    ("fig4a_agg.csv", "policy,n_devices\nunicast,1\n", "avg_rate_mean"),
+], ids=["fig7b", "fig4a"])
+def test_check_csv_missing_column_is_bad_input(tmp_path, capsys, monkeypatch,
+                                               name, header, column):
+    (tmp_path / name).write_text(header, encoding="utf-8")
+    (tmp_path / "fig4b_agg.csv").write_text(
+        "policy,n_devices,avg_rate_mean\n", encoding="utf-8")
+    quick = [acceptance.CriterionResult(1, "stub", "pass", "x", "y")]
+    monkeypatch.setattr(acceptance, "evaluate_all", lambda d: quick + [
+        acceptance.evaluate_codec_throughput(d),
+        acceptance.evaluate_group_size_shapes(d)])
+    assert run_cli("check", "--out", str(tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert name in err and column in err and "Traceback" not in err
 
 
 def test_check_table_and_exit_codes(tmp_path, capsys, monkeypatch):

@@ -208,8 +208,10 @@ def test_request_coalescing_serves_max_dims_once():
     hold_medium(sim)
     node.on_message(Message(REQUEST, 1, 0, 0, CONTROL_BYTES, dims=2))
     node.on_message(Message(REQUEST, 2, 0, 0, CONTROL_BYTES, dims=4))
+    # a repeat ask replaces device 1's dims but keeps its place
+    node.on_message(Message(REQUEST, 1, 0, 0, CONTROL_BYTES, dims=5))
     settle(sim)
-    assert len(tx_records(sim, CODED_DATA)) == 4    # max(2, 4), sent once
+    assert len(tx_records(sim, CODED_DATA)) == 5    # max(5, 4), sent once
     notes = tx_records(sim, NOTIFICATION)
     assert [e.peer for e in notes] == [1, 2]
     # the coded burst is addressed to whoever asked first
