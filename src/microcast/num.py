@@ -23,8 +23,10 @@ downlink arrivals, and per-(sender, receiver) relay queues (eta) fed by
 downlink arrivals and drained by the local schedule. All three control
 laws are closed-form in the queues; `simulate` iterates them against
 Bernoulli ON/OFF link draws, and `centralized_oracle` solves the same
-problem exactly as an LP for small groups. Only the oracle needs scipy,
-so it imports `scipy.optimize` on its first call, not at module load.
+problem exactly as an LP for small groups, on a dense-tableau primal
+simplex (`_max_lp`): every right-hand side is a cap or the airtime
+budget, so the slack basis is feasible and there is no phase 1. The
+module needs numpy only.
 
 `simulate` steps all of a run's seeds together, so every control law
 takes a leading seed axis: lam is (S, n), eta is (S, n, n). Each seed
@@ -77,6 +79,9 @@ STEP_SIZE = 0.01
 
 HYPERARC_DEVICE_LIMIT = 10  # 10 * (2^9 - 1) arcs; enumeration stops being sane past this
 ORACLE_DEVICE_LIMIT = 5
+# the oracle LPs of n = 5 (146 rows, 196 variables) take at most about 250 pivots
+ORACLE_MAX_PIVOTS = 1000
+_LP_TOL = 1e-9
 
 
 def _as_matrix(value, n: int) -> np.ndarray:
@@ -122,8 +127,9 @@ class Topology:
         for arr in (self.cell_capacity, self.local_capacity):
             if not ((arr >= 0) & np.isfinite(arr)).all():
                 raise ValueError("capacities must be finite and nonnegative")
-        if self.gamma <= 0:
-            raise ValueError("airtime budget gamma must be positive")
+        if not (self.gamma > 0 and np.isfinite(self.gamma)):  # NaN fails too
+            raise ValueError(f"airtime budget gamma must be positive and finite, "
+                             f"got {self.gamma}")
 
     @property
     def n(self) -> int:
@@ -464,6 +470,48 @@ def simulate(topo: Topology, cfg: SolverConfig) -> SimulateReport:
                            for k, s in enumerate(cfg.seeds)])
 
 
+def _max_lp(c: np.ndarray, A: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The v maximizing c.v subject to A v <= b and v >= 0, given b >= 0.
+
+    Dense-tableau primal simplex from the slack basis, which b >= 0 makes
+    feasible. Bland's rule keeps it from cycling on the many degenerate
+    (zero right-hand side) rows: the entering column is the lowest-index
+    one with reduced cost below -tol, and the leaving row has the minimum
+    ratio, ties going to the lowest basic-variable index.
+    """
+    m, k = A.shape
+    tab = np.zeros((m + 1, k + m + 1))
+    tab[:m, :k] = A
+    tab[:m, k:k + m] = np.eye(m)
+    tab[:m, -1] = b
+    tab[m, :k] = -c
+    basis = np.arange(k, k + m)
+    rhs = tab[:m, -1]
+    ratio = np.empty(m)
+    for _ in range(ORACLE_MAX_PIVOTS):
+        entering = np.flatnonzero(tab[m, :-1] < -_LP_TOL)
+        if not entering.size:
+            v = np.zeros(k + m)
+            v[basis] = rhs
+            return v[:k]
+        col = entering[0]
+        column = tab[:m, col]
+        rising = column > _LP_TOL
+        if not rising.any():
+            raise RuntimeError("oracle LP failed: the objective is unbounded")
+        ratio.fill(np.inf)
+        np.divide(rhs, column, out=ratio, where=rising)
+        ties = np.flatnonzero(ratio == ratio.min())
+        row = ties[np.argmin(basis[ties])]
+        pivot = tab[row] / column[row]
+        tab -= np.outer(tab[:, col], pivot)
+        tab[row] = pivot
+        basis[row] = col
+        # round-off can leave a basic value a hair below 0: keep the basis feasible
+        np.maximum(rhs, 0.0, out=rhs)
+    raise RuntimeError(f"oracle LP failed: no optimum after {ORACLE_MAX_PIVOTS} pivots")
+
+
 def centralized_oracle(topo: Topology, policy: str) -> float:
     """Exact optimum of the allocation LP; small groups only.
 
@@ -476,8 +524,6 @@ def centralized_oracle(topo: Topology, policy: str) -> float:
     n = topo.n
     if n > ORACLE_DEVICE_LIMIT:
         raise ValueError(f"oracle limited to {ORACLE_DEVICE_LIMIT} devices, got {n}")
-    from scipy.optimize import linprog
-
     pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
     pair_idx = {p: k for k, p in enumerate(pairs)}
     if policy == UNICAST:
@@ -538,13 +584,12 @@ def centralized_oracle(topo: Topology, policy: str) -> float:
         rhs[-1] = topo.gamma
 
     caps = topo.downlink_caps
-    bounds = [(0.0, None)]
-    bounds += [(0.0, float(caps[i])) for i in range(n) for _ in range(n)]
-    bounds += [(0.0, None)] * (n_var - 1 - n_dl)
+    for i in range(n):  # downlink caps: x_dl[i, j] <= C_i (1 - p_i)
+        for j in range(n):
+            r = row()
+            r[off_dl + i * n + j] = 1.0
+            rhs[-1] = float(caps[i])
+
     c = np.zeros(n_var)
-    c[0] = -1.0
-    res = linprog(c, A_ub=np.array(rows), b_ub=np.array(rhs), bounds=bounds,
-                  method="highs")
-    if res.status != 0:
-        raise RuntimeError(f"oracle LP failed: {res.message}")
-    return float(res.x[0])
+    c[0] = 1.0
+    return float(_max_lp(c, np.array(rows), np.array(rhs))[0])

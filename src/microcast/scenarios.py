@@ -213,10 +213,15 @@ def write_csv(path: str, comments: Sequence[str], columns: Sequence[str],
 
 
 def read_csv(path: str):
-    """Return (comments, columns, rows) with rows as str->str dicts."""
+    """Return (comments, columns, rows) with rows as str->str dicts.
+
+    A row whose field count differs from the header's is a ScenarioError
+    naming the file and the line.
+    """
     comments, columns, rows = [], None, []
     with open(path, newline="", encoding="utf-8") as fh:
-        for row in csv.reader(fh):
+        reader = csv.reader(fh)
+        for row in reader:
             if not row:
                 continue
             if row[0].startswith("#"):
@@ -225,6 +230,9 @@ def read_csv(path: str):
             if columns is None:
                 columns = row
                 continue
+            if len(row) != len(columns):
+                raise ScenarioError(f"{path}, line {reader.line_num}: {len(row)} "
+                                    f"fields where the header has {len(columns)}")
             rows.append(dict(zip(columns, row)))
     return comments, columns or [], rows
 

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from microcast import num
 from microcast.num import (
     NO_COOP,
     POLICIES,
@@ -468,6 +469,63 @@ def test_oracle_frozen_cases():
     assert centralized_oracle(topo, NO_COOP) == pytest.approx(1.0)
 
 
+def test_oracle_degenerate_cases():
+    lp_policies = (PSEUDO_BROADCAST, PSEUDO_BROADCAST_NO_NC, UNICAST)
+    # every cellular link lost: nothing to share, every right-hand side but
+    # the airtime budget is 0
+    topo = Topology.uniform(3, cell_capacity=1.0, cell_loss=1.0, local_capacity=5.0)
+    for policy in lp_policies:
+        assert centralized_oracle(topo, policy) == 0.0
+    # a lone device has no local channel under any policy
+    topo = Topology.uniform(1, cell_capacity=3.0, cell_loss=0.5, gamma=0.5)
+    for policy in lp_policies:
+        assert centralized_oracle(topo, policy) == pytest.approx(1.5)
+    # half the airtime halves the local share: x = 1 + 3 * (gamma * 2/4)
+    topo = Topology.uniform(4, cell_capacity=1.0, local_capacity=2.0, gamma=0.5)
+    assert centralized_oracle(topo, PSEUDO_BROADCAST) == pytest.approx(1.75)
+    # and unicast's: x = 1 + gamma * C_l / n
+    topo = Topology.uniform(3, cell_capacity=1.0, local_capacity=1.0, gamma=0.5)
+    assert centralized_oracle(topo, UNICAST) == pytest.approx(1.0 + 0.5 / 3.0)
+
+
+def test_oracle_simplex_matches_highs(monkeypatch):
+    optimize = pytest.importorskip("scipy.optimize")
+    lps = []
+    solve = num._max_lp
+
+    def recording(c, A, b):
+        v = solve(c, A, b)
+        lps.append((c, A, b, v))
+        return v
+
+    monkeypatch.setattr(num, "_max_lp", recording)
+    rng = np.random.default_rng(41)
+    for _ in range(300):
+        n = int(rng.integers(1, 6))
+        topo = Topology(
+            cell_capacity=rng.uniform(0.3, 2.0, n),
+            cell_loss=rng.uniform(0.0, 0.5, n),
+            local_capacity=rng.uniform(0.5, 6.0, (n, n)),
+            local_loss=rng.uniform(0.0, 0.5, (n, n)),
+            gamma=float(rng.choice([0.5, 0.8])),
+        )
+        for policy in (PSEUDO_BROADCAST, PSEUDO_BROADCAST_NO_NC, UNICAST):
+            centralized_oracle(topo, policy)
+    assert len(lps) == 900
+    for c, A, b, v in lps:
+        ref = optimize.linprog(-c, A_ub=A, b_ub=b, method="highs")
+        assert ref.status == 0, ref.message
+        assert (v >= 0.0).all() and (A @ v <= b + 1e-9).all()
+        assert abs(c @ v + ref.fun) <= 1e-9 * -ref.fun
+
+
+def test_oracle_pivot_cap(monkeypatch):
+    monkeypatch.setattr(num, "ORACLE_MAX_PIVOTS", 1)
+    topo = Topology.uniform(2, cell_capacity=1.0, local_capacity=10.0)
+    with pytest.raises(RuntimeError, match="oracle LP failed: no optimum after 1 pivots"):
+        centralized_oracle(topo, PSEUDO_BROADCAST)
+
+
 def test_oracle_guard():
     topo = Topology.uniform(6, cell_capacity=1.0)
     with pytest.raises(ValueError, match="oracle"):
@@ -653,3 +711,6 @@ def test_config_validation():
         Topology.uniform(2, cell_capacity=-1.0)
     with pytest.raises(ValueError):
         Topology.uniform(2, gamma=0.0)
+    for gamma in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="gamma"):
+            Topology.uniform(2, gamma=gamma)
