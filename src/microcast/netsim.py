@@ -20,6 +20,9 @@ Topology modes:
 Jobs submitted to the medium materialize at grant time: the medium
 calls the job back when the air is actually free, and the job may
 return nothing (it was coalesced away or braked in the meantime).
+Each message is one delivery event, and a job's last delivery frees
+the air.  A device that does not overhear still draws its reception of
+every message, but its handler sees only those addressed to it.
 Background load shrinks the usable medium capacity instead of
 competing packet by packet.
 """
@@ -322,13 +325,21 @@ class CellularModem:
 
 
 class LocalMedium:
-    """The shared channel: grant-time job materialization, FIFO order."""
+    """The shared channel: grant-time job materialization, FIFO order.
+
+    A job holds the air until its last delivery, which grants the next
+    job in the same event, unless it stopped the run: then no job is
+    built after the run's last event.  The loss matrix is read once.
+    """
 
     def __init__(self, sim: "Simulator"):
         self.sim = sim
         self.queue: deque = deque()
         self.busy = False
         self.delivered = 0               # deliveries so far; numbers the next
+        # per sender, (receiver, loss) in device order, as Python floats
+        self._receivers = [[(d, p) for d, p in enumerate(row) if d != src]
+                           for src, row in enumerate(sim.config.loss.tolist())]
 
     def occupations(self, msg: Message) -> int:
         cfg = self.sim.config
@@ -357,46 +368,48 @@ class LocalMedium:
             msgs = [out] if isinstance(out, Message) else list(out)
             rate = self.sim.config.effective_bps
             offset = 0.0
-            for msg in msgs:
+            last = len(msgs) - 1
+            for k, msg in enumerate(msgs):
                 occ = self.occupations(msg)
                 offset += msg.nbytes * 8 * occ / rate
-                self.sim.schedule(offset, self._deliver, msg, occ)
-            self.sim.schedule(offset, self._release)
+                self.sim.schedule(offset, self._deliver, msg, occ, k == last)
             return
         self.busy = False
 
-    def _deliver(self, msg: Message, occupations: int) -> None:
+    def _deliver(self, msg: Message, occupations: int, last: bool) -> None:
         sim = self.sim
         msg_id = self.delivered
         self.delivered += 1
-        cfg = sim.config
-        logging = cfg.log_events
+        logging = sim.config.log_events
         sim.meter.record_tx(msg, occupations)
         if logging:
             sim.log("tx", msg.src, kind=msg.kind, segment=msg.segment,
                     nbytes=msg.nbytes * occupations, peer=msg.dst,
                     msg=msg_id, dims=msg.dims)
-        loss = cfg.loss[msg.src]
+        dst = msg.dst
+        handlers, overhears = sim.handlers, sim.overhears
         # one draw per receiver, in order: a handler may draw from the
         # same generator mid-loop (an assignment starts a cellular download)
         draw = sim.rng.random
-        for d in range(cfg.n):
-            if d == msg.src:
-                continue
-            received = draw() >= loss[d]
-            if not received:
+        for d, loss in self._receivers[msg.src]:
+            if draw() < loss:
                 continue
             if logging:
                 sim.log("rx", d, kind=msg.kind, segment=msg.segment,
                         nbytes=msg.nbytes, peer=msg.src, msg=msg_id, dims=msg.dims)
             sim.note_progress()
-            handler = sim.handlers[d]
-            if handler is not None:
+            handler = handlers[d]
+            if handler is not None and (d == dst or overhears[d]):
                 handler(msg)
+        # the job's airtime ends here, unless this delivery ended the run
+        if last and not sim.stopped:
+            self.busy = False
+            self._grant()
 
-    def _release(self) -> None:
-        self.busy = False
-        self._grant()
+
+def _no_log(event, device, kind=None, segment=None, nbytes=0, peer=None,
+            msg=None, dims=0) -> None:
+    """Simulator.log of a run that keeps no event log."""
 
 
 class Simulator:
@@ -413,9 +426,14 @@ class Simulator:
         self.modems = [CellularModem(self, d, spec)
                        for d, spec in enumerate(config.devices)]
         self.handlers: list = [None] * config.n
+        # False: the device's handler gets only messages addressed to it
+        self.overhears: list = [True] * config.n
         self.events: list = []
+        if not config.log_events:
+            self.log = _no_log
         self._last_progress = 0.0
         self.stall_reporter: Callable | None = None
+        self.stopped = False
 
     def attach(self, device: int, on_message: Callable) -> None:
         self.handlers[device] = on_message
@@ -428,9 +446,9 @@ class Simulator:
 
     def log(self, event: str, device: int, kind=None, segment=None,
             nbytes=0, peer=None, msg=None, dims=0) -> None:
-        if self.config.log_events:
-            self.events.append(LogRecord(self.now, event, device, kind,
-                                         segment, nbytes, peer, msg, dims))
+        """Append a record; without log_events the instance holds _no_log."""
+        self.events.append(LogRecord(self.now, event, device, kind,
+                                     segment, nbytes, peer, msg, dims))
 
     def note_progress(self) -> None:
         self._last_progress = self.now
@@ -438,26 +456,33 @@ class Simulator:
     def _anything_in_flight(self) -> bool:
         return self.medium.busy or any(m.busy for m in self.modems)
 
-    def run(self, until: Callable | None = None) -> str:
-        """Drain events; returns "done", "capped", or "drained".
+    def stop(self) -> None:
+        """End the current run() once the event now running returns."""
+        self.stopped = True
+
+    def run(self) -> str:
+        """Drain events; returns "done" (an event called stop()),
+        "capped" (the next event lies past max_time_s) or "drained".
 
         Raises SimStalled when nothing is in flight and no delivery or
         download has completed for a whole idle window.
         """
         cfg = self.config
-        while self._heap:
-            if until is not None and until():
-                return "done"
-            t, _, fn, args = heapq.heappop(self._heap)
-            if t > cfg.max_time_s:
+        heap, pop = self._heap, heapq.heappop
+        max_time, idle_window = cfg.max_time_s, cfg.idle_window_s
+        self.stopped = False
+        while heap:
+            t, _, fn, args = pop(heap)
+            if t > max_time:
                 return "capped"
             self.now = t
-            if (self.now - self._last_progress > cfg.idle_window_s
-                    and not self._anything_in_flight()):
+            if t - self._last_progress > idle_window and not self._anything_in_flight():
                 report = self.stall_reporter() if self.stall_reporter else ""
                 raise SimStalled(
-                    f"no progress for {cfg.idle_window_s:.0f}s at t={self.now:.1f}s",
+                    f"no progress for {idle_window:.0f}s at t={t:.1f}s",
                     report, self.events,
                 )
             fn(*args)
-        return "done" if until is not None and until() else "drained"
+            if self.stopped:
+                return "done"
+        return "drained"

@@ -323,6 +323,10 @@ class StaticScheduler:
 class BaseNode:
     """Shared per-device protocol state: decoders, completion clock."""
 
+    # False: on_message drops every message addressed to another device,
+    # so the medium need not call it for those
+    overhears = True
+
     def __init__(self, sim, device, proto):
         self.sim = sim
         self.device = device
@@ -685,8 +689,11 @@ class R2PushNode(BaseNode):
     packets are tracked separately from the push cap.
     """
 
+    overhears = False
+
     def __init__(self, sim, device, proto):
         super().__init__(sim, device, proto)
+        self.cap_extra = proto.push_cap_extra
         self.pushed: dict = {}            # (segment, neighbor) -> count
         self.braked: set = set()          # (segment, neighbor)
         self.brake_sent: set = set()
@@ -702,7 +709,7 @@ class R2PushNode(BaseNode):
         self._send_brakes(segment)
         # spend the whole redundancy budget up front; the cap gate stops
         # the stream anyway once a brake lands
-        for _ in range(self.proto.m + self.proto.push_cap_extra):
+        for _ in range(self.proto.m + self.cap_extra):
             self._queue_pushes(segment)
 
     def _send_brakes(self, segment: int) -> None:
@@ -726,7 +733,7 @@ class R2PushNode(BaseNode):
         rank = self.rank(segment)
         if rank == 0:
             return None
-        cap = rank + self.proto.push_cap_extra
+        cap = rank + self.cap_extra
         done = self.pushed.get((segment, neighbor), 0)
         if done >= cap:
             return None
@@ -786,9 +793,7 @@ class R2PushNode(BaseNode):
         if msg.kind == CODED_DATA:
             segment = msg.segment
             self.last_source[segment] = msg.src
-            before = self.rank(segment)
-            self._insert(segment, msg.payload)
-            if self.rank(segment) != before:
+            if self._insert(segment, msg.payload):
                 self.last_rank_change[segment] = self.last_progress = self.sim.now
                 self.recovery_tries.pop(segment, None)
             if segment in self.complete:
@@ -864,6 +869,9 @@ def run_protocol(sim_config: SimConfig, proto: ProtocolConfig) -> RunResult:
 
     for d in range(n):
         sim.attach(d, router(d))
+        # the router drops scheduler traffic addressed to another device
+        # too, so a node that ignores overheard traffic needs no call for it
+        sim.overhears[d] = node_cls.overhears
     sim.schedule(0.0, scheduler.start)
 
     def report() -> str:
@@ -880,16 +888,18 @@ def run_protocol(sim_config: SimConfig, proto: ProtocolConfig) -> RunResult:
         return "\n".join(lines)
 
     # each target counts itself down once, on the event that finishes it,
-    # so the stop test before every event is one comparison
+    # and the last one stops the run
     unfinished = [len(targets)]
 
     def target_done() -> None:
         unfinished[0] -= 1
+        if not unfinished[0]:
+            sim.stop()
 
     for target in targets:
         target.on_done = target_done
     sim.stall_reporter = report
-    sim.run(until=lambda: not unfinished[0])
+    sim.run()
     return RunResult(compute_metrics(sim, proto, nodes, targets), sim, nodes,
                      scheduler)
 

@@ -274,18 +274,43 @@ def test_run_honors_wall_clock_cap():
     assert sim.now <= 10.0
 
 
-def test_run_until_predicate():
-    sim = make_sim(1)
-    hits = []
+def test_stop_ends_the_run_after_the_running_event():
+    # a handler stops the run on a job's last delivery while a second job
+    # waits: the air stays held, so that job is never built and draws nothing
+    sim = make_sim(2, mode=MODE_CLIQUE, seed=5)
+    built = []
+    sim.attach(1, lambda msg: sim.stop())
 
-    def tick():
-        hits.append(sim.now)
-        sim.note_progress()
-        sim.schedule(1.0, tick)
+    def second_job():
+        built.append(sim.rng.random())   # a build may draw, as recode does
+        return control(src=0, dst=1)
 
-    sim.schedule(1.0, tick)
-    assert sim.run(until=lambda: len(hits) >= 3) == "done"
-    assert len(hits) == 3
+    def kickoff():
+        sim.medium.submit(lambda: control(src=0, dst=1))
+        sim.medium.submit(second_job)
+
+    sim.schedule(0.0, kickoff)
+    assert sim.run() == "done"
+    assert built == [] and len(sim.medium.queue) == 1
+    assert sim.medium.busy and sim.medium.delivered == 1
+    ref = np.random.default_rng(5)
+    ref.random()                         # device 1's reception draw
+    assert sim.rng.bit_generator.state == ref.bit_generator.state
+
+    # the first delivery of a two-message job stops the run: no second one
+    sim = make_sim(2, mode=MODE_CLIQUE, log_events=True)
+    got = []
+
+    def on_message(msg):
+        got.append(msg.segment)
+        sim.stop()
+
+    sim.attach(1, on_message)
+    sim.schedule(0.0, lambda: sim.medium.submit(
+        lambda: [control(src=0, dst=1, segment=0), control(src=0, dst=1, segment=1)]))
+    assert sim.run() == "done"
+    assert got == [0] and sim.medium.delivered == 1
+    assert [e.segment for e in sim.events if e.event == "tx"] == [0]
 
 
 def test_deterministic_replay():

@@ -86,8 +86,8 @@ def one_segment_stage(node_cls, n_devices=3, m=5, n=16, segments=1, **kw):
 
 def settle(sim, horizon=0.5):
     # drain the near-term queue without reaching the first recovery tick
-    sim.schedule(horizon, lambda: None)
-    sim.run(until=lambda: sim.now >= horizon)
+    sim.schedule(horizon, sim.stop)
+    sim.run()
 
 
 def hold_medium(sim, nbytes=10_000):
@@ -323,6 +323,28 @@ def test_unsolicited_pushes_respect_the_cap():
         if e.event == "push":
             t = brake_rx.get((e.device, e.segment, e.peer))
             assert t is None or e.t <= t
+
+
+def test_push_nodes_are_called_only_for_their_own_messages(monkeypatch):
+    # every reception is still drawn and logged, overheard ones included,
+    # but an R2 node's handler runs once per reception addressed to it
+    calls = []
+    on_message = R2PushNode.on_message
+
+    def counted(self, msg):
+        calls.append((self.sim.now, self.device, msg.src, msg.kind, msg.segment))
+        on_message(self, msg)
+
+    monkeypatch.setattr(R2PushNode, "on_message", counted)
+    res = run_proto(PROTO_R2, rates=(2000.0, None, None, None), segments=3,
+                    loss=0.2, seed=3)
+    assert res.metrics.complete
+    addressee = {e.msg: e.peer for e in tx_records(res.sim)}
+    rx = [e for e in res.sim.events if e.event == "rx"]
+    assert any(addressee[e.msg] != e.device for e in rx)
+    own = [(e.t, e.device, e.peer, e.kind, e.segment) for e in rx
+           if addressee[e.msg] == e.device]
+    assert sorted(calls) == sorted(own)
 
 
 def test_full_mesh_pushing_costs_more_than_hub_pushing():
