@@ -52,16 +52,14 @@ def _float_list(text: str) -> list:
 
 def cmd_num_sim(args) -> int:
     n_seeds = args.seeds if args.seeds is not None else 10
-    comments, rows = scenarios.num_sweep(
-        "command: num-sim", _int_list(args.n_devices), _float_list(args.p_local),
-        range(args.seed, args.seed + n_seeds), args.iterations,
-        cell_capacity=args.cell_capacity, local_capacity=args.local_capacity,
-        gamma=args.gamma,
+    out = scenarios.num_sweep(
+        "num-sim", "command: num-sim", _int_list(args.n_devices),
+        _float_list(args.p_local), range(args.seed, args.seed + n_seeds),
+        args.iterations, cell_capacity=args.cell_capacity,
+        local_capacity=args.local_capacity, gamma=args.gamma,
         policies=num.POLICIES if args.policy == "all" else (args.policy,))
-    raw, agg = scenarios.write_recipe_output(scenarios.recipe_output(
-        "num-sim", comments, scenarios.NUM_COLUMNS, rows,
-        ["policy", "n_devices", "p_local"], ["avg_rate"]), args.out)
-    print(f"wrote {raw} ({len(rows)} rows) and {agg}")
+    raw, agg = scenarios.write_recipe_output(out, args.out)
+    print(f"wrote {raw} ({len(out.rows)} rows) and {agg}")
     return 0
 
 

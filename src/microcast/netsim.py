@@ -227,7 +227,8 @@ class LogRecord(NamedTuple):
     A local delivery logs one tx record (device = sender, peer = the
     addressee or None) and one rx record per receiving device (peer =
     the sender).  All of them carry the delivery's number as `msg` and
-    the message's `dims`, so a reception joins its transmission on `msg`.
+    the message's `dims`, so a reception joins its transmission on `msg`
+    (`trace_problems` is that join).
     Protocol intent records (request, serve, push, ...) carry the
     dimensions they commit to in `dims`.
     """
@@ -341,10 +342,11 @@ class LocalMedium:
         self._receivers = [[(d, p) for d, p in enumerate(row) if d != src]
                            for src, row in enumerate(sim.config.loss.tolist())]
 
-    def occupations(self, msg: Message) -> int:
+    def occupations(self, src: int, dst: int | None) -> int:
+        """Medium occupations of one message from src to dst."""
         cfg = self.sim.config
-        if (cfg.mode == MODE_STAR and msg.src != cfg.ap
-                and msg.dst is not None and msg.dst != cfg.ap):
+        if (cfg.mode == MODE_STAR and src != cfg.ap
+                and dst is not None and dst != cfg.ap):
             return 2   # relayed through the access point
         return 1
 
@@ -370,7 +372,7 @@ class LocalMedium:
             offset = 0.0
             last = len(msgs) - 1
             for k, msg in enumerate(msgs):
-                occ = self.occupations(msg)
+                occ = self.occupations(msg.src, msg.dst)
                 offset += msg.nbytes * 8 * occ / rate
                 self.sim.schedule(offset, self._deliver, msg, occ, k == last)
             return
@@ -486,3 +488,59 @@ class Simulator:
             if self.stopped:
                 return "done"
         return "drained"
+
+
+def trace_problems(sim: Simulator) -> tuple[list, dict]:
+    """Join a logged run's receptions to their transmissions on `msg`.
+
+    Returns (problems, addressee).  `problems` names every way the log
+    breaks the medium's rules or disagrees with the meter: the tx records
+    number the deliveries 0, 1, 2, ... once each, as many as the medium
+    made; every rx joins the tx of its `msg` at the same time, kind,
+    segment and dims, names that tx's sender as its peer, is not the
+    sender's own, and comes at most once per device; the tx bytes and
+    the per-kind occupations equal the meter's.  `addressee` maps each
+    delivery number to its tx record's peer.
+    """
+    problems = []
+    sent: dict = {}            # msg -> latest tx record carrying it
+    addressee: dict = {}
+    received: set = set()      # (device, msg)
+    occupations: dict = {}
+    count = tx_bytes = 0
+    occupy = sim.medium.occupations
+    for e in sim.events:
+        if e.event == "tx":
+            if e.msg != count:
+                problems.append(f"tx {count} at t={e.t:.6f} carries msg {e.msg}")
+            count += 1
+            sent[e.msg] = e
+            addressee[e.msg] = e.peer
+            tx_bytes += e.nbytes
+            occupations[e.kind] = (occupations.get(e.kind, 0)
+                                   + occupy(e.device, e.peer))
+        elif e.event == "rx":
+            tx = sent.get(e.msg)
+            if tx is None:
+                problems.append(f"rx of msg {e.msg} at device {e.device} joins no tx")
+                continue
+            got = (e.t, e.kind, e.segment, e.dims)
+            want = (tx.t, tx.kind, tx.segment, tx.dims)
+            if got != want:
+                problems.append(f"rx of msg {e.msg} at device {e.device} "
+                                f"differs from its tx: {got} vs {want}")
+            if not e.peer == tx.device != e.device:
+                problems.append(f"rx of msg {e.msg} at device {e.device} names "
+                                f"peer {e.peer}, sent by device {tx.device}")
+            if (e.device, e.msg) in received:
+                problems.append(f"msg {e.msg} received twice at device {e.device}")
+            received.add((e.device, e.msg))
+    if count != sim.medium.delivered:
+        problems.append(f"{count} tx records for {sim.medium.delivered} deliveries")
+    meter = sim.meter
+    if tx_bytes != meter.local_bytes_total:
+        problems.append(f"tx bytes {tx_bytes} != metered {meter.local_bytes_total}")
+    if occupations != meter.count_by_kind:
+        problems.append(f"tx occupations {occupations} != metered "
+                        f"{meter.count_by_kind}")
+    return problems, addressee

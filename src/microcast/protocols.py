@@ -386,14 +386,14 @@ class BaseNode:
         k = segment + int(self.sim.now / RECOVERY_TIMEOUT_S)
         return self.neighbors[k % len(self.neighbors)]
 
-    def _recode_messages(self, segment, count, dst, kind=CODED_DATA):
+    def _recode_messages(self, segment, count, dst):
         state = self.decoders.get(segment)
         if state is None or state.rank == 0:
             return []
         out = []
         for _ in range(count):
             pkt = recode(state, self.sim.rng)
-            out.append(Message(kind, self.device, dst, segment,
+            out.append(Message(CODED_DATA, self.device, dst, segment,
                                self.coded_bytes, payload=pkt))
         return out
 

@@ -291,11 +291,12 @@ class Recipe:
 NUM_COLUMNS = ["policy", "n_devices", "p_local", "seed", "avg_rate", "std_rate"]
 
 
-def num_sweep(header: str, n_values, p_values, seeds, iterations: int = 1000, *,
-              local_capacity: float, cell_capacity: float = 1.0,
-              gamma: float = 1.0, policies=num.POLICIES):
-    """`#` comments and NUM_COLUMNS rows of one solver sweep: every group
-    size x local loss x policy, one row per seed."""
+def num_sweep(name: str, header: str, n_values, p_values, seeds,
+              iterations: int = 1000, *, local_capacity: float,
+              cell_capacity: float = 1.0, gamma: float = 1.0,
+              policies=num.POLICIES) -> RecipeOutput:
+    """One solver sweep as NUM_COLUMNS rows: every group size x local loss
+    x policy, one row per seed."""
     seeds = tuple(seeds)
     rows = []
     for n_dev in n_values:
@@ -318,13 +319,6 @@ def num_sweep(header: str, n_values, p_values, seeds, iterations: int = 1000, *,
         f"solver: iterations={iterations} step_size={num.STEP_SIZE:g}",
         f"seeds: {list(seeds)}",
     ]
-    return comments, rows
-
-
-def _num_recipe(name: str, n_values, p_values, local_capacity: float,
-                seeds) -> RecipeOutput:
-    comments, rows = num_sweep(f"recipe: {name}", n_values, p_values, seeds,
-                               local_capacity=local_capacity)
     return recipe_output(name, comments, NUM_COLUMNS, rows,
                          ["policy", "n_devices", "p_local"], ["avg_rate"])
 
@@ -472,14 +466,14 @@ def _bench_recipe(seeds) -> RecipeOutput:
 
 
 RECIPES = {r.name: r for r in [
-    Recipe("fig4a", "num", 10,
-           lambda seeds: _num_recipe("fig4a", range(1, 9), [0.0], 10.0, seeds)),
-    Recipe("fig4b", "num", 10,
-           lambda seeds: _num_recipe("fig4b", range(1, 9), [0.2], 10.0, seeds)),
-    Recipe("fig5a", "num", 10,
-           lambda seeds: _num_recipe("fig5a", [3], [0.0, 0.1, 0.2, 0.3], 1.0, seeds)),
-    Recipe("fig5b", "num", 10,
-           lambda seeds: _num_recipe("fig5b", [4], [0.0, 0.1, 0.2, 0.3], 1.0, seeds)),
+    Recipe("fig4a", "num", 10, lambda seeds: num_sweep(
+        "fig4a", "recipe: fig4a", range(1, 9), [0.0], seeds, local_capacity=10.0)),
+    Recipe("fig4b", "num", 10, lambda seeds: num_sweep(
+        "fig4b", "recipe: fig4b", range(1, 9), [0.2], seeds, local_capacity=10.0)),
+    Recipe("fig5a", "num", 10, lambda seeds: num_sweep(
+        "fig5a", "recipe: fig5a", [3], [0.0, 0.1, 0.2, 0.3], seeds, local_capacity=1.0)),
+    Recipe("fig5b", "num", 10, lambda seeds: num_sweep(
+        "fig5b", "recipe: fig5b", [4], [0.0, 0.1, 0.2, 0.3], seeds, local_capacity=1.0)),
     Recipe("fig6b", "proto", 2, _fig6b_recipe),
     Recipe("fig-microdownload", "proto", 3, _microdownload_recipe),
     Recipe("fig-congested", "proto", 2, _congested_recipe),

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from microcast import acceptance
 from microcast.netsim import (
     ADVERTISEMENT,
     BRAKE,
@@ -23,6 +24,7 @@ from microcast.netsim import (
     RateTrace,
     SimConfig,
     Simulator,
+    trace_problems,
 )
 from microcast.protocols import (
     ASSIGN_ADAPTIVE,
@@ -306,23 +308,14 @@ def test_no_push_after_brake():
 
 
 def test_unsolicited_pushes_respect_the_cap():
+    # at most m + ceil(DELTA * m) pushes per stream, and the first brake
+    # addressed to a pusher stops its stream for good
     res = run_proto(PROTO_R2, rates=(2000.0, None, None), segments=3)
     assert res.metrics.complete
-    cap = 5 + 1                             # m + ceil(DELTA * m)
-    for node in res.nodes:
-        assert all(c <= cap for c in node.pushed.values())
-    # the first brake addressed to a pusher stops its stream for good;
-    # overheard brakes for other devices do not count
-    dst, brake_rx = {}, {}
-    for e in res.sim.events:
-        if e.event == "tx":
-            dst[e.msg] = e.peer
-        elif e.event == "rx" and e.kind == BRAKE and dst[e.msg] == e.device:
-            brake_rx.setdefault((e.device, e.segment, e.peer), e.t)
-    for e in res.sim.events:
-        if e.event == "push":
-            t = brake_rx.get((e.device, e.segment, e.peer))
-            assert t is None or e.t <= t
+    problems, addressee = trace_problems(res.sim)
+    assert problems == []
+    assert any(e.event == "push" for e in res.sim.events)
+    assert acceptance._check_r2_run(res, res.nodes[0].proto, addressee) == []
 
 
 def test_push_nodes_are_called_only_for_their_own_messages(monkeypatch):
@@ -339,7 +332,7 @@ def test_push_nodes_are_called_only_for_their_own_messages(monkeypatch):
     res = run_proto(PROTO_R2, rates=(2000.0, None, None, None), segments=3,
                     loss=0.2, seed=3)
     assert res.metrics.complete
-    addressee = {e.msg: e.peer for e in tx_records(res.sim)}
+    addressee = trace_problems(res.sim)[1]
     rx = [e for e in res.sim.events if e.event == "rx"]
     assert any(addressee[e.msg] != e.device for e in rx)
     own = [(e.t, e.device, e.peer, e.kind, e.segment) for e in rx
@@ -437,22 +430,7 @@ def test_every_reception_joins_its_transmission(protocol, mode, n_devices,
                     rates=(2000.0,) * n_cell + (None,) * (n_devices - n_cell),
                     segments=segments, m=m, n=8, seed=seed, loss=loss,
                     mode=mode, assignment=assignment)
-    tx = {}
-    for e in tx_records(res.sim):
-        assert e.msg not in tx
-        tx[e.msg] = e
-    assert sorted(tx) == list(range(len(tx)))   # one number per delivery
-    received = set()
-    for e in res.sim.events:
-        if e.event != "rx":
-            continue
-        sent = tx[e.msg]
-        assert (e.t, e.kind, e.segment, e.dims) == \
-            (sent.t, sent.kind, sent.segment, sent.dims)
-        assert e.peer == sent.device != e.device
-        assert (e.device, e.msg) not in received
-        received.add((e.device, e.msg))
-    assert sum(e.nbytes for e in tx.values()) == res.sim.meter.local_bytes_total
+    assert trace_problems(res.sim)[0] == []
 
 
 # ---------------------------------------------------------------- determinism
