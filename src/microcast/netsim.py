@@ -244,6 +244,11 @@ class LogRecord(NamedTuple):
     dims: int = 0
 
 
+# _new_record(LogRecord, (t, event, ..., dims)) builds a record without the
+# NamedTuple's Python-level __new__; callers pass all nine fields in order
+_new_record = tuple.__new__
+
+
 class TrafficMeter:
     """Local-medium byte accounting; one count per transmission."""
 
@@ -330,7 +335,8 @@ class LocalMedium:
 
     A job holds the air until its last delivery, which grants the next
     job in the same event, unless it stopped the run: then no job is
-    built after the run's last event.  The loss matrix is read once.
+    built after the run's last event.  The loss matrix and the usable
+    rate are read once.
     """
 
     def __init__(self, sim: "Simulator"):
@@ -338,6 +344,7 @@ class LocalMedium:
         self.queue: deque = deque()
         self.busy = False
         self.delivered = 0               # deliveries so far; numbers the next
+        self._rate = sim.config.effective_bps
         # per sender, (receiver, loss) in device order, as Python floats
         self._receivers = [[(d, p) for d, p in enumerate(row) if d != src]
                            for src, row in enumerate(sim.config.loss.tolist())]
@@ -368,7 +375,7 @@ class LocalMedium:
             if not out:
                 continue
             msgs = [out] if isinstance(out, Message) else list(out)
-            rate = self.sim.config.effective_bps
+            rate = self._rate
             offset = 0.0
             last = len(msgs) - 1
             for k, msg in enumerate(msgs):
@@ -382,24 +389,25 @@ class LocalMedium:
         sim = self.sim
         msg_id = self.delivered
         self.delivered += 1
-        logging = sim.config.log_events
         sim.meter.record_tx(msg, occupations)
-        if logging:
-            sim.log("tx", msg.src, kind=msg.kind, segment=msg.segment,
-                    nbytes=msg.nbytes * occupations, peer=msg.dst,
-                    msg=msg_id, dims=msg.dims)
-        dst = msg.dst
+        now, src, dst = sim.now, msg.src, msg.dst
+        # the tx and rx records go straight to the log, not through sim.log
+        log = sim.events.append if sim.config.log_events else None
+        if log:
+            kind, segment, nbytes, dims = msg.kind, msg.segment, msg.nbytes, msg.dims
+            log(_new_record(LogRecord, (now, "tx", src, kind, segment,
+                                        nbytes * occupations, dst, msg_id, dims)))
         handlers, overhears = sim.handlers, sim.overhears
         # one draw per receiver, in order: a handler may draw from the
         # same generator mid-loop (an assignment starts a cellular download)
         draw = sim.rng.random
-        for d, loss in self._receivers[msg.src]:
+        for d, loss in self._receivers[src]:
             if draw() < loss:
                 continue
-            if logging:
-                sim.log("rx", d, kind=msg.kind, segment=msg.segment,
-                        nbytes=msg.nbytes, peer=msg.src, msg=msg_id, dims=msg.dims)
-            sim.note_progress()
+            if log:
+                log(_new_record(LogRecord, (now, "rx", d, kind, segment,
+                                            nbytes, src, msg_id, dims)))
+            sim._last_progress = now
             handler = handlers[d]
             if handler is not None and (d == dst or overhears[d]):
                 handler(msg)
@@ -449,8 +457,8 @@ class Simulator:
     def log(self, event: str, device: int, kind=None, segment=None,
             nbytes=0, peer=None, msg=None, dims=0) -> None:
         """Append a record; without log_events the instance holds _no_log."""
-        self.events.append(LogRecord(self.now, event, device, kind,
-                                     segment, nbytes, peer, msg, dims))
+        self.events.append(_new_record(LogRecord, (self.now, event, device, kind,
+                                                   segment, nbytes, peer, msg, dims)))
 
     def note_progress(self) -> None:
         self._last_progress = self.now

@@ -47,7 +47,7 @@ from .netsim import (
     SimConfig,
     Simulator,
 )
-from .rlnc import DecoderState, GenerationParams, PlainPacket, recode
+from .rlnc import DecoderState, GenerationParams, recode
 
 PROTO_MICROCAST = "microcast"
 PROTO_BITTORRENT = "bittorrent_pull"
@@ -137,11 +137,6 @@ class RunResult:
 def _math_params(m: int) -> GenerationParams:
     # 1-byte payload column: same coefficient elimination, tiny state
     return GenerationParams(m, 1)
-
-
-def _full_state(segment: int, params: GenerationParams) -> DecoderState:
-    packets = [PlainPacket(segment, k, bytes(params.n)) for k in range(params.m)]
-    return DecoderState.from_plain(packets, params)
 
 
 class DownloadAgent:
@@ -364,7 +359,7 @@ class BaseNode:
                 self.on_done()
 
     def _own_segment(self, segment: int) -> None:
-        self.decoders[segment] = _full_state(segment, self.params)
+        self.decoders[segment] = DecoderState.full(segment, self.params)
         self._mark_complete(segment)
 
     def _insert(self, segment: int, packet) -> bool:
@@ -723,9 +718,11 @@ class R2PushNode(BaseNode):
         self.sim.log("brake_sent", self.device, segment=segment)
 
     def _queue_pushes(self, segment: int) -> None:
+        # a braked neighbor stays braked, and its job would build nothing
         for neighbor in self.neighbors:
-            self.sim.medium.submit(
-                lambda n=neighbor: self._build_push(segment, n))
+            if (segment, neighbor) not in self.braked:
+                self.sim.medium.submit(
+                    lambda n=neighbor: self._build_push(segment, n))
 
     def _build_push(self, segment: int, neighbor: int):
         if (segment, neighbor) in self.braked:

@@ -158,11 +158,11 @@ class DecoderState:
     combines only the payload columns.
 
     A full-rank state never changes again, so when it is reached (in
-    `insert` or `from_plain`) the state records once whether its payload
-    block rows[:, m:] is all zero. Any combination of zero rows is zero,
-    so `recode` from such a state returns a zero payload without a GF
-    kernel call. The simulator's decoders carry a zero payload column,
-    which makes this the common case there.
+    `insert`, `full` or `from_plain`) the state records once whether
+    its payload block rows[:, m:] is all zero. Any combination of zero
+    rows is zero, so `recode` from such a state returns a zero payload
+    without a GF kernel call. The simulator's decoders carry a zero
+    payload column, which makes this the common case there.
     """
 
     def __init__(self, segment_id: int, params: GenerationParams):
@@ -182,6 +182,17 @@ class DecoderState:
         return self.rank == self.params.m
 
     @classmethod
+    def full(cls, segment_id: int, params: GenerationParams) -> "DecoderState":
+        """The full-rank state [I | 0]: every packet held, every payload zero."""
+        m = params.m
+        state = cls(segment_id, params)
+        np.fill_diagonal(state.rows, 1)
+        state.pivots = {k: k for k in range(m)}
+        state._pivot_cols[:] = np.arange(m)
+        state._zero_payload = True
+        return state
+
+    @classmethod
     def from_plain(cls, generation: Sequence[PlainPacket],
                    params: GenerationParams) -> "DecoderState":
         """Seed a full-rank state from the original packets.
@@ -189,13 +200,10 @@ class DecoderState:
         Rows are [e_k | payload_k]; recoding from this state draws the
         same distribution as encoding the generation afresh.
         """
-        m = params.m
-        state = cls(generation[0].segment_id, params)
-        state.rows[:, :m] = np.eye(m, dtype=np.uint8)
-        state.rows[:, m:] = _payload_matrix(generation, params)
-        state.pivots = {k: k for k in range(m)}
-        state._pivot_cols[:] = np.arange(m)
-        state._zero_payload = not state.rows[:, m:].any()
+        state = cls.full(generation[0].segment_id, params)
+        payload = _payload_matrix(generation, params)
+        state.rows[:, params.m:] = payload
+        state._zero_payload = not payload.any()
         return state
 
     def insert(self, packet: CodedPacket) -> bool:

@@ -20,6 +20,7 @@ from microcast.netsim import (
     PIECE_REQUEST,
     REQUEST,
     DeviceSpec,
+    LogRecord,
     Message,
     RateTrace,
     SimConfig,
@@ -298,12 +299,22 @@ def test_coded_traffic_beats_plain_swarm():
 
 def test_no_push_after_brake():
     sim, node, _ = one_segment_stage(R2PushNode)
+    built = []
+    build_push = node._build_push
+
+    def counted(segment, neighbor):
+        built.append((segment, neighbor))
+        return build_push(segment, neighbor)
+
+    node._build_push = counted
     node.on_message(Message(BRAKE, 1, 0, 0, CONTROL_BYTES))
     node.on_cellular_segment(0)
     settle(sim)
     coded = tx_records(sim, CODED_DATA)
-    assert len(coded) == 6                  # m + ceil(DELTA * m) queued jobs
+    assert len(coded) == 6                  # m + ceil(DELTA * m) pushes to device 2
     assert all(e.peer == 2 for e in coded)  # the braked neighbor gets nothing
+    assert (0, 1) not in built              # and no push job is queued for it
+    assert built.count((0, 2)) == 6
     assert len(tx_records(sim, BRAKE)) == 2
 
 
@@ -431,6 +442,19 @@ def test_every_reception_joins_its_transmission(protocol, mode, n_devices,
                     segments=segments, m=m, n=8, seed=seed, loss=loss,
                     mode=mode, assignment=assignment)
     assert trace_problems(res.sim)[0] == []
+
+
+@pytest.mark.parametrize("mode", [MODE_CLIQUE, MODE_STAR])
+@pytest.mark.parametrize("protocol", [PROTO_MICROCAST, PROTO_BITTORRENT, PROTO_R2])
+def test_every_record_is_a_whole_log_record(protocol, mode):
+    # the medium builds its tx and rx records without the NamedTuple's
+    # arity check, so every record must still be a LogRecord of 9 fields
+    res = run_proto(protocol, rates=(2000.0, 1500.0, None), segments=3,
+                    loss=0.1, mode=mode, assignment=ASSIGN_ADAPTIVE)
+    assert res.metrics.complete
+    events = {e.event for e in res.sim.events}
+    assert {"cell_start", "cell_done", "tx", "rx"} <= events
+    assert all(type(e) is LogRecord and len(e) == 9 for e in res.sim.events)
 
 
 # ---------------------------------------------------------------- determinism

@@ -196,6 +196,20 @@ def test_from_plain_equals_decoded_state():
     assert b"".join(p.payload for p in other.extract()) == data
 
 
+@pytest.mark.parametrize("m, n", [(1, 1), (4, 1), (5, 9), (25, 1)])
+def test_full_equals_from_plain_of_zero_packets(m, n):
+    params = GenerationParams(m=m, n=n)
+    full = DecoderState.full(3, params)
+    ref = DecoderState.from_plain([PlainPacket(3, k, bytes(n)) for k in range(m)],
+                                  params)
+    assert full.segment_id == ref.segment_id and full.params == ref.params
+    assert np.array_equal(full.rows, ref.rows) and full.rows.dtype == ref.rows.dtype
+    assert full.pivots == ref.pivots
+    assert np.array_equal(full._pivot_cols, ref._pivot_cols)
+    assert full._pivot_cols.dtype == ref._pivot_cols.dtype
+    assert full._zero_payload is ref._zero_payload is True
+
+
 def test_wire_format_frozen_example():
     pkt = CodedPacket(7, np.array([1, 2], dtype=np.uint8), np.array([9, 8, 7], dtype=np.uint8))
     buf = pkt.to_bytes()
@@ -372,8 +386,11 @@ def test_full_rank_fast_paths_match_general_path(mp, n, seed, kind):
     data = _payload_data(kind, rng, params)
     gen = split_segment(0, data, params)
     matrix = np.frombuffer(data, dtype=np.uint8).reshape(m, n)
-    for state in (DecoderState.from_plain(gen, params),
-                  _decode_with_pivots(perm, rng, matrix, params)):
+    states = [DecoderState.from_plain(gen, params),
+              _decode_with_pivots(perm, rng, matrix, params)]
+    if kind == "zero":
+        states.append(DecoderState.full(0, params))
+    for state in states:
         # recode: same bytes and same rng draws as the general formula;
         # the payload kernel is skipped exactly when every payload byte is 0
         for _ in range(3):
