@@ -213,12 +213,12 @@ def evaluate_solver_oracle() -> CriterionResult:
 
 # ------------------------------------------- 4: throughput vs group size
 
-def _series(rows, policy, value="avg_rate_mean"):
-    out = {}
-    for r in rows:
-        if r["policy"] == policy:
-            out[int(r["n_devices"])] = float(r[value])
-    return [out[k] for k in sorted(out)]
+def _curve(rows, policy, x):
+    """One policy's curve: its sorted x values and avg_rate_mean at each."""
+    out = {float(r[x]): float(r["avg_rate_mean"]) for r in rows
+           if r["policy"] == policy}
+    xs = sorted(out)
+    return xs, [out[k] for k in xs]
 
 
 def _declines_after_threshold(values, last_start: int) -> bool:
@@ -246,29 +246,32 @@ def evaluate_group_size_shapes(results_dir: str) -> CriterionResult:
         return _not_run(4, "group-size-shapes", bound, "fig4b_agg.csv")
     problems = []
 
+    def rates(rows, policy):
+        return _curve(rows, policy, "n_devices")[1]
+
     flat_spread = 0.0
     for rows in (rows_a, rows_b):
-        nc = _series(rows, num.NO_COOP)
+        nc = rates(rows, num.NO_COOP)
         spread = (max(nc) - min(nc)) / max(nc)
         flat_spread = max(flat_spread, spread)
     if flat_spread > 0.02:
         problems.append(f"no_coop spread {flat_spread:.1%} > 2%")
 
-    uni = _series(rows_a, num.UNICAST)
+    uni = rates(rows_a, num.UNICAST)
     peak = uni.index(max(uni))
     if not uni[1] > uni[0]:
         problems.append(f"unicast does not rise at first: {uni[0]:.3f} -> {uni[1]:.3f}")
     if not _declines_after_threshold(uni, last_start=len(uni) - 2):
         problems.append(f"unicast tail not strictly falling: {np.round(uni, 3)}")
 
-    pb_a = np.array(_series(rows_a, num.PSEUDO_BROADCAST))
-    plain_a = np.array(_series(rows_a, num.PSEUDO_BROADCAST_NO_NC))
+    pb_a = np.array(rates(rows_a, num.PSEUDO_BROADCAST))
+    plain_a = np.array(rates(rows_a, num.PSEUDO_BROADCAST_NO_NC))
     eq_gap = float(np.max(np.abs(pb_a - plain_a) / np.maximum(pb_a, 1e-9)))
     if eq_gap > 0.01:
         problems.append(f"lossless coded vs plain differ by {eq_gap:.2%}")
 
-    pb_b = np.array(_series(rows_b, num.PSEUDO_BROADCAST))
-    plain_b = np.array(_series(rows_b, num.PSEUDO_BROADCAST_NO_NC))
+    pb_b = np.array(rates(rows_b, num.PSEUDO_BROADCAST))
+    plain_b = np.array(rates(rows_b, num.PSEUDO_BROADCAST_NO_NC))
     margin = float(np.min(pb_b - plain_b * (1 - 0.005)))
     if margin < 0.0:
         problems.append("coded < plain at 20% loss")
@@ -283,14 +286,6 @@ def evaluate_group_size_shapes(results_dir: str) -> CriterionResult:
 
 
 # ------------------------------------------- 5: throughput vs local loss
-
-def _loss_series(rows, policy):
-    out = {}
-    for r in rows:
-        if r["policy"] == policy:
-            out[float(r["p_local"])] = float(r["avg_rate_mean"])
-    return [out[k] for k in sorted(out)], sorted(out)
-
 
 def evaluate_loss_shapes(results_dir: str) -> CriterionResult:
     bound = ("every policy non-increasing in loss; coded >= plain >= unicast "
@@ -307,7 +302,7 @@ def evaluate_loss_shapes(results_dir: str) -> CriterionResult:
     for label, rows in (("3", rows_3), ("4", rows_4)):
         curves = {}
         for policy in num.POLICIES:
-            vals, ps = _loss_series(rows, policy)
+            ps, vals = _curve(rows, policy, "p_local")
             curves[policy] = vals
             if any(b > a * 1.002 for a, b in zip(vals, vals[1:])):
                 problems.append(f"N={label} {policy} increases with loss: "

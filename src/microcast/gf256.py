@@ -46,16 +46,19 @@ INV[1:] = EXP[255 - LOG[1:]]
 
 
 def gf_mul(a: int, b: int) -> int:
+    """a * b: a scalar reference kept for the tests; no result calls it."""
     return int(MUL[a, b])
 
 
 def gf_inv(a: int) -> int:
+    """a^-1: a scalar reference kept for the tests; no result calls it."""
     if a == 0:
         raise ZeroDivisionError("0 has no multiplicative inverse in GF(256)")
     return int(INV[a])
 
 
 def gf_div(a: int, b: int) -> int:
+    """a / b: a scalar reference kept for the tests; no result calls it."""
     if b == 0:
         raise ZeroDivisionError("division by 0 in GF(256)")
     return int(MUL[a, INV[b]])

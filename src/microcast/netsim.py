@@ -101,6 +101,8 @@ class RateTrace:
         return cls(tuple(t for t, _ in pts), tuple(r for _, r in pts))
 
     def rate_at(self, t: float) -> float:
+        """Rate at time t: a scalar reference kept for the tests; no result
+        calls it (runs integrate the trace in seconds_to_send)."""
         idx = 0
         for k, start in enumerate(self.times):
             if start <= t:

@@ -28,6 +28,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -58,8 +59,6 @@ PROTOCOLS = (PROTO_MICROCAST, PROTO_BITTORRENT, PROTO_R2, PROTO_NONE)
 ASSIGN_ADAPTIVE = "adaptive"
 ASSIGN_STATIC = "static"
 
-_MD = "md"   # payload tag for scheduler control traffic
-
 BACKLOG_LIMIT = 3           # K, assignments in flight per device
 ADVERT_PERIOD_S = 0.1
 RECOVERY_TIMEOUT_S = 2.0    # recovery tick and control-message retry period
@@ -83,6 +82,7 @@ class ProtocolConfig:
             raise ValueError(f"unknown assignment mode {self.assignment!r}")
         if self.file_bytes <= 0:
             raise ValueError("file_bytes must be positive")
+        GenerationParams(self.m, self.n)   # refuses m or n no run could take
 
     @property
     def segment_bytes(self) -> int:
@@ -139,83 +139,36 @@ def _math_params(m: int) -> GenerationParams:
     return GenerationParams(m, 1)
 
 
-class DownloadAgent:
-    """Per-device cellular side of the adaptive scheduler: executes
-    assignments, reports feedback until it is acknowledged."""
-
-    def __init__(self, sim, device, proto, scheduler, node):
-        self.sim = sim
-        self.device = device
-        self.proto = proto
-        self.scheduler = scheduler
-        self.node = node
-        # owned until the ack: blocks retried copies of the current
-        # assignment but admits a post-failure reassignment (the ack
-        # always lands first, the medium is FIFO)
-        self.active = set()
-        self.unacked = {}                 # segment -> success, retried feedback
-        self._queued = set()              # feedback copies sitting in the medium
-
-    def on_assign(self, segment: int) -> None:
-        if segment in self.active:
-            return
-        self.active.add(segment)
-        self.sim.modems[self.device].download(
-            segment, self.proto.segment_bytes, self._downloaded)
-
-    def _downloaded(self, segment: int, success: bool) -> None:
-        self.unacked[segment] = success
-        self._send_feedback(segment)
-        if success:
-            self.node.on_cellular_segment(segment)
-
-    def _send_feedback(self, segment: int) -> None:
-        if segment not in self.unacked:
-            return
-        if self.device == self.scheduler.device:
-            success = self.unacked.pop(segment)
-            self.sim.schedule(0.0, self.scheduler.on_feedback,
-                              self.device, segment, success)
-            return
-        if segment not in self._queued:
-            self._queued.add(segment)
-
-            def build():
-                self._queued.discard(segment)
-                if segment not in self.unacked:
-                    return None   # acked while waiting for the medium
-                return Message(NOTIFICATION, self.device, self.scheduler.device,
-                               segment, CONTROL_BYTES,
-                               payload=(_MD, "feedback", self.unacked[segment]))
-
-            self.sim.medium.submit(build)
-        self.sim.schedule(RECOVERY_TIMEOUT_S, self._send_feedback, segment)
-
-    def on_ack(self, segment: int) -> None:
-        self.unacked.pop(segment, None)
-        self.active.discard(segment)
-
-
 class MicroDownloadScheduler:
-    """Min-backlog segment assignment with failure reassignment.
+    """MicroDownload's one control plane, the initiator's and the cellular
+    devices': min-backlog segment assignment with failure reassignment.
 
-    Runs on the initiating device; assignments and acks ride the local
-    medium as control messages and are retried until acknowledged
-    (a feedback acknowledges its assignment).
+    The initiator assigns a segment, the device downloads it and sends
+    feedback, and the initiator acks that.  Between two devices each step
+    is a Notification whose payload is the call it makes where it lands;
+    the initiator's own steps are scheduled calls.  Assignments and
+    feedback are retried until resolved, except the initiator's feedback.
     """
 
-    def __init__(self, sim, proto, agents, cellular_devices):
+    def __init__(self, sim, proto, nodes, cellular_devices):
         self.sim = sim
         self.proto = proto
         self.device = proto.initiator
-        self.agents = agents
+        self.nodes = nodes
         self.cellular = list(cellular_devices)
         self.unassigned = deque(range(proto.n_segments))
         self.backlog = {d: 0 for d in self.cellular}
         self.assigned = {}                # segment -> device, awaiting feedback
         self.downloaded_by = {}
         self.failures = 0
-        self._queued = set()              # assignment copies in the medium
+        # (device, segment) owned until the ack: blocks retried copies of
+        # the current assignment but admits a post-failure reassignment
+        # (the ack always lands first, the medium is FIFO)
+        self.active = set()
+        self.unacked = {}                 # (device, segment) -> success
+        # copies in the medium: an assignment's keyed by its segment, so a
+        # reassignment waits for a stale copy; a feedback's by (device, segment)
+        self._queued = set()
 
     def start(self) -> None:
         self._fill()
@@ -233,23 +186,60 @@ class MicroDownloadScheduler:
         self.sim.log("assign", self.device, segment=segment, peer=device)
         self._send_assign(segment, device)
 
+    def _notify(self, key, src: int, dst: int, segment: int,
+                live: Callable[[], bool], call: Callable[[], Callable]) -> None:
+        """Keep one copy per key in the medium; it is built at grant,
+        while live() holds, carrying the call() made then."""
+        if key in self._queued:
+            return
+        self._queued.add(key)
+
+        def build():
+            self._queued.discard(key)
+            if not live():
+                return None   # resolved while waiting for the medium
+            return Message(NOTIFICATION, src, dst, segment, CONTROL_BYTES,
+                           payload=call())
+
+        self.sim.medium.submit(build)
+
     def _send_assign(self, segment: int, device: int) -> None:
         if self.assigned.get(segment) != device:
             return   # feedback arrived, stop retrying
         if device == self.device:
-            self.sim.schedule(0.0, self.agents[device].on_assign, segment)
-        elif segment not in self._queued:
-            self._queued.add(segment)
-
-            def build():
-                self._queued.discard(segment)
-                if self.assigned.get(segment) != device:
-                    return None   # resolved while waiting for the medium
-                return Message(NOTIFICATION, self.device, device, segment,
-                               CONTROL_BYTES, payload=(_MD, "assign"))
-
-            self.sim.medium.submit(build)
+            self.sim.schedule(0.0, self.on_assign, device, segment)
+        else:
+            self._notify(segment, self.device, device, segment,
+                         lambda: self.assigned.get(segment) == device,
+                         lambda: partial(self.on_assign, device, segment))
         self.sim.schedule(RECOVERY_TIMEOUT_S, self._send_assign, segment, device)
+
+    def on_assign(self, device: int, segment: int) -> None:
+        if (device, segment) in self.active:
+            return
+        self.active.add((device, segment))
+        self.sim.modems[device].download(segment, self.proto.segment_bytes,
+                                         partial(self._downloaded, device))
+
+    def _downloaded(self, device: int, segment: int, success: bool) -> None:
+        self.unacked[(device, segment)] = success
+        self._send_feedback(device, segment)
+        if success:
+            self.nodes[device].on_cellular_segment(segment)
+
+    def _send_feedback(self, device: int, segment: int) -> None:
+        key = (device, segment)
+        if key not in self.unacked:
+            return
+        if device == self.device:
+            self.sim.schedule(0.0, self.on_feedback, device, segment,
+                              self.unacked.pop(key))
+            return
+        self._notify(key, device, self.device, segment,
+                     lambda: key in self.unacked,
+                     lambda: partial(self.on_feedback, device, segment,
+                                     self.unacked[key]))
+        self.sim.schedule(RECOVERY_TIMEOUT_S, self._send_feedback, device, segment)
 
     def on_feedback(self, device: int, segment: int, success: bool) -> None:
         self._send_ack(device, segment)
@@ -268,11 +258,15 @@ class MicroDownloadScheduler:
 
     def _send_ack(self, device: int, segment: int) -> None:
         if device == self.device:
-            self.sim.schedule(0.0, self.agents[device].on_ack, segment)
+            self.sim.schedule(0.0, self.on_ack, device, segment)
         else:
             msg = Message(NOTIFICATION, self.device, device, segment,
-                          CONTROL_BYTES, payload=(_MD, "ack"))
+                          CONTROL_BYTES, payload=partial(self.on_ack, device, segment))
             self.sim.medium.submit(lambda: msg)
+
+    def on_ack(self, device: int, segment: int) -> None:
+        self.unacked.pop((device, segment), None)
+        self.active.discard((device, segment))
 
 
 class StaticScheduler:
@@ -327,7 +321,7 @@ class BaseNode:
         self.device = device
         self.proto = proto
         self.params = _math_params(proto.m)
-        self.coded_bytes = proto.coded_bytes  # the property validates params per read
+        self.coded_bytes = proto.coded_bytes  # read once: the property builds params
         self.neighbors = sim.config.overlay_neighbors(device)
         self.decoders: dict = {}
         self.complete: set = set()
@@ -834,11 +828,8 @@ def run_protocol(sim_config: SimConfig, proto: ProtocolConfig) -> RunResult:
 
     node_cls = _NODE_CLASSES[proto.protocol]
     nodes = [node_cls(sim, d, proto) for d in range(n)]
-    agents = {}
     if proto.cooperative and proto.assignment == ASSIGN_ADAPTIVE:
-        scheduler = MicroDownloadScheduler(sim, proto, agents, cellular)
-        for d in cellular:
-            agents[d] = DownloadAgent(sim, d, proto, scheduler, nodes[d])
+        scheduler = MicroDownloadScheduler(sim, proto, nodes, cellular)
     else:
         scheduler = StaticScheduler(sim, proto, nodes, cellular)
     # without cooperation a device with no cellular link never finishes
@@ -848,17 +839,10 @@ def run_protocol(sim_config: SimConfig, proto: ProtocolConfig) -> RunResult:
         node = nodes[device]
 
         def on_message(msg: Message) -> None:
-            payload = msg.payload
-            if (msg.kind == NOTIFICATION and isinstance(payload, tuple)
-                    and payload[0] == _MD):
-                if msg.dst != device:
-                    return   # overheard scheduler traffic
-                if payload[1] == "feedback":
-                    scheduler.on_feedback(msg.src, msg.segment, payload[2])
-                elif payload[1] == "assign":
-                    agents[device].on_assign(msg.segment)
-                else:
-                    agents[device].on_ack(msg.segment)
+            # a scheduler Notification carries the call it makes
+            if msg.kind == NOTIFICATION and msg.payload is not None:
+                if msg.dst == device:
+                    msg.payload()
                 return
             node.on_message(msg)
 

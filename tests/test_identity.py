@@ -1,0 +1,47 @@
+"""tools/identity.py: the battery digest repeats in one tree, and a changed
+coefficient draw changes it."""
+
+import importlib.util
+import os
+
+from microcast import protocols
+
+TOOL = os.path.join(os.path.dirname(__file__), os.pardir, "tools", "identity.py")
+RUNS = 12
+
+
+def load_tool():
+    spec = importlib.util.spec_from_file_location("identity", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_same_tree_gives_the_same_digest():
+    tool = load_tool()
+    first = tool.battery_digest(seed=3, runs=RUNS)
+    assert len(first) == 64
+    assert tool.battery_digest(seed=3, runs=RUNS) == first
+    assert tool.battery_digest(seed=4, runs=RUNS) != first
+
+
+def test_a_changed_recode_draw_changes_the_digest(monkeypatch):
+    tool = load_tool()
+    before = tool.battery_digest(seed=3, runs=RUNS)
+    real = protocols.recode
+    calls = []
+
+    def recode_one_draw_later(state, rng):
+        calls.append(state)
+        rng.random()
+        return real(state, rng)
+
+    monkeypatch.setattr(protocols, "recode", recode_one_draw_later)
+    assert tool.battery_digest(seed=3, runs=RUNS) != before
+    assert calls   # the battery recodes, so the plant was reached
+
+
+def test_main_prints_the_digest(capsys):
+    tool = load_tool()
+    assert tool.main(["--seed", "3", "--runs", str(RUNS)]) == 0
+    assert capsys.readouterr().out == tool.battery_digest(3, RUNS) + "\n"

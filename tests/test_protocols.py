@@ -1,11 +1,13 @@
 """Cooperative download protocols: scheduling, dissemination, invariants."""
 
+import contextlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from microcast import acceptance
+from microcast import acceptance, protocols
 from microcast.netsim import (
     ADVERTISEMENT,
     BRAKE,
@@ -93,6 +95,21 @@ def settle(sim, horizon=0.5):
     sim.run()
 
 
+@contextlib.contextmanager
+def no_payload_reaches_a_node():
+    """Collects every Notification with a payload (a scheduler call) that
+    reaches a node's on_message; the router should run or drop them all."""
+    reached = []
+    with pytest.MonkeyPatch.context() as mp:
+        for cls in protocols._NODE_CLASSES.values():
+            def on_message(self, msg, real=cls.on_message):
+                if msg.kind == NOTIFICATION and msg.payload is not None:
+                    reached.append(msg)
+                real(self, msg)
+            mp.setattr(cls, "on_message", on_message)
+        yield reached
+
+
 def hold_medium(sim, nbytes=10_000):
     # a foreign transmission keeps the air busy so submissions pile up
     sim.medium.submit(lambda: Message(ADVERTISEMENT, sim.config.n - 1, None,
@@ -169,12 +186,17 @@ def test_static_assignment_splits_contiguously():
     assert res.metrics.complete
 
 
-def test_control_plane_survives_loss():
-    # assignments, feedback and acks are all retried until acknowledged
-    res = run_proto(rates=(2000.0, 2000.0, None), segments=8, loss=0.35,
-                    seed=3)
+@pytest.mark.parametrize("initiator", [0, 2])
+def test_control_plane_survives_loss(initiator):
+    # assignments, feedback and acks are all retried until acknowledged;
+    # device 2 has no cellular link, so as the initiator every one of
+    # them crosses the medium
+    with no_payload_reaches_a_node() as reached:
+        res = run_proto(rates=(2000.0, 2000.0, None), segments=8, loss=0.35,
+                        seed=3, initiator=initiator)
     assert res.metrics.complete
     assert sorted(res.scheduler.downloaded_by) == list(range(8))
+    assert reached == []
 
 
 # ------------------------------------------------------------ coded protocol
@@ -434,14 +456,17 @@ def test_standalone_failure_strands_only_its_device():
 def test_every_reception_joins_its_transmission(protocol, mode, n_devices,
                                                  loss, segments, m, seed,
                                                  assignment, data):
-    # adaptive assignment to a second cellular device puts scheduler
-    # traffic on the medium
+    # adaptive assignment to a second cellular device, or from an
+    # initiator without one, puts scheduler traffic on the medium
     n_cell = data.draw(st.integers(1, n_devices), label="n_cell")
-    res = run_proto(protocol,
-                    rates=(2000.0,) * n_cell + (None,) * (n_devices - n_cell),
-                    segments=segments, m=m, n=8, seed=seed, loss=loss,
-                    mode=mode, assignment=assignment)
+    initiator = data.draw(st.integers(0, n_devices - 1), label="initiator")
+    with no_payload_reaches_a_node() as reached:
+        res = run_proto(protocol,
+                        rates=(2000.0,) * n_cell + (None,) * (n_devices - n_cell),
+                        segments=segments, m=m, n=8, seed=seed, loss=loss,
+                        mode=mode, assignment=assignment, initiator=initiator)
     assert trace_problems(res.sim)[0] == []
+    assert reached == []
 
 
 @pytest.mark.parametrize("mode", [MODE_CLIQUE, MODE_STAR])

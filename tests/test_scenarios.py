@@ -100,6 +100,8 @@ def test_rate_trace_rejects_bad_rows(tmp_path):
     ("devices: [{}]\nseed: maybe\n", "seed"),
     ("devices: [{}]\nlocal: {loss_uniform: 0.1, loss_matrix: []}\n", "not both"),
     ("devices: [{}]\nsegment_params: {m: 0}\n", "m"),
+    ("devices: [{}]\nsegment_params: {m: 256}\n", "m=256"),
+    ("devices: [{}]\nsegment_params: {n: 65536}\n", "n=65536"),
 ])
 def test_scenario_errors_name_the_key(tmp_path, text, needle):
     path = write_yaml(tmp_path, text)
