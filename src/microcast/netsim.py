@@ -134,7 +134,7 @@ class RateTrace:
         raise AssertionError("unreachable")
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class Message:
     kind: str
     src: int
@@ -337,8 +337,8 @@ class LocalMedium:
 
     A job holds the air until its last delivery, which grants the next
     job in the same event, unless it stopped the run: then no job is
-    built after the run's last event.  The loss matrix and the usable
-    rate are read once.
+    built after the run's last event.  The loss matrix, the usable rate
+    and the log switch are read once.
     """
 
     def __init__(self, sim: "Simulator"):
@@ -347,6 +347,8 @@ class LocalMedium:
         self.busy = False
         self.delivered = 0               # deliveries so far; numbers the next
         self._rate = sim.config.effective_bps
+        # the tx and rx records go straight to the log, not through sim.log
+        self._log = sim.events.append if sim.config.log_events else None
         # per sender, (receiver, loss) in device order, as Python floats
         self._receivers = [[(d, p) for d, p in enumerate(row) if d != src]
                            for src, row in enumerate(sim.config.loss.tolist())]
@@ -360,7 +362,8 @@ class LocalMedium:
         return 1
 
     def submit(self, build: Callable) -> None:
-        """Queue a job; build() runs at grant and returns Message(s) or None."""
+        """Queue a job; build() runs at grant and returns a Message, a list
+        of them, or None."""
         self.queue.append(build)
         if not self.busy:
             self._grant()
@@ -376,7 +379,7 @@ class LocalMedium:
             out = build()
             if not out:
                 continue
-            msgs = [out] if isinstance(out, Message) else list(out)
+            msgs = [out] if isinstance(out, Message) else out
             rate = self._rate
             offset = 0.0
             last = len(msgs) - 1
@@ -393,8 +396,7 @@ class LocalMedium:
         self.delivered += 1
         sim.meter.record_tx(msg, occupations)
         now, src, dst = sim.now, msg.src, msg.dst
-        # the tx and rx records go straight to the log, not through sim.log
-        log = sim.events.append if sim.config.log_events else None
+        log = self._log
         if log:
             kind, segment, nbytes, dims = msg.kind, msg.segment, msg.nbytes, msg.dims
             log(_new_record(LogRecord, (now, "tx", src, kind, segment,
@@ -434,13 +436,13 @@ class Simulator:
         self._heap: list = []
         self._seq = 0
         self.meter = TrafficMeter()
+        self.events: list = []           # the medium binds its append
         self.medium = LocalMedium(self)
         self.modems = [CellularModem(self, d, spec)
                        for d, spec in enumerate(config.devices)]
         self.handlers: list = [None] * config.n
         # False: the device's handler gets only messages addressed to it
         self.overhears: list = [True] * config.n
-        self.events: list = []
         if not config.log_events:
             self.log = _no_log
         self._last_progress = 0.0

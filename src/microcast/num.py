@@ -318,7 +318,7 @@ class LocalActions:
 
     Action k >= 1 is `arcs[k - 1]`: the links (i, j) in row-major order
     under unicast, the hyperarcs of `enumerate_hyperarcs` under
-    pseudo_broadcast_no_nc, and under pseudo_broadcast only the
+    pseudo_broadcast_no_nc on a lossy medium, and otherwise only the
     `threshold_prefixes`: per sender, every prefix of every threshold set
     A_c = {j : good_ij >= c}, in enumeration order, padded to equal
     per-sender blocks by repeating the last one (see `max_weight`).
@@ -333,7 +333,12 @@ class LocalActions:
             self.arcs = [(i, (j,)) for i in range(n) for j in range(n)]
             rate = topo.local_capacity.ravel()
         elif policy in (PSEUDO_BROADCAST, PSEUDO_BROADCAST_NO_NC):
-            candidates = threshold_prefixes(topo) if policy == PSEUDO_BROADCAST else None
+            # With every off-diagonal local loss 0, kappa_plain = raw_rate * 1.0
+            # equals kappa_nc = min cap bit for bit and every member link is
+            # ON, so no_nc is pseudo_broadcast and `max_weight`'s argument
+            # for the prefixes holds word for word.
+            candidates = (threshold_prefixes(topo) if policy == PSEUDO_BROADCAST
+                          or not topo.local_loss[~np.eye(n, dtype=bool)].any() else None)
             self.hyperarcs = HyperarcSet(topo, candidates)
             self.arcs = self.hyperarcs.arcs
             rate = self.hyperarcs.raw_rate
@@ -353,8 +358,9 @@ class LocalActions:
         eta_ii = 0). Ties go to the first action: the lowest sender, then
         the smallest receiver set.
 
-        Under pseudo_broadcast the threshold prefixes return the action and
-        the weight bits that the full enumeration would:
+        Under pseudo_broadcast, and under no_nc on a lossless medium, the
+        threshold prefixes return the action and the weight bits that the
+        full enumeration would:
           - eta >= 0, and round-to-nearest addition is monotone in each
             operand, so a superset's masked add.reduce over the same eta
             row is never smaller, whatever the summation tree;

@@ -46,6 +46,7 @@ from .netsim import (
     REQUEST,
     Message,
     SimConfig,
+    SimStalled,
     Simulator,
 )
 from .rlnc import DecoderState, GenerationParams, recode
@@ -273,8 +274,10 @@ class StaticScheduler:
     """A fixed plan queued on the modems at t=0; no messages, no reassignment.
 
     Under `none` every cellular device downloads the whole file alone, so
-    `downloaded_by` names the last device to finish each segment;
-    otherwise the cellular devices split the file contiguously.
+    `downloaded_by` names the last device to finish each segment, and a
+    failure strands only its own device. Otherwise the cellular devices
+    split the file contiguously, so a failed download strands its segment
+    for the whole group: the run raises SimStalled at the failure.
     """
 
     def __init__(self, sim, proto, nodes, cellular_devices):
@@ -305,8 +308,12 @@ class StaticScheduler:
         if success:
             self.downloaded_by[segment] = device
             self.nodes[device].on_cellular_segment(segment)
-        else:
-            self.failures += 1
+            return
+        self.failures += 1
+        if self.proto.cooperative:
+            raise SimStalled(
+                f"device {device} failed to download segment {segment}, and "
+                f"a static plan never reassigns it", events=self.sim.events)
 
 
 class BaseNode:

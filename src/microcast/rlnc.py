@@ -50,20 +50,30 @@ class PlainPacket:
     payload: bytes
 
 
-@dataclass
+@dataclass(slots=True)
 class CodedPacket:
+    """One coded packet as the row a decoder works on: [coefficients | payload].
+
+    The encoding vector travels in the packet header, so a received
+    packet is already a row of the decoding matrix. Decoders read `row`
+    and never write to it: an overheard packet reaches several of them.
+    """
+
     segment_id: int
-    coefficients: np.ndarray  # (m,) uint8
-    payload: np.ndarray  # (n,) uint8
+    row: np.ndarray  # (m + n,) uint8
+    m: int
+
+    @property
+    def coefficients(self) -> np.ndarray:
+        return self.row[: self.m]
+
+    @property
+    def payload(self) -> np.ndarray:
+        return self.row[self.m :]
 
     def to_bytes(self) -> bytes:
-        m = len(self.coefficients)
-        n = len(self.payload)
-        return (
-            _HEADER.pack(self.segment_id, m, n)
-            + self.coefficients.tobytes()
-            + self.payload.tobytes()
-        )
+        return (_HEADER.pack(self.segment_id, self.m, len(self.row) - self.m)
+                + self.row.tobytes())
 
     @classmethod
     def from_bytes(cls, buf: bytes) -> "CodedPacket":
@@ -74,9 +84,7 @@ class CodedPacket:
             raise ValueError(
                 f"coded packet length {len(buf)} != header + m + n = {HEADER_BYTES + m + n}"
             )
-        coeff = np.frombuffer(buf, dtype=np.uint8, count=m, offset=HEADER_BYTES).copy()
-        payload = np.frombuffer(buf, dtype=np.uint8, count=n, offset=HEADER_BYTES + m).copy()
-        return cls(seg, coeff, payload)
+        return cls(seg, np.frombuffer(buf, dtype=np.uint8, offset=HEADER_BYTES).copy(), m)
 
 
 def split_segment(segment_id: int, data: bytes, params: GenerationParams) -> list[PlainPacket]:
@@ -125,8 +133,10 @@ def draw_coefficients(m: int, rng: np.random.Generator) -> np.ndarray:
 def encode_matrix(
     segment_id: int, matrix: np.ndarray, rng: np.random.Generator
 ) -> CodedPacket:
-    coeff = draw_coefficients(matrix.shape[0], rng)
-    return CodedPacket(segment_id, coeff, gf256.gf_dot(coeff, matrix))
+    m = matrix.shape[0]
+    coeff = draw_coefficients(m, rng)
+    return CodedPacket(segment_id,
+                       np.concatenate((coeff, gf256.gf_dot(coeff, matrix))), m)
 
 
 def encode(generation: Sequence[PlainPacket], rng: np.random.Generator,
@@ -154,8 +164,8 @@ class DecoderState:
     block is a permutation matrix: row `slot` is e_{_pivot_cols[slot]}.
     That allows two shortcuts. `insert` returns False straight after its
     checks, since nothing is innovative any more, and `recode` scatters
-    its weights into the coefficients (coeff[_pivot_cols] = w) and
-    combines only the payload columns.
+    its weights into the coefficient half of a new row
+    (row[_pivot_cols] = w) and combines only the payload columns.
 
     A full-rank state never changes again, so when it is reached (in
     `insert`, `full` or `from_plain`) the state records once whether
@@ -179,7 +189,7 @@ class DecoderState:
 
     @property
     def complete(self) -> bool:
-        return self.rank == self.params.m
+        return len(self.pivots) == self.params.m
 
     @classmethod
     def full(cls, segment_id: int, params: GenerationParams) -> "DecoderState":
@@ -207,27 +217,32 @@ class DecoderState:
         return state
 
     def insert(self, packet: CodedPacket) -> bool:
-        """Reduce a packet against held rows; True iff it was innovative."""
+        """Reduce a packet against held rows; True iff it was innovative.
+
+        The packet's row is read, never written: the reduction XORs into
+        a new array.
+        """
         m, n = self.params.m, self.params.n
         if packet.segment_id != self.segment_id:
             raise ValueError(
                 f"packet for segment {packet.segment_id} fed to decoder of "
                 f"segment {self.segment_id}"
             )
-        if len(packet.coefficients) != m or len(packet.payload) != n:
+        work = packet.row
+        if packet.m != m or len(work) != m + n:
             raise ValueError("coded packet shape does not match generation params")
-        r = self.rank
+        r = len(self.pivots)
         if r == m:
             return False
-        work = np.concatenate((packet.coefficients, packet.payload))
         held = self.rows[:r]
         if r:
-            work ^= gf256.gf_dot(work.take(self._pivot_cols[:r]), held)
-        nonzero = work[:m].nonzero()[0]
-        if not nonzero.size:
+            work = work ^ gf256.gf_dot(work.take(self._pivot_cols[:r]), held)
+        # the first nonzero coefficient, by one scan of the coefficient bytes
+        tail = work[:m].tobytes().lstrip(b"\0")
+        if not tail:
             return False
-        lead = int(nonzero[0])
-        work = gf256.scale_row(gf256.INV[work[lead]], work)
+        lead = m - len(tail)
+        work = gf256.scale_row(gf256.INV[tail[0]], work)
         if r:
             held ^= gf256.scale_rows(held[:, lead], work)
         self.rows[r] = work
@@ -253,20 +268,17 @@ class DecoderState:
 
 def recode(state: DecoderState, rng: np.random.Generator) -> CodedPacket:
     """Uniform random combination of the rows a device currently holds."""
-    m, r = state.params.m, state.rank
+    m, r = state.params.m, len(state.pivots)
     if r == 0:
         raise ValueError("cannot recode from a decoder with no packets")
     w = draw_coefficients(r, rng)
     if r == m:  # permutation coefficient block, see DecoderState
-        coeff = np.zeros(m, dtype=np.uint8)
-        coeff[state._pivot_cols] = w
-        if state._zero_payload:
-            payload = np.zeros(state.params.n, dtype=np.uint8)
-        else:
-            payload = gf256.gf_dot(w, state.rows[:, m:])
-        return CodedPacket(state.segment_id, coeff, payload)
-    row = gf256.gf_dot(w, state.rows[:r])
-    return CodedPacket(state.segment_id, row[:m].copy(), row[m:].copy())
+        row = np.zeros(m + state.params.n, dtype=np.uint8)
+        row[state._pivot_cols] = w
+        if not state._zero_payload:
+            row[m:] = gf256.gf_dot(w, state.rows[:, m:])
+        return CodedPacket(state.segment_id, row, m)
+    return CodedPacket(state.segment_id, gf256.gf_dot(w, state.rows[:r]), m)
 
 
 # slices per phase. The m values take turns slice by slice, so a swing in

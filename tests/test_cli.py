@@ -199,6 +199,25 @@ segment_params: {m: 5, n: 200}
         assert events and {e["event_kind"] for e in events} >= {"cell_start"}
 
 
+def test_proto_sim_failed_static_download_stalls(tmp_path, capsys):
+    # the static split never reassigns the failed device's share
+    scen = scenario_file(tmp_path, """
+protocol: r2_push
+assignment: static
+file_mb: 0.01
+devices:
+  - cellular_kbps: 2000
+  - {cellular_kbps: 2000, cell_fail_prob: 1.0}
+local: {capacity_mbps: 10}
+segment_params: {m: 5, n: 200}
+""")
+    out = str(tmp_path / "res")
+    assert run_cli("proto-sim", scen, "--out", out) == EXIT_STALLED
+    _, _, rows = scenarios.read_csv(os.path.join(out, "tiny.csv"))
+    assert [(r["complete"], r["status"]) for r in rows] == [("0", "stalled")]
+    assert "device 1 failed to download segment" in capsys.readouterr().err
+
+
 def test_proto_sim_bad_config_exit_2(tmp_path, capsys):
     scen = scenario_file(tmp_path, "protocol: bogus\ndevices: [{}]\n")
     assert run_cli("proto-sim", scen) == 2

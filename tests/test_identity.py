@@ -1,10 +1,11 @@
 """tools/identity.py: the battery digest repeats in one tree, and a changed
-coefficient draw changes it."""
+coefficient draw or solver step changes it."""
 
 import importlib.util
+import math
 import os
 
-from microcast import protocols
+from microcast import num, protocols
 
 TOOL = os.path.join(os.path.dirname(__file__), os.pardir, "tools", "identity.py")
 RUNS = 12
@@ -39,6 +40,13 @@ def test_a_changed_recode_draw_changes_the_digest(monkeypatch):
     monkeypatch.setattr(protocols, "recode", recode_one_draw_later)
     assert tool.battery_digest(seed=3, runs=RUNS) != before
     assert calls   # the battery recodes, so the plant was reached
+
+
+def test_a_one_ulp_solver_step_changes_the_digest(monkeypatch):
+    tool = load_tool()
+    before = tool.battery_digest(seed=3, runs=0)
+    monkeypatch.setattr(num, "STEP_SIZE", math.nextafter(num.STEP_SIZE, 1.0))
+    assert tool.battery_digest(seed=3, runs=0) != before
 
 
 def test_main_prints_the_digest(capsys):

@@ -422,6 +422,43 @@ def test_threshold_prefixes_of_a_uniform_group():
     assert len(LocalActions(topo, PSEUDO_BROADCAST_NO_NC).arcs) == 8 * 127
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_lossless_no_nc_is_pseudo_broadcast(data):
+    # no off-diagonal local loss: no_nc weighs the threshold prefixes, picks
+    # the full enumeration's action and weight bits, and simulates exactly
+    # as pseudo_broadcast does; the diagonal loss is never read
+    n = data.draw(st.integers(1, 8), label="n")
+    s = data.draw(st.integers(1, 3), label="seeds")
+    capacity = draw_grid(data, (n, n), "capacity", st.sampled_from([0.0, 1.0, 2.0, 4.0, 2.5]))
+    loss = np.diag(data.draw(st.lists(st.sampled_from([0.0, 0.5, 1.0]),
+                                      min_size=n, max_size=n), label="diagonal loss"))
+    topo = Topology(cell_capacity=draw_grid(data, (n,), "cell", st.sampled_from([0.5, 1.0, 3.0])),
+                    cell_loss=data.draw(st.sampled_from([0.0, 0.2]), label="cell loss"),
+                    local_capacity=capacity, local_loss=loss,
+                    gamma=data.draw(st.sampled_from([1.0, 0.7]), label="gamma"))
+    actions = LocalActions(topo, PSEUDO_BROADCAST_NO_NC)
+    assert actions.arcs == num.threshold_prefixes(topo)
+    eta = zero_diagonal(draw_grid(data, (s, n, n), "eta", TIE_LEVELS))
+    w = np.zeros((s, len(actions.arcs) + 1))
+    best = actions.max_weight(eta, out=w)
+    full = HyperarcSet(topo)
+    w_full = np.zeros((s, len(full.arcs) + 1))
+    hyperarc_weights(eta, full, PSEUDO_BROADCAST_NO_NC, out=w_full[:, 1:])
+    best_full = w_full.argmax(axis=1)
+    for k in range(s):
+        want = full.arcs[best_full[k] - 1] if best_full[k] else None
+        assert picked(actions, best, k) == want
+        assert w[k, best[k]].tobytes() == w_full[k, best_full[k]].tobytes()
+    x_cap = data.draw(st.sampled_from([None, 1.5]), label="x_cap")
+    seeds = range(data.draw(st.integers(1, 4), label="simulate seeds"))
+    plain, coded = (simulate(topo, SolverConfig(policy=p, iterations=60, seeds=seeds,
+                                                x_cap=x_cap))
+                    for p in (PSEUDO_BROADCAST_NO_NC, PSEUDO_BROADCAST))
+    for a, b in zip(plain.runs, coded.runs):
+        assert a.device_avg.tobytes() == b.device_avg.tobytes()
+
+
 def test_absorbed_backlog_tie_goes_to_a_strict_prefix():
     # 1.0 + 1.0 + 1e-17 rounds to 2.0, so {1, 2} and {1, 2, 3} tie and the
     # enumeration's first, {1, 2}, is a strict prefix of A_c = {1, 2, 3}

@@ -26,6 +26,7 @@ from microcast.netsim import (
     Message,
     RateTrace,
     SimConfig,
+    SimStalled,
     Simulator,
     trace_problems,
 )
@@ -440,6 +441,22 @@ def test_standalone_failure_strands_only_its_device():
     assert not m.complete
     assert m.local_bytes == 0
     assert res.scheduler.failures >= 1
+
+
+@pytest.mark.parametrize("protocol", [PROTO_MICROCAST, PROTO_BITTORRENT, PROTO_R2])
+def test_static_failure_stalls_a_cooperative_run(protocol, monkeypatch):
+    # the static split gives segment 1 to device 1 alone and never
+    # reassigns it, so the run stops at the failure instead of running on
+    sims = []
+    monkeypatch.setattr(protocols, "Simulator",
+                        lambda cfg: sims.append(Simulator(cfg)) or sims[-1])
+    devices = make_devices((550.0, 550.0, None), fail={1})
+    with pytest.raises(SimStalled, match="device 1 failed to download segment 1") as stall:
+        run_proto(protocol, devices=devices, segments=2, m=5, n=13750,
+                  assignment=ASSIGN_STATIC)
+    assert sims[0].now == pytest.approx(1.0)
+    last = stall.value.events[-1]
+    assert (last.t, last.event, last.device, last.segment) == (sims[0].now, "cell_fail", 1, 1)
 
 
 # ---------------------------------------------------------------- trace

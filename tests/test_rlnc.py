@@ -211,7 +211,7 @@ def test_full_equals_from_plain_of_zero_packets(m, n):
 
 
 def test_wire_format_frozen_example():
-    pkt = CodedPacket(7, np.array([1, 2], dtype=np.uint8), np.array([9, 8, 7], dtype=np.uint8))
+    pkt = CodedPacket(7, np.array([1, 2, 9, 8, 7], dtype=np.uint8), 2)
     buf = pkt.to_bytes()
     assert buf == bytes([7, 0, 0, 0, 2, 0, 3, 0, 1, 2, 9, 8, 7])
     back = CodedPacket.from_bytes(buf)
@@ -233,8 +233,65 @@ def test_wire_format_roundtrip_and_size():
     assert np.array_equal(back.payload, pkt.payload)
 
 
+def _wire_packets(rng, params):
+    """A packet from encode, a partial recode, and full-rank recodes with a
+    zero and with a random payload."""
+    gen, _ = make_generation(rng, params, segment_id=5)
+    partial = DecoderState(5, params)
+    partial.insert(encode(gen, rng, params))
+    zero = DecoderState.full(5, params)
+    return [encode(gen, rng, params), recode(partial, rng), recode(zero, rng),
+            recode(DecoderState.from_plain(gen, params), rng)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(m=st.integers(1, 40), n=st.integers(1, 64), seed=st.integers(0, 2**32 - 1))
+def test_wire_round_trip_keeps_the_row(m, n, seed):
+    params = GenerationParams(m=m, n=n)
+    for pkt in _wire_packets(np.random.default_rng(seed), params):
+        assert pkt.row.dtype == np.uint8 and pkt.row.shape == (m + n,)
+        buf = pkt.to_bytes()
+        assert len(buf) == params.coded_wire_bytes
+        back = CodedPacket.from_bytes(buf)
+        assert (back.segment_id, back.m) == (pkt.segment_id, pkt.m) == (5, m)
+        assert back.row.tobytes() == pkt.row.tobytes()
+
+
+def _same_state(a, b):
+    return (np.array_equal(a.rows, b.rows) and a.pivots == b.pivots
+            and np.array_equal(a._pivot_cols, b._pivot_cols)
+            and a._zero_payload is b._zero_payload)
+
+
+def test_one_packet_reaches_three_decoders_unchanged():
+    # under overhearing one packet object is inserted at several devices;
+    # each must reduce it as it would a private copy and leave it unchanged
+    rng = np.random.default_rng(12)
+    params = GenerationParams(m=6, n=9)
+    gen, _ = make_generation(rng, params)
+    held = [encode(gen, rng, params) for _ in range(params.m)]
+    for _ in range(20):
+        decoders, twins = [], []
+        for rank in (0, 3, 5):
+            pair = DecoderState(0, params), DecoderState(0, params)
+            for pkt in held:
+                if pair[0].rank == rank:
+                    break
+                for state in pair:
+                    state.insert(pkt)
+            decoders.append(pair[0])
+            twins.append(pair[1])
+        pkt = encode(gen, rng, params)
+        before = pkt.row.tobytes()
+        for state, twin in zip(decoders, twins):
+            private = CodedPacket(pkt.segment_id, pkt.row.copy(), pkt.m)
+            assert state.insert(pkt) == twin.insert(private)
+            assert pkt.row.tobytes() == before
+            assert _same_state(state, twin)
+
+
 def test_wire_format_rejects_bad_lengths():
-    pkt = CodedPacket(1, np.array([1], dtype=np.uint8), np.array([2, 3], dtype=np.uint8))
+    pkt = CodedPacket(1, np.array([1, 2, 3], dtype=np.uint8), 1)
     buf = pkt.to_bytes()
     with pytest.raises(ValueError):
         CodedPacket.from_bytes(buf[:-1])
@@ -336,7 +393,8 @@ def _decode_with_pivots(perm, rng, matrix, params):
         coeff = np.zeros(params.m, dtype=np.uint8)
         coeff[list(perm[:k])] = rng.integers(0, 256, k, dtype=np.uint8)
         coeff[col] = rng.integers(1, 256, dtype=np.uint8)
-        assert state.insert(CodedPacket(0, coeff, gf256.gf_dot(coeff, matrix)))
+        row = np.concatenate((coeff, gf256.gf_dot(coeff, matrix)))
+        assert state.insert(CodedPacket(0, row, params.m))
     assert state.complete and list(state._pivot_cols) == list(perm)
     return state
 
@@ -417,8 +475,9 @@ def test_full_rank_fast_paths_match_general_path(mp, n, seed, kind):
         assert np.array_equal(state._pivot_cols, before[2])
         pkt = encode(gen, rng, params)
         with pytest.raises(ValueError, match="segment"):
-            state.insert(CodedPacket(1, pkt.coefficients, pkt.payload))
+            state.insert(CodedPacket(1, pkt.row, m))
         with pytest.raises(ValueError, match="shape"):
-            state.insert(CodedPacket(0, pkt.coefficients, pkt.payload[1:]))
+            state.insert(CodedPacket(0, pkt.row[:-1], m))   # payload one byte short
+        longer = np.concatenate((np.append(pkt.coefficients, 1), pkt.payload))
         with pytest.raises(ValueError, match="shape"):
-            state.insert(CodedPacket(0, np.append(pkt.coefficients, 1), pkt.payload))
+            state.insert(CodedPacket(0, longer, m + 1))
