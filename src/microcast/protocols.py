@@ -317,11 +317,13 @@ class StaticScheduler:
 
 
 class BaseNode:
-    """Shared per-device protocol state: decoders, completion clock."""
+    """What every protocol node shares: decoders, the completion and progress
+    clocks, the recovery tick, the serve queue and the neighbour fan-out."""
 
     # False: on_message drops every message addressed to another device,
-    # so the medium need not call it for those
+    # so the medium need not call receive for those
     overhears = True
+    recovers = True   # the subclass's _recover() runs every RECOVERY_TIMEOUT_S
 
     def __init__(self, sim, device, proto):
         self.sim = sim
@@ -334,6 +336,24 @@ class BaseNode:
         self.complete: set = set()
         self.completion_time: float | None = None
         self.on_done: Callable[[], None] | None = None  # called once, when done
+        self.last_progress = 0.0          # last own segment or innovative rx
+        self.pending: dict = {}           # requests _build_serve answers, in ask order
+        self.serve_job_queued = False
+        if self.recovers:
+            sim.schedule(RECOVERY_TIMEOUT_S, self._tick)
+
+    def _tick(self) -> None:
+        self._recover()
+        self.sim.schedule(RECOVERY_TIMEOUT_S, self._tick)
+
+    def receive(self, msg: Message) -> None:
+        """The medium's handler: runs a scheduler Notification's call at its
+        addressee and hands every other message to on_message."""
+        if msg.kind == NOTIFICATION and msg.payload is not None:
+            if msg.dst == self.device:
+                msg.payload()
+            return
+        self.on_message(msg)
 
     @property
     def done(self) -> bool:
@@ -342,13 +362,6 @@ class BaseNode:
     def rank(self, segment: int) -> int:
         state = self.decoders.get(segment)
         return 0 if state is None else state.rank
-
-    def _decoder(self, segment: int) -> DecoderState:
-        state = self.decoders.get(segment)
-        if state is None:
-            state = DecoderState(segment, self.params)
-            self.decoders[segment] = state
-        return state
 
     def _mark_complete(self, segment: int) -> None:
         if segment in self.complete:
@@ -361,11 +374,16 @@ class BaseNode:
 
     def _own_segment(self, segment: int) -> None:
         self.decoders[segment] = DecoderState.full(segment, self.params)
+        self.last_progress = self.sim.now
         self._mark_complete(segment)
 
     def _insert(self, segment: int, packet) -> bool:
-        state = self._decoder(segment)
+        state = self.decoders.get(segment)
+        if state is None:
+            state = self.decoders[segment] = DecoderState(segment, self.params)
         innovative = state.insert(packet)
+        if innovative:
+            self.last_progress = self.sim.now
         if state.complete:
             self._mark_complete(segment)
         return innovative
@@ -376,6 +394,18 @@ class BaseNode:
         self.sim.medium.submit(lambda: msg)
         self.sim.log("request", self.device, segment=segment, peer=target,
                      dims=dims)
+
+    def _ensure_serve_job(self) -> None:
+        if not self.serve_job_queued and self.pending:
+            self.serve_job_queued = True
+            self.sim.medium.submit(self._build_serve)
+
+    def _tell_neighbors(self, kind: str, segment: int) -> None:
+        """One control message of `kind` to every overlay neighbour, one job."""
+        msgs = [Message(kind, self.device, d, segment, CONTROL_BYTES)
+                for d in self.neighbors]
+        if msgs:
+            self.sim.medium.submit(lambda: msgs)
 
     def _rotating_neighbor(self, segment: int) -> int:
         """Round robin: a segment's pick moves on by one every recovery tick."""
@@ -414,18 +444,13 @@ class MicroNCP2Node(BaseNode):
         self.advert_timer_armed = False
         self.source_of: dict = {}         # segment -> device to ask
         self.in_flight: dict = {}         # segment -> request sent time
-        self.pending: dict = {}           # segment -> {requester: dims}, in ask order
-        self.serve_job_queued = False
         self.highest_heard = -1           # largest segment id seen anywhere
-        self.last_progress = 0.0          # last own segment or innovative rx
-        sim.schedule(RECOVERY_TIMEOUT_S, self._recovery_tick)
 
     # ---- cellular side
 
     def on_cellular_segment(self, segment: int) -> None:
         self._own_segment(segment)
         self._note_heard(segment)
-        self.last_progress = self.sim.now
         if self.neighbors:
             target = self.neighbors[int(self.sim.rng.integers(len(self.neighbors)))]
             self.sim.medium.submit(
@@ -470,7 +495,7 @@ class MicroNCP2Node(BaseNode):
         self.in_flight[segment] = self.sim.now
         self._request(segment, target, self.proto.m - self.rank(segment))
 
-    def _recovery_tick(self) -> None:
+    def _recover(self) -> None:
         now = self.sim.now
         stale = [s for s, t in self.in_flight.items()
                  if now - t >= RECOVERY_TIMEOUT_S]
@@ -497,14 +522,8 @@ class MicroNCP2Node(BaseNode):
         if (segment < self.proto.n_segments and self.neighbors
                 and now - self.last_progress >= RECOVERY_TIMEOUT_S):
             self._consider_request(segment, self._rotating_neighbor(segment))
-        self.sim.schedule(RECOVERY_TIMEOUT_S, self._recovery_tick)
 
     # ---- serving
-
-    def _ensure_serve_job(self) -> None:
-        if not self.serve_job_queued and self.pending:
-            self.serve_job_queued = True
-            self.sim.medium.submit(self._build_serve)
 
     def _playback_head(self) -> float:
         bps = self.proto.video_kbps * 1e3
@@ -519,8 +538,7 @@ class MicroNCP2Node(BaseNode):
             segment = min(self.pending, key=lambda s: s - head)
             group = self.pending.pop(segment)
             dims = max(group.values())
-            state = self.decoders.get(segment)
-            if dims <= 0 or state is None or state.rank == 0:
+            if dims <= 0 or not self.rank(segment):
                 continue
             first = next(iter(group))
             msgs = self._recode_messages(segment, dims, first)
@@ -539,8 +557,7 @@ class MicroNCP2Node(BaseNode):
         if msg.kind == CODED_DATA:
             self._note_heard(msg.segment)
             self.source_of.setdefault(msg.segment, msg.src)
-            if self._insert(msg.segment, msg.payload):
-                self.last_progress = self.sim.now
+            self._insert(msg.segment, msg.payload)
             if self.rank(msg.segment) >= self.proto.m:
                 self.in_flight.pop(msg.segment, None)
             return
@@ -574,22 +591,13 @@ class BitTorrentPullNode(BaseNode):
         super().__init__(sim, device, proto)
         self.peers_have: dict = {d: set() for d in self.neighbors}
         self.in_flight: dict = {}         # segment -> (peer, sent time)
-        self.pending: dict = {}           # (req, seg) -> None, in ask order
-        self.serve_job_queued = False
         self.bitfield_queued = False
         self.last_heard = None            # carrier sense: last rx of any kind
         sim.schedule(0.0, self._send_bitfields)
-        sim.schedule(RECOVERY_TIMEOUT_S, self._recovery_tick)
 
     def on_cellular_segment(self, segment: int) -> None:
         self._own_segment(segment)
-        self._announce(segment)
-
-    def _announce(self, segment: int) -> None:
-        msgs = [Message(HAVE, self.device, d, segment, CONTROL_BYTES)
-                for d in self.neighbors]
-        if msgs:
-            self.sim.medium.submit(lambda: msgs)
+        self._tell_neighbors(HAVE, segment)
 
     def _send_bitfields(self) -> None:
         if self.bitfield_queued or not self.neighbors:
@@ -611,7 +619,7 @@ class BitTorrentPullNode(BaseNode):
         self.in_flight[segment] = (peer, self.sim.now)
         self._request(segment, peer, kind=PIECE_REQUEST)
 
-    def _recovery_tick(self) -> None:
+    def _recover(self) -> None:
         now = self.sim.now
         # Carrier sense: while traffic is still flowing the answer to a
         # pending request may simply be queued behind it, and a blind
@@ -632,14 +640,8 @@ class BitTorrentPullNode(BaseNode):
                         break
         if quiet:
             self._send_bitfields()   # keep-alive, covers lost Haves
-        self.sim.schedule(RECOVERY_TIMEOUT_S, self._recovery_tick)
 
-    def _ensure_serve_job(self) -> None:
-        if not self.serve_job_queued and self.pending:
-            self.serve_job_queued = True
-            self.sim.medium.submit(self._build_piece)
-
-    def _build_piece(self):
+    def _build_serve(self):
         self.serve_job_queued = False
         while self.pending:
             requester, segment = next(iter(self.pending))
@@ -672,7 +674,7 @@ class BitTorrentPullNode(BaseNode):
             self.in_flight.pop(msg.segment, None)
             if msg.segment not in self.complete:
                 self._own_segment(msg.segment)
-                self._announce(msg.segment)
+                self._tell_neighbors(HAVE, msg.segment)
 
 
 class R2PushNode(BaseNode):
@@ -696,12 +698,9 @@ class R2PushNode(BaseNode):
         self.last_source: dict = {}
         self.last_rank_change: dict = {}
         self.recovery_tries: dict = {}    # segment -> requests since progress
-        self.last_progress = 0.0          # last own segment or rank change
-        sim.schedule(RECOVERY_TIMEOUT_S, self._recovery_tick)
 
     def on_cellular_segment(self, segment: int) -> None:
         self._own_segment(segment)
-        self.last_progress = self.sim.now
         self._send_brakes(segment)
         # spend the whole redundancy budget up front; the cap gate stops
         # the stream anyway once a brake lands
@@ -712,10 +711,7 @@ class R2PushNode(BaseNode):
         if segment in self.brake_sent:
             return
         self.brake_sent.add(segment)
-        msgs = [Message(BRAKE, self.device, d, segment, CONTROL_BYTES)
-                for d in self.neighbors]
-        if msgs:
-            self.sim.medium.submit(lambda: msgs)
+        self._tell_neighbors(BRAKE, segment)
         self.sim.log("brake_sent", self.device, segment=segment)
 
     def _queue_pushes(self, segment: int) -> None:
@@ -747,7 +743,7 @@ class R2PushNode(BaseNode):
                          peer=neighbor, dims=dims)
         return msgs
 
-    def _recovery_tick(self) -> None:
+    def _recover(self) -> None:
         # Pull-based rescue for streams that started but then stalled (all
         # remaining pushes lost).  Segments at rank 0 are left to the push
         # mechanism itself; requesting those blindly would turn every sender
@@ -783,7 +779,6 @@ class R2PushNode(BaseNode):
                     self._request(segment, self._rotating_neighbor(segment),
                                   self.proto.m)
                     break
-        self.sim.schedule(RECOVERY_TIMEOUT_S, self._recovery_tick)
 
     def on_message(self, msg: Message) -> None:
         if msg.dst != self.device:
@@ -792,7 +787,7 @@ class R2PushNode(BaseNode):
             segment = msg.segment
             self.last_source[segment] = msg.src
             if self._insert(segment, msg.payload):
-                self.last_rank_change[segment] = self.last_progress = self.sim.now
+                self.last_rank_change[segment] = self.sim.now
                 self.recovery_tries.pop(segment, None)
             if segment in self.complete:
                 self._send_brakes(segment)
@@ -807,6 +802,8 @@ class R2PushNode(BaseNode):
 
 class NoCoopNode(BaseNode):
     """Standalone download of the entire file; never touches the medium."""
+
+    recovers = False
 
     def on_cellular_segment(self, segment: int) -> None:
         self._own_segment(segment)
@@ -842,24 +839,11 @@ def run_protocol(sim_config: SimConfig, proto: ProtocolConfig) -> RunResult:
     # without cooperation a device with no cellular link never finishes
     targets = nodes if proto.cooperative else [nodes[d] for d in cellular]
 
-    def router(device):
-        node = nodes[device]
-
-        def on_message(msg: Message) -> None:
-            # a scheduler Notification carries the call it makes
-            if msg.kind == NOTIFICATION and msg.payload is not None:
-                if msg.dst == device:
-                    msg.payload()
-                return
-            node.on_message(msg)
-
-        return on_message
-
-    for d in range(n):
-        sim.attach(d, router(d))
-        # the router drops scheduler traffic addressed to another device
-        # too, so a node that ignores overheard traffic needs no call for it
-        sim.overhears[d] = node_cls.overhears
+    for node in nodes:
+        sim.attach(node.device, node.receive)
+        # receive drops scheduler traffic addressed to another device too,
+        # so a node that ignores overheard traffic needs no call for it
+        sim.overhears[node.device] = node_cls.overhears
     sim.schedule(0.0, scheduler.start)
 
     def report() -> str:

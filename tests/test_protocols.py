@@ -99,7 +99,7 @@ def settle(sim, horizon=0.5):
 @contextlib.contextmanager
 def no_payload_reaches_a_node():
     """Collects every Notification with a payload (a scheduler call) that
-    reaches a node's on_message; the router should run or drop them all."""
+    reaches a node's on_message; BaseNode.receive should run or drop them all."""
     reached = []
     with pytest.MonkeyPatch.context() as mp:
         for cls in protocols._NODE_CLASSES.values():
@@ -430,6 +430,16 @@ def test_standalone_downloads_never_touch_the_medium():
     assert m.completion_s[1] == pytest.approx(2.0)
     assert m.completion_s[2] is None
     assert m.avg_rate_bps == pytest.approx(550e3)
+
+
+@pytest.mark.parametrize("protocol", list(protocols._NODE_CLASSES))
+def test_only_a_recovering_node_schedules_a_recovery_tick(protocol):
+    node_cls = protocols._NODE_CLASSES[protocol]
+    sim = Simulator(SimConfig(devices=[DeviceSpec(), DeviceSpec()]))
+    node = node_cls(sim, 0, ProtocolConfig(protocol=protocol))
+    ticks = [t for t, _, fn, _ in sim._heap if fn == node._tick]
+    assert node_cls.recovers == (protocol != PROTO_NONE)
+    assert ticks == ([protocols.RECOVERY_TIMEOUT_S] if node_cls.recovers else [])
 
 
 def test_standalone_failure_strands_only_its_device():
