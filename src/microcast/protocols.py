@@ -174,9 +174,13 @@ class MicroDownloadScheduler:
     def start(self) -> None:
         self._fill()
 
-    def _fill(self) -> None:
+    def _fill(self, reporter: int | None = None) -> None:
+        """Hand out segments to the least-loaded devices; ties go to the
+        lowest index, except that `reporter`, whose download just failed,
+        loses them."""
         while self.unassigned:
-            device = min(self.cellular, key=lambda d: (self.backlog[d], d))
+            device = min(self.cellular,
+                         key=lambda d: (self.backlog[d], d == reporter, d))
             if self.backlog[device] >= BACKLOG_LIMIT:
                 return
             self._assign(self.unassigned.popleft(), device)
@@ -252,10 +256,10 @@ class MicroDownloadScheduler:
             self.downloaded_by[segment] = device
         else:
             self.failures += 1
-            # back of the queue; _fill hands it to whoever is least loaded,
-            # which at the tail end is a fast idle device, not the reporter
+            # back of the queue; at the tail end every device is idle, and
+            # the reporter loses the tie, so another device takes it over
             self.unassigned.append(segment)
-        self._fill()
+        self._fill(None if success else device)
 
     def _send_ack(self, device: int, segment: int) -> None:
         if device == self.device:

@@ -1,13 +1,14 @@
 """Cooperative download protocols: scheduling, dissemination, invariants."""
 
 import contextlib
+import itertools
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from microcast import acceptance, protocols
+from microcast import acceptance, protocols, scenarios
 from microcast.netsim import (
     ADVERTISEMENT,
     BRAKE,
@@ -64,7 +65,7 @@ def run_proto(protocol=PROTO_MICROCAST, rates=(2000.0, None, None), segments=6,
         devices = make_devices(rates)
     sim_kw = {"log_events": True}
     sim_kw.update({k: kw.pop(k) for k in ("ap", "capacity_bps", "idle_window_s",
-                                           "log_events") if k in kw})
+                                           "log_events", "max_time_s") if k in kw})
     cfg = SimConfig(devices=devices, loss=loss, mode=mode, seed=seed, **sim_kw)
     proto = ProtocolConfig(protocol=protocol, file_bytes=segments * m * n,
                            m=m, n=n, **kw)
@@ -167,6 +168,31 @@ def test_adaptive_assignment_favors_the_fast_link():
     assert counts[0] + counts[1] == 24
     assert counts[0] > 3 * counts[1]
     assert res.metrics.complete
+
+
+@pytest.mark.parametrize("order", list(itertools.permutations(range(3))))
+def test_download_adaptivity_holds_in_every_device_order(order, monkeypatch):
+    # fig-microdownload's runs at seed 0 with its traces listed in `order`:
+    # criterion 7's 5x must not hang on which device comes first
+    traces = scenarios.microdownload_traces()
+    monkeypatch.setattr(scenarios, "microdownload_traces",
+                        lambda: tuple(traces[k] for k in order))
+    rows = scenarios._microdownload_recipe([0]).rows
+    took = {assignment: completion for assignment, _, completion, _, _ in rows}
+    assert [row[4] for row in rows] == [1, 1]
+    assert took["static"] / took["adaptive"] >= 5.0
+
+
+@pytest.mark.parametrize("protocol", [PROTO_MICROCAST, PROTO_BITTORRENT, PROTO_R2])
+def test_an_always_failing_device_hands_its_segments_on(protocol):
+    # a failure's segment goes back to the least-loaded device, and the
+    # reporter loses the tie, so the healthy device fetches the tail
+    devices = make_devices((1000.0, 1000.0), fail={0})
+    res = run_proto(protocol, devices=devices, segments=40, m=10, n=100,
+                    loss=0.1, max_time_s=60.0, log_events=False)
+    assert res.metrics.complete
+    assert res.scheduler.failures > 0
+    assert set(res.scheduler.downloaded_by.values()) == {1}
 
 
 def test_failed_downloads_are_reassigned_and_retried():
