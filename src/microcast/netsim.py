@@ -61,10 +61,11 @@ MODES = (MODE_CLIQUE, MODE_PSEUDO_ADHOC, MODE_STAR)
 
 
 class SimStalled(RuntimeError):
-    """No progress for a full idle window while devices are incomplete.
+    """A run that can no longer finish; Simulator.stalled builds it.
 
-    `events` holds the simulator's log records up to the stall (empty
-    unless the run logged events), the evidence of what went wrong.
+    The message ends with the stall report, when there is one.  `events`
+    holds the simulator's log records up to the stall (empty unless the
+    run logged events), the evidence of what went wrong.
     """
 
     def __init__(self, message: str, report: str = "", events: list | None = None):
@@ -316,11 +317,9 @@ class CellularModem:
         else:
             finish, success = duration, True
         if finish == float("inf"):
-            raise SimStalled(
+            raise self.sim.stalled(
                 f"device {self.device} cellular rate is zero forever "
-                f"(segment {segment} cannot complete)",
-                events=self.sim.events,
-            )
+                f"(segment {segment} cannot complete)")
         self.sim.log("cell_start", self.device, segment=segment, nbytes=nbytes)
         self.sim.schedule(finish, self._finish, segment, nbytes, on_done, success)
 
@@ -467,6 +466,11 @@ class Simulator:
     def note_progress(self) -> None:
         self._last_progress = self.now
 
+    def stalled(self, message: str) -> SimStalled:
+        """The SimStalled to raise: `message`, the stall report and the log."""
+        report = self.stall_reporter() if self.stall_reporter else ""
+        return SimStalled(message, report, self.events)
+
     def _anything_in_flight(self) -> bool:
         return self.medium.busy or any(m.busy for m in self.modems)
 
@@ -491,11 +495,7 @@ class Simulator:
                 return "capped"
             self.now = t
             if t - self._last_progress > idle_window and not self._anything_in_flight():
-                report = self.stall_reporter() if self.stall_reporter else ""
-                raise SimStalled(
-                    f"no progress for {idle_window:.0f}s at t={t:.1f}s",
-                    report, self.events,
-                )
+                raise self.stalled(f"no progress for {idle_window:.0f}s at t={t:.1f}s")
             fn(*args)
             if self.stopped:
                 return "done"

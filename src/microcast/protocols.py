@@ -46,7 +46,6 @@ from .netsim import (
     REQUEST,
     Message,
     SimConfig,
-    SimStalled,
     Simulator,
 )
 from .rlnc import DecoderState, GenerationParams, recode
@@ -315,9 +314,9 @@ class StaticScheduler:
             return
         self.failures += 1
         if self.proto.cooperative:
-            raise SimStalled(
+            raise self.sim.stalled(
                 f"device {device} failed to download segment {segment}, and "
-                f"a static plan never reassigns it", events=self.sim.events)
+                f"a static plan never reassigns it")
 
 
 class BaseNode:

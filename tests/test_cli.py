@@ -190,7 +190,10 @@ segment_params: {m: 5, n: 200}
                    "--event-log") == EXIT_STALLED
     _, _, rows = scenarios.read_csv(os.path.join(out, "tiny.csv"))
     assert [r["status"] for r in rows] == ["stalled", "stalled"]
-    assert "cellular rate is zero forever" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "cellular rate is zero forever" in err
+    # the stall report names what each device still misses
+    assert "device 1: 10 segments missing (0, 1, 2" in err
     # a stalled seed keeps its records up to the stall
     for seed in (0, 1):
         comments, columns, events = scenarios.read_csv(
@@ -215,7 +218,9 @@ segment_params: {m: 5, n: 200}
     assert run_cli("proto-sim", scen, "--out", out) == EXIT_STALLED
     _, _, rows = scenarios.read_csv(os.path.join(out, "tiny.csv"))
     assert [(r["complete"], r["status"]) for r in rows] == [("0", "stalled")]
-    assert "device 1 failed to download segment" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "device 1 failed to download segment 5" in err
+    assert "device 0: 9 segments missing (1, 2" in err
 
 
 def test_proto_sim_bad_config_exit_2(tmp_path, capsys):
