@@ -32,20 +32,14 @@ EVENT_COLUMNS = ["t", "device", "event_kind", "segment", "bytes", "peer",
                  "msg", "dims"]
 
 
-def _int_list(text: str) -> list:
+def _parse_list(text: str, cast) -> list:
+    """A comma-separated list of int or float values."""
     try:
-        return [int(x) for x in text.split(",") if x.strip()]
+        return [cast(x) for x in text.split(",") if x.strip()]
     except ValueError:
+        what = "integers" if cast is int else "numbers"
         raise scenarios.ScenarioError(
-            f"expected comma-separated integers, got {text!r}")
-
-
-def _float_list(text: str) -> list:
-    try:
-        return [float(x) for x in text.split(",") if x.strip()]
-    except ValueError:
-        raise scenarios.ScenarioError(
-            f"expected comma-separated numbers, got {text!r}")
+            f"expected comma-separated {what}, got {text!r}")
 
 
 # ----------------------------------------------------------- num-sim
@@ -53,8 +47,8 @@ def _float_list(text: str) -> list:
 def cmd_num_sim(args) -> int:
     n_seeds = args.seeds if args.seeds is not None else 10
     out = scenarios.num_sweep(
-        "num-sim", "command: num-sim", _int_list(args.n_devices),
-        _float_list(args.p_local), range(args.seed, args.seed + n_seeds),
+        "num-sim", "command: num-sim", _parse_list(args.n_devices, int),
+        _parse_list(args.p_local, float), range(args.seed, args.seed + n_seeds),
         args.iterations, cell_capacity=args.cell_capacity,
         local_capacity=args.local_capacity, gamma=args.gamma,
         policies=num.POLICIES if args.policy == "all" else (args.policy,))
@@ -141,7 +135,7 @@ def cmd_proto_sim(args) -> int:
 
 def cmd_bench(args) -> int:
     out = scenarios.codec_bench("bench-codec", "command: bench-codec",
-                                _int_list(args.m), args.n, args.seconds,
+                                _parse_list(args.m, int), args.n, args.seconds,
                                 args.seed)
     raw, agg = scenarios.write_recipe_output(out, args.out)
     for m, encode, decode in out.rows:
