@@ -151,28 +151,34 @@ def evaluate_codec_roundtrip() -> CriterionResult:
 
 # ----------------------------------------------------- 2: codec throughput
 
+def _rate_spread(row: dict, kind: str) -> str:
+    return (f"{float(row[kind + '_mbps']):.1f} (quartiles {float(row[kind + '_q1_mbps']):.1f}"
+            f"-{float(row[kind + '_q3_mbps']):.1f})")
+
+
 def evaluate_codec_throughput(results_dir: str) -> CriterionResult:
     bound = "m=25 encode and decode >= 8 Mbps; both fall monotonically in m"
-    rows = _load_rows(results_dir, "fig7b.csv",
-                      ("m", "encode_mbps", "decode_mbps"))
+    rows = _load_rows(results_dir, "fig7b.csv", scenarios.BENCH_COLUMNS)
     if rows is None:
         return _not_run(2, "codec-throughput", bound, "fig7b.csv")
-    table = {int(r["m"]): (float(r["encode_mbps"]), float(r["decode_mbps"]))
-             for r in rows}
+    table = {int(r["m"]): r for r in rows}
     missing = [m for m in (16, 25, 32, 64) if m not in table]
     if missing:
         return _result(2, "codec-throughput", False,
                        f"rows missing for m={missing}", bound)
-    enc25, dec25 = table[25]
+    enc25, dec25 = (float(table[25][f"{kind}_mbps"]) for kind in ("encode", "decode"))
     ms = sorted(table)
-    enc_mono = all(table[a][0] > table[b][0] for a, b in zip(ms, ms[1:]))
-    dec_mono = all(table[a][1] > table[b][1] for a, b in zip(ms, ms[1:]))
-    ok = enc25 >= 8.0 and dec25 >= 8.0 and enc_mono and dec_mono
-    detail = "" if ok else f"series {[(m, table[m]) for m in ms]}"
+    # each inverted neighbour pair, with both slice spreads: an inversion
+    # inside the quartiles is host noise, not the codec
+    inverted = [f"{kind} m={a} {_rate_spread(table[a], kind)} not above "
+                f"m={b} {_rate_spread(table[b], kind)}"
+                for kind in ("encode", "decode") for a, b in zip(ms, ms[1:])
+                if float(table[a][f"{kind}_mbps"]) <= float(table[b][f"{kind}_mbps"])]
+    ok = enc25 >= 8.0 and dec25 >= 8.0 and not inverted
     return _result(2, "codec-throughput", ok,
                    f"m=25: encode {enc25:.1f} / decode {dec25:.1f} Mbps, "
-                   f"monotone={'yes' if enc_mono and dec_mono else 'no'}",
-                   bound, detail)
+                   f"monotone={'no' if inverted else 'yes'}",
+                   bound, "; ".join(inverted))
 
 
 # ------------------------------------------------------- 3: solver vs oracle

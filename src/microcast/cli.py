@@ -138,8 +138,9 @@ def cmd_bench(args) -> int:
                                 _parse_list(args.m, int), args.n, args.seconds,
                                 args.seed)
     raw, agg = scenarios.write_recipe_output(out, args.out)
-    for m, encode, decode in out.rows:
-        print(f"m={m:>3}: encode {encode:7.2f} Mbps, decode {decode:7.2f} Mbps")
+    for m, encode, decode, enc_q1, enc_q3, dec_q1, dec_q3 in out.rows:
+        print(f"m={m:>3}: encode {encode:7.2f} Mbps ({enc_q1:.2f}-{enc_q3:.2f}), "
+              f"decode {decode:7.2f} Mbps ({dec_q1:.2f}-{dec_q3:.2f})")
     print(f"wrote {raw} and {agg}")
     return 0
 

@@ -29,31 +29,35 @@ budget, so the slack basis is feasible and there is no phase 1. The
 module needs numpy only.
 
 `simulate` steps all of a run's seeds together, so every control law
-takes a leading seed axis: lam is (S, n), eta is (S, n, n). Each seed
+works on a leading seed axis: lam is (S, n), eta is (S, n, n). Each seed
 draws its channel from its own generator (`channel_draws`), so a seed's
 run depends neither on the policy nor on the other seeds in the batch.
 
-The loop keeps both price families in one stacked (S, n + n*n) array:
-lam is its first n columns and eta the rest, as views. The arrivals (x
-per device, then x_dl) and the departures (inflow, then g) share that
-layout, so `update_queues` is one in-place step over all prices. Every
-control law takes `out=`: given an array of the result's shape, it writes
-its result there and returns it. The laws write into `out` as given and
-never reshape it (they reshape their inputs instead), so a result cannot
-land in a copy. The loop allocates its arrays and makes its views once,
-before the first iteration; each law performs the same float operations
-in the same order as without `out`, so a run's bits do not depend on
-where its results are written.
+One iteration is one call of a closure that `build_iteration` makes once
+per `simulate` call; it is the only implementation of the laws. The
+builder allocates every array, makes every view and looks up every
+per-policy constant before the first iteration, so the step itself only
+calls ufuncs, each writing its result into its buffer with `out=`, and
+allocates nothing but argmax's result and the gather of the chosen
+actions' service. Both price families live in one stacked (S, n + n*n)
+array: lam is its first n columns and eta the rest, as views. The
+arrivals (x per device, then x_dl) and the departures (inflow, then g)
+share that layout, so the price update is one in-place step over all
+prices. It multiplies by a per-price step vector, beta everywhere and 0
+on eta's diagonal: x_dl - g is finite there, so eta_ii stays at +0
+with no pin. Each law performs the same float operations in the same
+order as its closed form (the references in the tests), so a run's bits
+do not depend on where its results are written.
 
 Max-weight under pseudo_broadcast weighs only the arcs that can win. An
 arc serves its receiver set at the minimum member goodput, so the sets
 nest: for each sender and goodput c, the threshold set A_c of receivers
 at goodput >= c and its prefixes in receiver order cover every arc that
 max-weight can return (`threshold_prefixes`; the argument is in
-`LocalActions.max_weight`). Each sender's list is padded to equal length
-by repeating its last candidate. That is n - 1 arcs per sender in a
-uniform group instead of 2^(n-1) - 1, with the same weights and the same
-ties. pseudo_broadcast_no_nc, whose service rate multiplies success
+`LocalActions`). Each sender's list is padded to equal length by
+repeating its last candidate. That is n - 1 arcs per sender in a uniform
+group instead of 2^(n-1) - 1, with the same weights and the same ties.
+pseudo_broadcast_no_nc, whose service rate multiplies success
 probabilities and so does not nest, and the LP oracle keep the full
 enumeration.
 """
@@ -62,7 +66,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -275,44 +279,6 @@ def channel_draws(topo: Topology, seeds: Sequence[int],
     return cell_on, local_on
 
 
-def flow_control(lam: np.ndarray, cap: float,
-                 out: np.ndarray | None = None) -> np.ndarray:
-    """Stream rate per seed maximizing log x - x * sum(lam), clamped to cap.
-
-    The stream utility is log x, so U'(x) = 1/x and the rate is
-    1 / sum(lam). Zero prices divide to inf, which clamps to the cap;
-    callers silence numpy's divide-by-zero warning.
-    """
-    return np.minimum(1.0 / lam.sum(axis=1), cap, out=out)
-
-
-def downlink_rates(lam: np.ndarray, eta: np.ndarray, rate: np.ndarray,
-                   out: np.ndarray | None = None) -> np.ndarray:
-    """Bang-bang downlink: device i pulls at its full rate (S,n,1) for every
-    receiver j whose price lam_j exceeds the relay backlog price eta_ij."""
-    return np.multiply(lam[:, None, :] > eta, rate, out=out)
-
-
-def hyperarc_weights(eta: np.ndarray, arcs: HyperarcSet, policy: str,
-                     out: np.ndarray | None = None) -> np.ndarray:
-    """Backlog-times-rate weight (S, arcs) of every hyperarc: (sum_j eta_ij) * kappa.
-
-    Each sender's arcs are summed as one broadcast block, not as a
-    mask-matrix product: a matmul orders the float additions differently,
-    and the changed bits flip argmax ties between equal-weight arcs.
-    """
-    blocks = eta[:, :, None, :] * arcs.block_mask  # (S, n, arcs per sender, n)
-    backlog = np.add.reduce(blocks.reshape(len(eta), -1, arcs.n), axis=-1, out=out)
-    return np.multiply(backlog, arcs.kappa(policy), out=backlog)
-
-
-def unicast_weights(eta: np.ndarray, topo: Topology,
-                    out: np.ndarray | None = None) -> np.ndarray:
-    """Backlog-times-goodput weight (S, n*n) of every link (i, j), row-major."""
-    links = np.multiply(eta.reshape(len(eta), -1), topo.local_capacity.ravel(), out=out)
-    return np.multiply(links, (1.0 - topo.local_loss).ravel(), out=links)
-
-
 class LocalActions:
     """The local-channel actions max-weight chooses from; action 0 idles.
 
@@ -321,9 +287,31 @@ class LocalActions:
     pseudo_broadcast_no_nc on a lossy medium, and otherwise only the
     `threshold_prefixes`: per sender, every prefix of every threshold set
     A_c = {j : good_ij >= c}, in enumeration order, padded to equal
-    per-sender blocks by repeating the last one (see `max_weight`).
-    `service[k]` holds the action's over-the-air rate times gamma on each
-    of its links, `members[k]` marks those links.
+    per-sender blocks by repeating the last one. `service[k]` holds the
+    action's over-the-air rate times gamma on each of its links,
+    `members[k]` marks those links.
+
+    Max-weight picks the first action of the largest weight, and a seed
+    idles exactly when no weight is positive: no weight is negative
+    (unicast's i == i links weigh eta_ii = 0). Ties go to the lowest
+    sender, then the smallest receiver set. Under pseudo_broadcast, and
+    under no_nc on a lossless medium, the threshold prefixes return the
+    action and the weight bits that the full enumeration would:
+      - eta >= 0, and round-to-nearest addition is monotone in each
+        operand, so a superset's masked add.reduce over the same eta
+        row is never smaller, whatever the summation tree;
+      - an arc J whose minimum goodput is c is a subset of A_c with the
+        same kappa = c >= 0, so A_c weighs at least as much as J and
+        the candidates' maximum is the enumeration's, bit for bit;
+      - among tied arcs the first in enumeration order is a prefix of
+        its A_c: if J skipped a member a < max(J), then J + {a} would
+        tie too and come earlier;
+      - so argmax-first over the candidates, in enumeration order,
+        picks the enumeration's action, even where exact-zero or
+        absorbed tiny eta make ties. The full A_c sets alone would
+        not: they miss the ties a strict prefix wins.
+    A padding repeat weighs the same as the candidate it repeats and
+    comes after it, so it never wins.
     """
 
     def __init__(self, topo: Topology, policy: str):
@@ -335,8 +323,8 @@ class LocalActions:
         elif policy in (PSEUDO_BROADCAST, PSEUDO_BROADCAST_NO_NC):
             # With every off-diagonal local loss 0, kappa_plain = raw_rate * 1.0
             # equals kappa_nc = min cap bit for bit and every member link is
-            # ON, so no_nc is pseudo_broadcast and `max_weight`'s argument
-            # for the prefixes holds word for word.
+            # ON, so no_nc is pseudo_broadcast and the class docstring's
+            # argument for the prefixes holds word for word.
             candidates = (threshold_prefixes(topo) if policy == PSEUDO_BROADCAST
                           or not topo.local_loss[~np.eye(n, dtype=bool)].any() else None)
             self.hyperarcs = HyperarcSet(topo, candidates)
@@ -349,58 +337,114 @@ class LocalActions:
             self.members[k, i, [j for j in receivers if j != i]] = True
         self.service = self.members * np.concatenate(([0.0], rate))[:, None, None] * topo.gamma
 
-    def max_weight(self, eta: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """Each seed's max-weight action (S,), given relay queues eta (S,n,n).
 
-        `out` (S, 1 + arcs) receives the weights; its column 0, the idle
-        action's weight, must hold 0. No weight is negative, so a seed
-        idles exactly when none is positive (unicast's i == i links weigh
-        eta_ii = 0). Ties go to the first action: the lowest sender, then
-        the smallest receiver set.
+class IterationBuffers(NamedTuple):
+    """The arrays one `build_iteration` step works in, seed-major.
 
-        Under pseudo_broadcast, and under no_nc on a lossless medium, the
-        threshold prefixes return the action and the weight bits that the
-        full enumeration would:
-          - eta >= 0, and round-to-nearest addition is monotone in each
-            operand, so a superset's masked add.reduce over the same eta
-            row is never smaller, whatever the summation tree;
-          - an arc J whose minimum goodput is c is a subset of A_c with the
-            same kappa = c >= 0, so A_c weighs at least as much as J and
-            the candidates' maximum is the enumeration's, bit for bit;
-          - among tied arcs the first in enumeration order is a prefix of
-            its A_c: if J skipped a member a < max(J), then J + {a} would
-            tie too and come earlier;
-          - so argmax-first over the candidates, in enumeration order,
-            picks the enumeration's action, even where exact-zero or
-            absorbed tiny eta make ties. The full A_c sets alone would
-            not: they miss the ties a strict prefix wins.
-        A padding repeat weighs the same as the candidate it repeats and
-        comes after it, so it never wins.
-        """
-        if out is None:
-            out = np.zeros((len(eta), len(self.arcs) + 1))
-        if self.policy == UNICAST:
-            unicast_weights(eta, self.topo, out=out[:, 1:])
-        else:
-            hyperarc_weights(eta, self.hyperarcs, self.policy, out=out[:, 1:])
-        return out.argmax(axis=1)
-
-
-def update_queues(prices: np.ndarray, arrivals: np.ndarray, departures: np.ndarray,
-                  beta: float, n: int) -> np.ndarray:
-    """Projected subgradient step on the stacked prices (S, n + n*n), in place.
-
-    lam += beta (x - inflow) and eta += beta (x_dl - g), floored at zero,
-    with eta's diagonal pinned at 0. `arrivals` stacks x per device and
-    x_dl, `departures` stacks inflow and g; the step overwrites
-    `arrivals`. Returns `prices`.
+    Each of the first three is stacked (S, n + n*n): its first n columns
+    per device, then the (i, j) pairs row-major. `weights` is (S, 1 + arcs)
+    with column 0, the idle action's weight, at 0.
     """
-    step = np.subtract(arrivals, departures, out=arrivals)
-    np.multiply(step, beta, out=step)
-    np.add(prices, step, out=prices)
-    np.maximum(prices, 0.0, out=prices)
-    prices[:, n::n + 1] = 0.0
-    return prices
+
+    prices: np.ndarray      # lam | eta, advanced in place by every step
+    arrivals: np.ndarray    # x, repeated per device | x_dl
+    departures: np.ndarray  # inflow | g
+    weights: np.ndarray
+
+
+def build_iteration(actions: LocalActions, cap: float,
+                    n_seeds: int) -> tuple[Callable[[np.ndarray, np.ndarray], np.ndarray],
+                                           IterationBuffers]:
+    """One step of the dual-queue iteration over n_seeds seeds, and its buffers.
+
+    `step(rate_t, link_t)` takes one iteration's ON downlink rates
+    (S, n, 1) and ON local links (S, n, n), runs the four control laws on
+    the current prices and returns each seed's max-weight action (S,):
+      - flow control: the stream utility is log x, so U'(x) = 1/x and
+        x = min(1 / sum(lam), cap); zero prices divide to inf, which
+        clamps to the cap (callers silence numpy's divide-by-zero
+        warning);
+      - downlink: device i pulls at its full rate for every receiver j
+        whose price lam_j exceeds the relay price eta_ij (bang-bang);
+        inflow_j sums what the devices pull for j;
+      - max-weight (see `LocalActions`): a hyperarc weighs
+        (sum of eta_ij over its members) * kappa, a unicast link
+        eta_ij * goodput_ij; g is the chosen action's service on the
+        links that are ON, and under plain copies only if all are;
+      - the projected subgradient step: lam += beta (x - inflow) and
+        eta += beta (x_dl - g), floored at zero.
+    Every view, buffer and per-policy constant is made here, once, so
+    the step allocates only argmax's result and the service gather.
+    """
+    topo, policy, n = actions.topo, actions.policy, actions.topo.n
+    prices = np.zeros((n_seeds, n + n * n))
+    # the update writes x - inflow | x_dl - g to `change`, so the step's
+    # arrivals stay readable after it
+    arrivals, departures, change = (np.empty_like(prices) for _ in range(3))
+    weights = np.zeros((n_seeds, len(actions.arcs) + 1))
+    lam, eta = prices[:, :n], prices[:, n:].reshape(n_seeds, n, n)
+    lam_row, eta_flat, eta_blocks = lam[:, None, :], prices[:, n:], eta[:, :, None, :]
+    x_per_device, x_dl = arrivals[:, :n], arrivals[:, n:].reshape(n_seeds, n, n)
+    inflow, g = departures[:, :n], departures[:, n:].reshape(n_seeds, n, n)
+    arc_weights, argmax = weights[:, 1:], weights.argmax
+    total = np.empty((n_seeds, 1))
+    pulls = np.empty((n_seeds, n, n), dtype=bool)
+    # beta on every price but eta's diagonal: there x_dl - g is finite, so
+    # eta_ii stays +0 with no pin
+    steps = np.full(n + n * n, STEP_SIZE)
+    steps[n::n + 1] = 0.0
+    # 0-d arrays, not Python floats: a ufunc converts a Python scalar on
+    # every call
+    one, zero, cap = np.ones(()), np.zeros(()), np.full((), cap)
+    # the step reads closure cells, not module attributes
+    reduce, divide, minimum, maximum = np.add.reduce, np.divide, np.minimum, np.maximum
+    greater, multiply, subtract, add = np.greater, np.multiply, np.subtract, np.add
+    # `take` gathers the chosen actions as `[best]` would, for less per call
+    service, members = actions.service.take, actions.members.take
+    unicast, plain_copies = policy == UNICAST, policy == PSEUDO_BROADCAST_NO_NC
+    if unicast:
+        capacity, success = topo.local_capacity.ravel(), (1.0 - topo.local_loss).ravel()
+    else:
+        # each sender's arcs are summed as one broadcast block, not as a
+        # mask-matrix product: a matmul orders the float additions
+        # differently, and the changed bits flip argmax ties between
+        # equal-weight arcs
+        block_mask, kappa = actions.hyperarcs.block_mask, actions.hyperarcs.kappa(policy)
+        blocks = np.empty((n_seeds,) + block_mask.shape)  # (S, n, arcs per sender, n)
+        block_rows = blocks.reshape(n_seeds, -1, n)
+    if plain_copies:
+        links_on = np.empty((n_seeds, n, n), dtype=bool)
+        all_on = np.empty((n_seeds, 1, 1), dtype=bool)
+
+    def step(rate_t: np.ndarray, link_t: np.ndarray) -> np.ndarray:
+        reduce(lam, axis=1, keepdims=True, out=total)
+        divide(one, total, out=total)
+        minimum(total, cap, out=x_per_device)
+        greater(lam_row, eta, out=pulls)
+        multiply(pulls, rate_t, out=x_dl)
+        reduce(x_dl, axis=1, out=inflow)
+        if unicast:
+            multiply(eta_flat, capacity, out=arc_weights)
+            multiply(arc_weights, success, out=arc_weights)
+        else:
+            multiply(eta_blocks, block_mask, out=blocks)
+            reduce(block_rows, axis=-1, out=arc_weights)
+            multiply(arc_weights, kappa, out=arc_weights)
+        best = argmax(axis=1)
+        if plain_copies:
+            # plain copies fail unless every member link is ON
+            np.greater_equal(link_t, members(best, axis=0), out=links_on)
+            np.logical_and.reduce(links_on, axis=(1, 2), keepdims=True, out=all_on)
+            multiply(service(best, axis=0), all_on, out=g)
+        else:
+            multiply(service(best, axis=0), link_t, out=g)
+        subtract(arrivals, departures, out=change)
+        multiply(change, steps, out=change)
+        add(prices, change, out=prices)
+        maximum(prices, zero, out=prices)
+        return best
+
+    return step, IterationBuffers(prices, arrivals, departures, weights)
 
 
 @dataclass
@@ -432,7 +476,7 @@ def simulate(topo: Topology, cfg: SolverConfig) -> SimulateReport:
     Per seed, reports each device's delivered rate averaged over the
     final half of the horizon; no_coop bypasses the solver entirely.
     """
-    n, t_max, beta, policy = topo.n, cfg.iterations, STEP_SIZE, cfg.policy
+    n, t_max, policy = topo.n, cfg.iterations, cfg.policy
     n_seeds = len(cfg.seeds)
     cell_on, local_on = channel_draws(topo, cfg.seeds, t_max)
     # decisions use expected rates; an ON link delivers at raw capacity
@@ -440,36 +484,17 @@ def simulate(topo: Topology, cfg: SolverConfig) -> SimulateReport:
     if policy == NO_COOP:
         delivered = rc_on
     else:
-        cap = stream_cap(topo, cfg)
-        actions = LocalActions(topo, policy)
+        step, buffers = build_iteration(LocalActions(topo, policy), stream_cap(topo, cfg),
+                                        n_seeds)
+        inflow = buffers.departures[:, :n]
         # iteration-major channel states and deliveries: iteration t is one index
         rate_on = np.ascontiguousarray(rc_on.transpose(1, 0, 2)[..., None])
         link_on = np.ascontiguousarray(local_on.transpose(1, 0, 2, 3))
         delivered = np.empty((t_max, n_seeds, n))
-        # stacked layout (S, n + n*n): the lam part, then the eta part
-        prices = np.zeros((n_seeds, n + n * n))
-        arrivals, departures = np.empty_like(prices), np.empty_like(prices)
-        lam, eta = prices[:, :n], prices[:, n:].reshape(n_seeds, n, n)
-        x_per_device, x_dl = arrivals[:, :n], arrivals[:, n:].reshape(n_seeds, n, n)
-        inflow, g = departures[:, :n], departures[:, n:].reshape(n_seeds, n, n)
-        x = np.empty(n_seeds)
-        x_column = x[:, None]
-        w = np.zeros((n_seeds, len(actions.arcs) + 1))
         with np.errstate(divide="ignore"):
             for t in range(t_max):
-                flow_control(lam, cap, out=x)
-                np.copyto(x_per_device, x_column)
-                downlink_rates(lam, eta, rate_on[t], out=x_dl)
-                x_dl.sum(axis=1, out=inflow)
+                step(rate_on[t], link_on[t])
                 delivered[t] = inflow
-                best = actions.max_weight(eta, out=w)
-                if policy == PSEUDO_BROADCAST_NO_NC:
-                    # plain copies fail unless every member link is ON
-                    all_on = (link_on[t] >= actions.members[best]).all(axis=(1, 2))
-                    np.multiply(actions.service[best], all_on[:, None, None], out=g)
-                else:
-                    np.multiply(actions.service[best], link_on[t], out=g)
-                update_queues(prices, arrivals, departures, beta, n)
         delivered = delivered.transpose(1, 0, 2)
     half = t_max // 2
     return SimulateReport([SeedRun(s, delivered[k, half:].mean(axis=0))

@@ -303,7 +303,8 @@ def bench(m_values: Iterable[int], n: int, seconds: float,
 
     Each m gets `seconds` of encoding and `seconds` of decoding, cut into
     _BENCH_SLICES slices that alternate across the m values; a rate is
-    the median over its slices.
+    the median over its slices, and `*_q1_mbps`/`*_q3_mbps` are the
+    slices' quartiles, which show how far host contention spread them.
     """
     # reject bad sizes before drawing: draw_coefficients(0) never returns
     generations = [GenerationParams(m=m, n=n) for m in m_values]
@@ -335,7 +336,14 @@ def bench(m_values: Iterable[int], n: int, seconds: float,
 
             enc.append(_rate(budget, encode_generation))
             dec.append(_rate(budget, decode_generation))
-    return [{"m": params.m,
-             "encode_mbps": float(np.median(enc)) * params.segment_bytes * 8 / 1e6,
-             "decode_mbps": float(np.median(dec)) * params.segment_bytes * 8 / 1e6}
-            for (params, _, _), (enc, dec) in zip(setups, rates)]
+    results = []
+    for (params, _, _), (enc, dec) in zip(setups, rates):
+        mbps = params.segment_bytes * 8 / 1e6
+        row = {"m": params.m,
+               "encode_mbps": float(np.median(enc)) * mbps,
+               "decode_mbps": float(np.median(dec)) * mbps}
+        for kind, per_slice in (("encode", enc), ("decode", dec)):
+            q1, q3 = np.percentile(per_slice, (25, 75))
+            row[f"{kind}_q1_mbps"], row[f"{kind}_q3_mbps"] = float(q1) * mbps, float(q3) * mbps
+        results.append(row)
+    return results

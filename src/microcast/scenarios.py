@@ -441,14 +441,16 @@ def _congested_recipe(seeds) -> RecipeOutput:
                          ["protocol", "n_devices"], ["avg_rate_bps"])
 
 
-BENCH_COLUMNS = ["m", "encode_mbps", "decode_mbps"]
+# per m: the median slice rates, then their quartiles
+BENCH_COLUMNS = ["m", "encode_mbps", "decode_mbps", "encode_q1_mbps", "encode_q3_mbps",
+                 "decode_q1_mbps", "decode_q3_mbps"]
 
 
 def codec_bench(name: str, header: str, m_values, n: int, seconds: float,
                 seed: int) -> RecipeOutput:
     """One `rlnc.bench` run as BENCH_COLUMNS rows."""
     m_values = list(m_values)
-    rows = [[r["m"], r["encode_mbps"], r["decode_mbps"]]
+    rows = [[r[c] for c in BENCH_COLUMNS]
             for r in rlnc.bench(m_values, n, seconds=seconds, seed=seed)]
     comments = [
         header,

@@ -57,6 +57,25 @@ def test_criterion_2_codec_throughput(results_dir):
     report(acceptance.evaluate_codec_throughput(results_dir))
 
 
+def test_criterion_2_names_an_inverted_pair_with_both_spreads(tmp_path):
+    # decode at m=25 reads below m=32; the medians still decide the verdict
+    rows = [[16, 99.0, 98.0, 95.0, 101.0, 94.0, 99.5],
+            [25, 64.0, 50.0, 60.0, 66.0, 45.5, 65.0],
+            [32, 54.0, 53.5, 52.0, 55.0, 51.0, 54.25],
+            [64, 29.0, 28.5, 28.0, 30.0, 27.0, 29.0]]
+    scenarios.write_csv(str(tmp_path / "fig7b.csv"), ["recipe: fig7b"],
+                        scenarios.BENCH_COLUMNS, rows)
+    r = acceptance.evaluate_codec_throughput(str(tmp_path))
+    assert not r.passed and "monotone=no" in r.measured
+    assert r.detail == ("decode m=25 50.0 (quartiles 45.5-65.0) not above "
+                        "m=32 53.5 (quartiles 51.0-54.2)")
+    rows[1][2] = 60.0
+    scenarios.write_csv(str(tmp_path / "fig7b.csv"), ["recipe: fig7b"],
+                        scenarios.BENCH_COLUMNS, rows)
+    r = acceptance.evaluate_codec_throughput(str(tmp_path))
+    assert r.passed and r.detail == ""
+
+
 def test_criterion_3_solver_tracks_oracle():
     report(acceptance.evaluate_solver_oracle())
 

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -21,14 +22,9 @@ from microcast.num import (
     SolverConfig,
     Topology,
     centralized_oracle,
-    downlink_rates,
     enumerate_hyperarcs,
-    flow_control,
-    hyperarc_weights,
     simulate,
     stream_cap,
-    unicast_weights,
-    update_queues,
 )
 
 
@@ -79,50 +75,44 @@ def random_etas(rng, n, seeds=3):
 
 
 def picked(actions, best, k):
-    """Seed k's (sender, receiver set) from max_weight, or None if it idles."""
+    """Seed k's (sender, receiver set) from one step, or None if it idles."""
     return actions.arcs[best[k] - 1] if best[k] else None
 
 
 # ---------------------------------------------------------------- closed forms
+#
+# The control laws as separate allocating functions. Each performs the same
+# float operations in the same order as `build_iteration`'s step, which must
+# match them bit for bit.
 
 
-def test_flow_control_inverse_marginal_utility():
-    topo = Topology.uniform(4, cell_capacity=1.0)
-    cap = stream_cap(topo, SolverConfig(x_cap=4.0))
-    with np.errstate(divide="ignore"):
-        x = flow_control(np.array([[0.3, 0.2, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]]), cap)
-        assert x[0] == pytest.approx(2.0)
-        # all-zero prices saturate at the cap
-        assert x[1] == 4.0
-        # default cap is the raw cellular sum
-        assert flow_control(np.zeros((1, 4)), stream_cap(topo))[0] == 4.0
-    assert flow_control(np.array([[100.0, 0, 0, 0]]), stream_cap(topo))[0] == pytest.approx(0.01)
+def flow_control_ref(lam, cap):
+    """Stream rate per seed maximizing log x - x * sum(lam), clamped to cap."""
+    return np.minimum(1.0 / lam.sum(axis=1), cap)
 
 
-def test_downlink_bang_bang():
-    topo = Topology.uniform(2, cell_capacity=2.0, cell_loss=0.25)
-    lam = np.array([[1.0, 0.1], [1.0, 0.5]])
-    eta = np.array([[[0.0, 0.5], [0.2, 0.0]]] * 2)
-    x_dl = downlink_rates(lam, eta, topo.downlink_caps[None, :, None])
-    # expected goodput 1.5 wherever lam_j - eta_ij > 0
-    assert x_dl[0, 0, 0] == 1.5  # own queue: lam_0 > 0
-    assert x_dl[0, 0, 1] == 0.0  # 0.1 - 0.5 < 0
-    assert x_dl[0, 1, 0] == 1.5  # 1.0 - 0.2 > 0
-    assert x_dl[0, 1, 1] == 1.5
-    assert x_dl[1, 0, 1] == 0.0  # 0.5 - 0.5 not > 0
+def downlink_rates_ref(lam, eta, rate):
+    """Device i pulls at its rate (S,n,1) for every j with lam_j > eta_ij."""
+    return (lam[:, None, :] > eta) * rate
 
 
-def test_queue_updates_project_to_zero():
-    # stacked layout, n = 2: lam_0 lam_1 | eta_00 eta_01 eta_10 eta_11
-    prices = np.array([[0.1, 0.0, 0.0, 0.02, 0.3, 0.0]])
-    # x per device | x_dl, where each device also pulls for itself
-    arrivals = np.array([[1.0, 1.0, 2.0, 0.0, 0.0, 2.0]])
-    departures = np.array([[5.0, 0.0, 0.0, 1.0, 1.0, 0.0]])  # inflow | g
-    assert update_queues(prices, arrivals, departures, 0.05, 2) is prices
-    lam, eta = prices[:, :2], prices[:, 2:].reshape(1, 2, 2)
-    assert lam[0, 0] == 0.0 and lam[0, 1] == pytest.approx(0.05)
-    assert eta[0, 0, 1] == 0.0 and eta[0, 1, 0] == pytest.approx(0.25)
-    assert eta[0, 0, 0] == 0.0 and eta[0, 1, 1] == 0.0  # diagonal pinned
+def hyperarc_weights_ref(eta, arcs, policy):
+    """(sum_j eta_ij) * kappa per hyperarc (S, arcs), summed per sender block."""
+    blocks = eta[:, :, None, :] * arcs.block_mask
+    return np.add.reduce(blocks.reshape(len(eta), -1, arcs.n), axis=-1) * arcs.kappa(policy)
+
+
+def unicast_weights_ref(eta, topo):
+    """eta_ij * goodput_ij per link (S, n*n), row-major."""
+    return eta.reshape(len(eta), -1) * topo.local_capacity.ravel() * (1.0 - topo.local_loss).ravel()
+
+
+def service_ref(actions, best, link_on):
+    """g: the chosen actions' service on their ON links; plain copies need all ON."""
+    if actions.policy == PSEUDO_BROADCAST_NO_NC:
+        all_on = (link_on >= actions.members[best]).all(axis=(1, 2))
+        return actions.service[best] * all_on[:, None, None]
+    return actions.service[best] * link_on
 
 
 def update_queues_ref(lam, eta, x, inflow, x_dl, g, beta):
@@ -131,6 +121,81 @@ def update_queues_ref(lam, eta, x, inflow, x_dl, g, beta):
     eta = np.maximum(eta + beta * (x_dl - g), 0.0)
     eta.reshape(len(eta), -1)[:, :: eta.shape[-1] + 1] = 0.0
     return lam, eta
+
+
+def one_step(actions, eta, lam=None, rate=None, link=None, cap=4.0):
+    """Build the iteration as `simulate` does, set the prices, run one step.
+
+    Every buffer the step writes starts as NaN, so a result that misses its
+    buffer shows. Returns the action and views of the buffers afterwards;
+    the rates default to 0 and every local link to ON.
+    """
+    s, n = eta.shape[:2]
+    step, buffers = num.build_iteration(actions, cap, s)
+    buffers.prices[:, :n] = 0.0 if lam is None else lam
+    buffers.prices[:, n:] = eta.reshape(s, -1)
+    for buffer in (buffers.arrivals, buffers.departures, buffers.weights[:, 1:]):
+        buffer.fill(np.nan)
+    with np.errstate(divide="ignore"):
+        best = step(np.zeros((s, n, 1)) if rate is None else rate,
+                    np.ones((s, n, n), dtype=bool) if link is None else link)
+    arrivals, departures, prices = buffers.arrivals, buffers.departures, buffers.prices
+    return SimpleNamespace(
+        best=best, x=arrivals[:, :n], x_dl=arrivals[:, n:].reshape(s, n, n),
+        inflow=departures[:, :n], g=departures[:, n:].reshape(s, n, n),
+        weights=buffers.weights, lam=prices[:, :n], eta=prices[:, n:].reshape(s, n, n))
+
+
+def test_flow_control_inverse_marginal_utility():
+    topo = Topology.uniform(4, cell_capacity=1.0)
+    actions = LocalActions(topo, UNICAST)
+    lam = np.array([[0.3, 0.2, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]])
+    x = one_step(actions, np.zeros((2, 4, 4)), lam=lam,
+                 cap=stream_cap(topo, SolverConfig(x_cap=4.0))).x
+    assert (x == x[:, :1]).all()  # one stream rate per seed, on every device
+    assert x[0, 0] == pytest.approx(2.0)
+    # all-zero prices saturate at the cap
+    assert x[1, 0] == 4.0
+    # default cap is the raw cellular sum
+    assert one_step(actions, np.zeros((1, 4, 4)), cap=stream_cap(topo)).x[0, 0] == 4.0
+    lam = np.array([[100.0, 0, 0, 0]])
+    assert one_step(actions, np.zeros((1, 4, 4)), lam=lam,
+                    cap=stream_cap(topo)).x[0, 0] == pytest.approx(0.01)
+
+
+def test_downlink_bang_bang():
+    topo = Topology.uniform(2, cell_capacity=2.0, cell_loss=0.25)
+    lam = np.array([[1.0, 0.1], [1.0, 0.5]])
+    eta = np.array([[[0.0, 0.5], [0.2, 0.0]]] * 2)
+    got = one_step(LocalActions(topo, UNICAST), eta, lam=lam,
+                   rate=np.broadcast_to(topo.downlink_caps[None, :, None], (2, 2, 1)))
+    x_dl = got.x_dl
+    # expected goodput 1.5 wherever lam_j - eta_ij > 0
+    assert x_dl[0, 0, 0] == 1.5  # own queue: lam_0 > 0
+    assert x_dl[0, 0, 1] == 0.0  # 0.1 - 0.5 < 0
+    assert x_dl[0, 1, 0] == 1.5  # 1.0 - 0.2 > 0
+    assert x_dl[0, 1, 1] == 1.5
+    assert x_dl[1, 0, 1] == 0.0  # 0.5 - 0.5 not > 0
+    assert got.inflow.tolist() == [[3.0, 1.5], [3.0, 1.5]]
+
+
+def test_queue_updates_project_to_zero(monkeypatch):
+    monkeypatch.setattr(num, "STEP_SIZE", 0.05)
+    topo = Topology.uniform(2, cell_capacity=1.0, local_capacity=1.0)
+    lam = np.array([[0.1, 0.0]])  # x = min(1 / 0.1, cap 2) = 2
+    eta = np.array([[[0.0, 0.02], [0.0, 0.0]]])
+    # both devices pull for device 0, each device also for itself
+    got = one_step(LocalActions(topo, UNICAST), eta, lam=lam, rate=np.full((1, 2, 1), 10.0),
+                   cap=stream_cap(topo))
+    assert got.x_dl.tolist() == [[[10.0, 0.0], [10.0, 0.0]]]
+    assert picked(LocalActions(topo, UNICAST), got.best, 0) == (0, (1,))
+    assert got.g[0, 0, 1] == 1.0
+    # lam_0 + 0.05 (2 - 20) and eta_01 + 0.05 (0 - 1) project to 0
+    assert got.lam[0, 0] == 0.0 and got.lam[0, 1] == pytest.approx(0.1)
+    assert got.eta[0, 0, 1] == 0.0 and got.eta[0, 1, 0] == pytest.approx(0.5)
+    # eta's diagonal has step 0, so x_dl_00 = 10 leaves it at +0
+    diagonal = got.eta[0, [0, 1], [0, 1]]
+    assert diagonal.tolist() == [0.0, 0.0] and not np.signbit(diagonal).any()
 
 
 # zero-heavy values with exact ties, plus arbitrary floats whose sums round
@@ -149,30 +214,8 @@ def zero_diagonal(eta):
     return eta
 
 
-@settings(max_examples=100, deadline=None)
-@given(st.data())
-def test_stacked_step_matches_two_formula_step(data):
-    n = data.draw(st.integers(1, 8), label="n")
-    s = data.draw(st.integers(1, 3), label="seeds")
-    beta = data.draw(st.sampled_from([0.01, 0.05, 0.3]), label="beta")
-    lam, inflow = draw_grid(data, (s, n), "lam"), draw_grid(data, (s, n), "inflow")
-    eta = zero_diagonal(draw_grid(data, (s, n, n), "eta"))
-    x = draw_grid(data, (s,), "x")
-    x_dl, g = draw_grid(data, (s, n, n), "x_dl"), draw_grid(data, (s, n, n), "g")
-    prices = np.concatenate([lam, eta.reshape(s, -1)], axis=1)
-    arrivals = np.concatenate([np.repeat(x[:, None], n, axis=1), x_dl.reshape(s, -1)], axis=1)
-    departures = np.concatenate([inflow, g.reshape(s, -1)], axis=1)
-    update_queues(prices, arrivals, departures, beta, n)
-    want_lam, want_eta = update_queues_ref(lam, eta, x, inflow, x_dl, g, beta)
-    assert prices[:, :n].tobytes() == want_lam.tobytes()
-    assert prices[:, n:].tobytes() == want_eta.reshape(s, -1).tobytes()
-    assert not prices[:, n:].reshape(s, n, n)[:, np.arange(n), np.arange(n)].any()
-    assert (prices >= 0.0).all()
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.data())
-def test_out_paths_write_the_allocating_bytes(data):
+def draw_step(data, levels=LEVELS):
+    """A policy's actions on a random group, and one iteration's inputs."""
     n = data.draw(st.integers(1, 8), label="n")
     s = data.draw(st.integers(1, 3), label="seeds")
     policy = data.draw(st.sampled_from([PSEUDO_BROADCAST, PSEUDO_BROADCAST_NO_NC, UNICAST]),
@@ -180,39 +223,69 @@ def test_out_paths_write_the_allocating_bytes(data):
     topo = Topology(
         cell_capacity=np.ones(n), cell_loss=np.zeros(n),
         local_capacity=draw_grid(data, (n, n), "capacity", st.sampled_from([1.0, 2.0, 10.0])),
-        local_loss=draw_grid(data, (n, n), "loss", st.sampled_from([0.0, 0.2, 0.5])))
-    lam = draw_grid(data, (s, n), "lam")
+        local_loss=draw_grid(data, (n, n), "loss", st.sampled_from([0.0, 0.2, 0.5])),
+        gamma=data.draw(st.sampled_from([1.0, 0.7]), label="gamma"))
+    lam = draw_grid(data, (s, n), "lam", levels)
     eta = zero_diagonal(draw_grid(data, (s, n, n), "eta"))
-    rate = draw_grid(data, (s, n, 1), "rate")
+    rate = draw_grid(data, (s, n, 1), "rate", levels)
+    link = np.array(data.draw(st.lists(st.booleans(), min_size=s * n * n, max_size=s * n * n),
+                              label="link"), dtype=bool).reshape(s, n, n)
+    cap = data.draw(st.sampled_from([1.5, 3.0]), label="cap")
+    return LocalActions(topo, policy), lam, eta, rate, link, cap
 
-    # the weights land in the slice of the weight row that max_weight passes
-    actions = LocalActions(topo, policy)
-    w = np.full((s, len(actions.arcs) + 1), np.nan)
-    w[:, 0] = 0.0
-    out = w[:, 1:]
-    if policy == UNICAST:
-        want, got = unicast_weights(eta, topo), unicast_weights(eta, topo, out=out)
-    else:
-        arcs = actions.hyperarcs
-        want = hyperarc_weights(eta, arcs, policy)
-        got = hyperarc_weights(eta, arcs, policy, out=out)
-    assert got is out and w[:, 1:].tobytes() == want.tobytes()
-    w[:, 1:] = np.nan
-    best = actions.max_weight(eta, out=w)
-    assert w[:, 1:].tobytes() == want.tobytes()
-    assert best.tolist() == np.hstack([np.zeros((s, 1)), want]).argmax(axis=1).tolist()
 
-    # downlink rates land in the x_dl part of a stacked row
-    stacked = np.full((s, n + n * n), np.nan)
-    x_dl = stacked[:, n:].reshape(s, n, n)
-    assert downlink_rates(lam, eta, rate, out=x_dl) is x_dl
-    assert stacked[:, n:].tobytes() == downlink_rates(lam, eta, rate).tobytes()
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_stacked_step_matches_two_formula_step(data):
+    actions, lam, eta, rate, link, cap = draw_step(data)
+    got = one_step(actions, eta.copy(), lam=lam, rate=rate, link=link, cap=cap)
+    want_lam, want_eta = update_queues_ref(lam, eta, got.x[:, 0], got.inflow, got.x_dl, got.g,
+                                           STEP_SIZE)
+    assert got.lam.tobytes() == want_lam.tobytes()
+    assert got.eta.tobytes() == want_eta.tobytes()
+    assert (got.lam >= 0.0).all() and (got.eta >= 0.0).all()
 
-    x = np.full(s, np.nan)
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_step_vector_keeps_eta_diagonal_at_positive_zero(data):
+    # every lam_j > 0 = eta_jj, so each device pulls for itself at a
+    # positive rate: x_dl_jj - g_jj > 0 on the diagonal, and beta times it
+    # would move eta_jj off zero
+    positive = st.floats(0.01, 3.0)
+    actions, lam, eta, rate, link, cap = draw_step(data, levels=positive)
+    n = actions.topo.n
+    got = one_step(actions, eta.copy(), lam=lam, rate=rate, link=link, cap=cap)
+    diagonal = (slice(None), np.arange(n), np.arange(n))
+    assert (got.x_dl[diagonal] > 0.0).all()
+    assert not got.eta[diagonal].any() and not np.signbit(got.eta[diagonal]).any()
+    want_lam, want_eta = update_queues_ref(lam, eta, got.x[:, 0], got.inflow, got.x_dl, got.g,
+                                           STEP_SIZE)
+    assert got.lam.tobytes() == want_lam.tobytes()
+    assert got.eta.tobytes() == want_eta.tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_out_paths_write_the_allocating_bytes(data):
+    # every buffer the step writes in place holds the allocating law's bytes
+    actions, lam, eta, rate, link, cap = draw_step(data)
+    got = one_step(actions, eta.copy(), lam=lam, rate=rate, link=link, cap=cap)
     with np.errstate(divide="ignore"):
-        want = flow_control(lam, 3.0)
-        assert flow_control(lam, 3.0, out=x) is x
-    assert x.tobytes() == want.tobytes()
+        x = flow_control_ref(lam, cap)
+    assert got.x.tobytes() == np.repeat(x[:, None], actions.topo.n, axis=1).tobytes()
+    x_dl = downlink_rates_ref(lam, eta, rate)
+    assert got.x_dl.tobytes() == x_dl.tobytes()
+    assert got.inflow.tobytes() == x_dl.sum(axis=1).tobytes()
+    if actions.policy == UNICAST:
+        want = unicast_weights_ref(eta, actions.topo)
+    else:
+        want = hyperarc_weights_ref(eta, actions.hyperarcs, actions.policy)
+    assert not got.weights[:, 0].any()
+    assert got.weights[:, 1:].tobytes() == want.tobytes()
+    best = np.hstack([np.zeros((len(eta), 1)), want]).argmax(axis=1)
+    assert got.best.tolist() == best.tolist()
+    assert got.g.tobytes() == service_ref(actions, best, link).tobytes()
 
 
 # ------------------------------------------------------------------ scheduling
@@ -236,13 +309,12 @@ def test_schedule_single_backlogged_arc():
     eta[0, 0, 1] = 5.0  # seed 0: only 0 -> 1 is backlogged
     eta[1, 1, 0] = 5.0  # seed 1: only 1 -> 0
     actions = LocalActions(topo, PSEUDO_BROADCAST)
-    best = actions.max_weight(eta)
+    got = one_step(actions, eta)
+    best = got.best
     assert picked(actions, best, 0) == (0, (1,)) and picked(actions, best, 1) == (1, (0,))
     # the weight counts goodput; the airtime goes out at the raw rate
-    assert hyperarc_weights(eta, actions.hyperarcs, PSEUDO_BROADCAST)[0].max() == pytest.approx(
-        5.0 * 3.0 * 0.8
-    )
-    g = actions.service[best[0]]
+    assert got.weights[0].max() == pytest.approx(5.0 * 3.0 * 0.8)
+    g = got.g[0]
     assert g[0, 1] == pytest.approx(3.0 * topo.gamma)
     assert g.sum() == pytest.approx(g[0, 1])
     assert actions.members[best[0]].sum() == 1
@@ -252,8 +324,8 @@ def test_schedule_idles_without_backlog():
     topo = Topology.uniform(3, local_capacity=2.0)
     for policy in (PSEUDO_BROADCAST, UNICAST):
         actions = LocalActions(topo, policy)
-        best = actions.max_weight(np.zeros((2, 3, 3)))
-        assert (best == 0).all() and not actions.service[best].any()
+        got = one_step(actions, np.zeros((2, 3, 3)))
+        assert (got.best == 0).all() and not got.g.any()
 
 
 def test_schedule_matches_brute_force():
@@ -270,8 +342,8 @@ def test_schedule_matches_brute_force():
         eta = random_etas(rng, n)
         for policy in (PSEUDO_BROADCAST, PSEUDO_BROADCAST_NO_NC):
             actions = LocalActions(topo, policy)
-            best = actions.max_weight(eta)
-            weights = hyperarc_weights(eta, actions.hyperarcs, policy)
+            got = one_step(actions, eta)
+            best, weights = got.best, got.weights[:, 1:]
             for k in range(len(eta)):
                 key, w = schedule_ref(eta[k], topo, policy)
                 assert picked(actions, best, k) == key
@@ -289,7 +361,7 @@ def test_schedule_matches_brute_force():
                 assert weights[k, best[k] - 1] == weights[k].max()
                 assert actions.hyperarcs.kappa(policy)[best[k] - 1] == pytest.approx(kappa)
                 raw = min(topo.local_capacity[i, j] for j in members)
-                g = actions.service[best[k]]
+                g = got.g[k]
                 for j in members:
                     assert g[i, j] == pytest.approx(raw * topo.gamma)
                 assert np.count_nonzero(g) == len(members)
@@ -307,15 +379,15 @@ def test_unicast_schedule_matches_brute_force():
         )
         eta = random_etas(rng, n)
         actions = LocalActions(topo, UNICAST)
-        best = actions.max_weight(eta)
-        weights = unicast_weights(eta, topo)
+        got = one_step(actions, eta)
+        best, weights = got.best, got.weights[:, 1:]
         for k in range(len(eta)):
             w = eta[k] * topo.local_capacity * (1 - topo.local_loss)
             np.fill_diagonal(w, 0.0)
             i, j = np.unravel_index(np.argmax(w), w.shape)
             assert picked(actions, best, k) == (i, (j,))
             assert weights[k].max() == pytest.approx(w[i, j])
-            g = actions.service[best[k]]
+            g = got.g[k]
             assert g[i, j] == pytest.approx(topo.local_capacity[i, j] * topo.gamma)
             assert np.count_nonzero(g) == 1
 
@@ -330,14 +402,16 @@ def test_singleton_hyperarcs_reduce_to_unicast_weights():
         local_loss=rng.uniform(0.0, 0.6, (n, n)),
     )
     eta = random_etas(rng, n, seeds=2)
-    arcs = HyperarcSet(topo)
-    uni = unicast_weights(eta, topo).reshape(eta.shape)
+    uni = one_step(LocalActions(topo, UNICAST), eta).weights[:, 1:].reshape(eta.shape)
     for policy in (PSEUDO_BROADCAST, PSEUDO_BROADCAST_NO_NC):
-        w = hyperarc_weights(eta, arcs, policy)
+        actions = LocalActions(topo, policy)
+        w = one_step(actions, eta).weights[:, 1:]
+        singletons = [(k, i, members[0]) for k, (i, members) in enumerate(actions.arcs)
+                      if len(members) == 1]
+        assert singletons
         for s in range(len(eta)):
-            for k, (i, members) in enumerate(arcs.arcs):
-                if len(members) == 1:
-                    assert w[s, k] == pytest.approx(uni[s, i, members[0]])
+            for k, i, j in singletons:
+                assert w[s, k] == pytest.approx(uni[s, i, j])
 
 
 def test_schedule_tie_breaks_lexicographic():
@@ -348,7 +422,7 @@ def test_schedule_tie_breaks_lexicographic():
     eta[:, np.arange(3), np.arange(3)] = 0.0
     eta[1, 0] = 0.0
     actions = LocalActions(topo, PSEUDO_BROADCAST)
-    best = actions.max_weight(eta)
+    best = one_step(actions, eta).best
     assert picked(actions, best, 0) == (0, (1, 2)) and picked(actions, best, 1) == (1, (0, 2))
     # heavy loss makes the pair arc worthless under plain copies; the two
     # singleton arcs of one sender tie and the smaller receiver set wins
@@ -357,14 +431,14 @@ def test_schedule_tie_breaks_lexicographic():
     eta[0, 0, 1] = eta[0, 0, 2] = 2.0
     eta[1, 2, 0] = eta[1, 2, 1] = 2.0
     actions = LocalActions(topo, PSEUDO_BROADCAST_NO_NC)
-    best = actions.max_weight(eta)
+    best = one_step(actions, eta).best
     assert picked(actions, best, 0) == (0, (1,)) and picked(actions, best, 1) == (2, (0,))
 
 
 def max_weight_ref(eta, topo):
     """Pseudo-broadcast max-weight by brute force over `enumerate_hyperarcs`.
 
-    Weighs every arc as `hyperarc_weights` does (a masked add.reduce over
+    Weighs every arc as `hyperarc_weights_ref` does (a masked add.reduce over
     the sender's eta row times the minimum member goodput) and returns the
     first arc of maximal positive weight and that weight, or (None, 0.0).
     """
@@ -403,8 +477,8 @@ def test_threshold_scan_matches_enumeration(data):
                     local_capacity=capacity, local_loss=loss)
     eta = zero_diagonal(draw_grid(data, (s, n, n), "eta", TIE_LEVELS))
     actions = LocalActions(topo, PSEUDO_BROADCAST)
-    w = np.zeros((s, len(actions.arcs) + 1))
-    best = actions.max_weight(eta, out=w)
+    got = one_step(actions, eta)
+    best, w = got.best, got.weights
     for k in range(s):
         key, want = max_weight_ref(eta[k], topo)
         assert picked(actions, best, k) == key
@@ -440,11 +514,10 @@ def test_lossless_no_nc_is_pseudo_broadcast(data):
     actions = LocalActions(topo, PSEUDO_BROADCAST_NO_NC)
     assert actions.arcs == num.threshold_prefixes(topo)
     eta = zero_diagonal(draw_grid(data, (s, n, n), "eta", TIE_LEVELS))
-    w = np.zeros((s, len(actions.arcs) + 1))
-    best = actions.max_weight(eta, out=w)
+    got = one_step(actions, eta)
+    best, w = got.best, got.weights
     full = HyperarcSet(topo)
-    w_full = np.zeros((s, len(full.arcs) + 1))
-    hyperarc_weights(eta, full, PSEUDO_BROADCAST_NO_NC, out=w_full[:, 1:])
+    w_full = np.hstack([np.zeros((s, 1)), hyperarc_weights_ref(eta, full, PSEUDO_BROADCAST_NO_NC)])
     best_full = w_full.argmax(axis=1)
     for k in range(s):
         want = full.arcs[best_full[k] - 1] if best_full[k] else None
@@ -466,8 +539,8 @@ def test_absorbed_backlog_tie_goes_to_a_strict_prefix():
     eta = np.zeros((1, 4, 4))
     eta[0, 0, 1:] = [1.0, 1.0, 1e-17]
     actions = LocalActions(topo, PSEUDO_BROADCAST)
-    w = np.zeros((1, len(actions.arcs) + 1))
-    best = actions.max_weight(eta, out=w)
+    got = one_step(actions, eta)
+    best, w = got.best, got.weights
     assert picked(actions, best, 0) == max_weight_ref(eta[0], topo)[0] == (0, (1, 2))
     assert w[0, best[0]] == 2.0
     # a sender whose goodputs differ: {3} alone ties the widest set
@@ -477,7 +550,7 @@ def test_absorbed_backlog_tie_goes_to_a_strict_prefix():
                     local_loss=np.zeros((4, 4)))
     eta[0, 0, 1:] = [1.0, 1.0, 2.0]
     actions = LocalActions(topo, PSEUDO_BROADCAST)
-    best = actions.max_weight(eta)
+    best = one_step(actions, eta).best
     assert picked(actions, best, 0) == max_weight_ref(eta[0], topo)[0] == (0, (1, 2, 3))
 
 

@@ -17,7 +17,8 @@ A run's digest covers its event log, metrics, final `sim.now`,
 contributes its message and its log instead.
 
 It then draws one `num.simulate` call for each group size n = 1..8 and
-each policy, with 1 or 4 seeds and 100 to 300 iterations:
+each policy, with 1, 4 or 10 seeds (10 is every fig4/fig5 recipe's batch)
+and 100 to 300 iterations:
 - cellular capacities equal or mixed, with or without cell loss;
 - local capacities uniform or mixed, on a lossless or a lossy medium;
 - gamma 1 or not, `x_cap` set or unset.
@@ -105,7 +106,7 @@ def draw_solve(rng: random.Random, n: int,
                         gamma=rng.choice((1.0, rng.uniform(0.5, 2.0))))
     cfg = num.SolverConfig(
         policy=policy, iterations=rng.randint(100, 300),
-        seeds=[rng.randrange(2**32) for _ in range(rng.choice((1, 4)))],
+        seeds=[rng.randrange(2**32) for _ in range(rng.choice((1, 4, 10)))],
         x_cap=rng.choice((None, rng.uniform(0.5, 4.0))))
     return topo, cfg
 
