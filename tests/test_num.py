@@ -238,7 +238,7 @@ def draw_step(data, levels=LEVELS):
 @given(st.data())
 def test_stacked_step_matches_two_formula_step(data):
     actions, lam, eta, rate, link, cap = draw_step(data)
-    got = one_step(actions, eta.copy(), lam=lam, rate=rate, link=link, cap=cap)
+    got = one_step(actions, eta, lam=lam, rate=rate, link=link, cap=cap)
     want_lam, want_eta = update_queues_ref(lam, eta, got.x[:, 0], got.inflow, got.x_dl, got.g,
                                            STEP_SIZE)
     assert got.lam.tobytes() == want_lam.tobytes()
@@ -255,7 +255,7 @@ def test_step_vector_keeps_eta_diagonal_at_positive_zero(data):
     positive = st.floats(0.01, 3.0)
     actions, lam, eta, rate, link, cap = draw_step(data, levels=positive)
     n = actions.topo.n
-    got = one_step(actions, eta.copy(), lam=lam, rate=rate, link=link, cap=cap)
+    got = one_step(actions, eta, lam=lam, rate=rate, link=link, cap=cap)
     diagonal = (slice(None), np.arange(n), np.arange(n))
     assert (got.x_dl[diagonal] > 0.0).all()
     assert not got.eta[diagonal].any() and not np.signbit(got.eta[diagonal]).any()
@@ -270,7 +270,7 @@ def test_step_vector_keeps_eta_diagonal_at_positive_zero(data):
 def test_out_paths_write_the_allocating_bytes(data):
     # every buffer the step writes in place holds the allocating law's bytes
     actions, lam, eta, rate, link, cap = draw_step(data)
-    got = one_step(actions, eta.copy(), lam=lam, rate=rate, link=link, cap=cap)
+    got = one_step(actions, eta, lam=lam, rate=rate, link=link, cap=cap)
     with np.errstate(divide="ignore"):
         x = flow_control_ref(lam, cap)
     assert got.x.tobytes() == np.repeat(x[:, None], actions.topo.n, axis=1).tobytes()
