@@ -12,8 +12,8 @@ from __future__ import annotations
 import itertools
 import struct
 import time
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
-from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -87,22 +87,47 @@ class CodedPacket:
         return cls(seg, np.frombuffer(buf, dtype=np.uint8, offset=HEADER_BYTES).copy(), m)
 
 
-def split_segment(segment_id: int, data: bytes, params: GenerationParams) -> list[PlainPacket]:
+class Generation(Sequence[PlainPacket]):
+    """One segment's m plain packets, prepared once for encoding.
+
+    It reads as the list of its PlainPackets and carries two read-only
+    arrays: `matrix`, the (m, n) payloads over the segment's bytes, and
+    `index`, its `gf256.gather_index` (2 bytes per payload byte), so a
+    coded packet costs one table copy, one gather and one XOR-reduce.
+    """
+
+    __slots__ = ("segment_id", "params", "matrix", "index")
+
+    def __init__(self, segment_id: int, data: bytes, params: GenerationParams):
+        self.segment_id, self.params = segment_id, params
+        self.matrix = np.frombuffer(data, dtype=np.uint8).reshape(params.m, params.n)
+        self.index = gf256.gather_index(self.matrix)
+        self.matrix.flags.writeable = self.index.flags.writeable = False
+
+    def __len__(self) -> int:
+        return self.params.m
+
+    def __getitem__(self, k):
+        picked = range(self.params.m)[k]
+        if isinstance(picked, range):
+            return [self[i] for i in picked]
+        return PlainPacket(self.segment_id, picked, self.matrix[picked].tobytes())
+
+
+def split_segment(segment_id: int, data: bytes, params: GenerationParams) -> Generation:
     """Cut one segment's bytes into m plain packets, zero-padding the tail.
 
     The true byte length travels in file metadata, not in the packets.
     """
     if len(data) > params.segment_bytes:
         raise ValueError("segment data longer than m*n")
-    padded = data + b"\x00" * (params.segment_bytes - len(data))
-    return [
-        PlainPacket(segment_id, k, padded[k * params.n : (k + 1) * params.n])
-        for k in range(params.m)
-    ]
+    return Generation(segment_id, data + bytes(params.segment_bytes - len(data)), params)
 
 
-def _payload_matrix(generation: Sequence[PlainPacket], params: GenerationParams) -> np.ndarray:
-    """The generation's payloads as a read-only (m, n) matrix, row k = index k."""
+def _prepared(generation: Sequence[PlainPacket], params: GenerationParams) -> Generation:
+    """The generation prepared; a list of plain packets is checked first."""
+    if isinstance(generation, Generation) and generation.params == params:
+        return generation
     if len(generation) != params.m:
         raise ValueError(
             f"generation incomplete: {len(generation)} packets, expected {params.m}"
@@ -117,7 +142,7 @@ def _payload_matrix(generation: Sequence[PlainPacket], params: GenerationParams)
         if len(pkt.payload) != params.n:
             raise ValueError(f"payload of packet {pkt.index} is not n={params.n} bytes")
         payloads[pkt.index] = pkt.payload
-    return np.frombuffer(b"".join(payloads), dtype=np.uint8).reshape(params.m, params.n)
+    return Generation(seg, b"".join(payloads), params)
 
 
 def draw_coefficients(m: int, rng: np.random.Generator) -> np.ndarray:
@@ -130,20 +155,17 @@ def draw_coefficients(m: int, rng: np.random.Generator) -> np.ndarray:
             return c
 
 
-def encode_matrix(
-    segment_id: int, matrix: np.ndarray, rng: np.random.Generator
-) -> CodedPacket:
-    m = matrix.shape[0]
-    coeff = draw_coefficients(m, rng)
-    return CodedPacket(segment_id,
-                       np.concatenate((coeff, gf256.gf_dot(coeff, matrix))), m)
-
-
 def encode(generation: Sequence[PlainPacket], rng: np.random.Generator,
            params: GenerationParams) -> CodedPacket:
-    """Draw a uniform nonzero coefficient vector and mix the generation."""
-    matrix = _payload_matrix(generation, params)
-    return encode_matrix(generation[0].segment_id, matrix, rng)
+    """Draw a uniform nonzero coefficient vector and mix the generation.
+
+    A generation from split_segment is used as prepared; any other list
+    of plain packets is checked and prepared on each call.
+    """
+    gen = _prepared(generation, params)
+    coeff = draw_coefficients(params.m, rng)
+    return CodedPacket(gen.segment_id,
+                       np.concatenate((coeff, gf256.gf_dot(coeff, gen.index))), params.m)
 
 
 class DecoderState:
@@ -210,10 +232,10 @@ class DecoderState:
         Rows are [e_k | payload_k]; recoding from this state draws the
         same distribution as encoding the generation afresh.
         """
-        state = cls.full(generation[0].segment_id, params)
-        payload = _payload_matrix(generation, params)
-        state.rows[:, params.m:] = payload
-        state._zero_payload = not payload.any()
+        gen = _prepared(generation, params)
+        state = cls.full(gen.segment_id, params)
+        state.rows[:, params.m:] = gen.matrix
+        state._zero_payload = not gen.matrix.any()
         return state
 
     def insert(self, packet: CodedPacket) -> bool:
@@ -313,19 +335,20 @@ def bench(m_values: Iterable[int], n: int, seconds: float,
     rng = np.random.default_rng(seed)
     setups = []
     for gen in generations:
-        matrix = rng.integers(0, 256, (gen.m, gen.n), dtype=np.uint8)
+        plain = split_segment(
+            0, rng.integers(0, 256, (gen.m, gen.n), dtype=np.uint8).tobytes(), gen)
         # pre-draw coded batches so decode timing excludes encoding
-        batches = [[encode_matrix(0, matrix, rng) for _ in range(gen.m + 8)]
+        batches = [[encode(plain, rng, gen) for _ in range(gen.m + 8)]
                    for _ in range(24)]
-        setups.append((gen, matrix, itertools.cycle(batches)))
+        setups.append((gen, plain, itertools.cycle(batches)))
 
     budget = seconds / _BENCH_SLICES
     rates = [([], []) for _ in setups]  # generations/s per slice: encode, decode
     for _ in range(_BENCH_SLICES):
-        for (params, matrix, batches), (enc, dec) in zip(setups, rates):
+        for (params, plain, batches), (enc, dec) in zip(setups, rates):
             def encode_generation():
                 for _ in range(params.m):
-                    encode_matrix(0, matrix, rng)
+                    encode(plain, rng, params)
 
             def decode_generation():
                 state = DecoderState(0, params)

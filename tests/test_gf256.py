@@ -25,6 +25,25 @@ def mul_ref(a: int, b: int) -> int:
     return acc
 
 
+def gf_mul(a: int, b: int) -> int:
+    """a * b read off the product table, one scalar at a time."""
+    return int(gf256.MUL[a, b])
+
+
+def gf_inv(a: int) -> int:
+    """a^-1 read off the inverse table."""
+    if a == 0:
+        raise ZeroDivisionError("0 has no multiplicative inverse in GF(256)")
+    return int(gf256.INV[a])
+
+
+def gf_div(a: int, b: int) -> int:
+    """a / b as a * b^-1."""
+    if b == 0:
+        raise ZeroDivisionError("division by 0 in GF(256)")
+    return gf_mul(a, int(gf256.INV[b]))
+
+
 def test_tables_match_oracle_exhaustively():
     for a in range(256):
         row = gf256.MUL[a]
@@ -34,29 +53,29 @@ def test_tables_match_oracle_exhaustively():
 
 def test_frozen_products():
     # 0x80 * 0x02 wraps once: 0x100 ^ 0x11d
-    assert gf256.gf_mul(0x80, 0x02) == 0x1D
+    assert gf_mul(0x80, 0x02) == 0x1D
     assert mul_ref(0x80, 0x02) == 0x1D
-    assert gf256.gf_mul(0, 0xAB) == 0
-    assert gf256.gf_mul(1, 0xAB) == 0xAB
+    assert gf_mul(0, 0xAB) == 0
+    assert gf_mul(1, 0xAB) == 0xAB
 
 
 def test_inverse_exhaustive():
     # sole inverse found by search must equal the table's
     for a in range(1, 256):
         found = [b for b in range(1, 256) if mul_ref(a, b) == 1]
-        assert found == [gf256.gf_inv(a)], a
+        assert found == [gf_inv(a)], a
 
 
 def test_frozen_inverse():
     # 2 * 0x8e = 0x11c, xor 0x11d = 1
-    assert gf256.gf_inv(0x02) == 0x8E
+    assert gf_inv(0x02) == 0x8E
 
 
 def test_inv_of_zero_raises():
     with pytest.raises(ZeroDivisionError):
-        gf256.gf_inv(0)
+        gf_inv(0)
     with pytest.raises(ZeroDivisionError):
-        gf256.gf_div(5, 0)
+        gf_div(5, 0)
 
 
 def test_field_axioms_sampled():
@@ -64,10 +83,10 @@ def test_field_axioms_sampled():
     trips = rng.integers(0, 256, size=(4000, 3))
     for a, b, c in trips:
         a, b, c = int(a), int(b), int(c)
-        assert gf256.gf_mul(a, b) == gf256.gf_mul(b, a)
-        assert gf256.gf_mul(a, gf256.gf_mul(b, c)) == gf256.gf_mul(gf256.gf_mul(a, b), c)
+        assert gf_mul(a, b) == gf_mul(b, a)
+        assert gf_mul(a, gf_mul(b, c)) == gf_mul(gf_mul(a, b), c)
         # addition is xor
-        assert gf256.gf_mul(a, b ^ c) == gf256.gf_mul(a, b) ^ gf256.gf_mul(a, c)
+        assert gf_mul(a, b ^ c) == gf_mul(a, b) ^ gf_mul(a, c)
 
 
 def test_division_round_trips():
@@ -75,7 +94,7 @@ def test_division_round_trips():
     for _ in range(2000):
         a = int(rng.integers(0, 256))
         b = int(rng.integers(1, 256))
-        assert gf256.gf_mul(gf256.gf_div(a, b), b) == a
+        assert gf_mul(gf_div(a, b), b) == a
 
 
 def test_vector_helpers_match_scalar_ops():
@@ -103,24 +122,40 @@ def test_gf_dot_empty_is_zero():
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_gf_dot_and_scale_rows_match_scalar_reference(data):
-    # widths down to 1 and zero-heavy coefficients, including k = 0
+    # widths down to 1 and zero-heavy coefficients, including k = 0; the
+    # matrix is the tail columns of a wider one, a non-contiguous view
+    # like a decoder's payload block rows[:, m:]
     k = data.draw(st.integers(0, 12), label="k")
     w = data.draw(st.integers(1, 48), label="w")
+    skip = data.draw(st.integers(0, 3), label="skip")
     coeffs = np.array(
         data.draw(st.lists(st.one_of(st.just(0), st.integers(0, 255)),
                            min_size=k, max_size=k), label="coeffs"),
         dtype=np.uint8)
-    mat = np.frombuffer(data.draw(st.binary(min_size=k * w, max_size=k * w),
-                                  label="matrix"), dtype=np.uint8).reshape(k, w)
+    size = k * (skip + w)
+    mat = np.frombuffer(data.draw(st.binary(min_size=size, max_size=size),
+                                  label="matrix"), dtype=np.uint8).reshape(k, skip + w)
+    mat = mat[:, skip:]
     want = [0] * w
     for r in range(k):
         for col in range(w):
             want[col] ^= mul_ref(int(coeffs[r]), int(mat[r, col]))
     out = gf256.gf_dot(coeffs, mat)
     assert out.dtype == np.uint8 and out.tolist() == want
-    # one row broadcast against every coefficient: the outer product
+    # the same combination read through the matrix's gather index, as
+    # built for one call and as a generation keeps it
+    index = gf256.gather_index(mat)
+    assert index.shape == (k, w)
+    for prepared in (index, index.astype(np.intp)):
+        out = gf256.gf_dot(coeffs, prepared)
+        assert out.dtype == np.uint8 and out.tolist() == want
+    # one row broadcast against every coefficient: the outer product, its
+    # coefficients a column of a matrix as in a decoder's held rows
     row = np.frombuffer(data.draw(st.binary(min_size=w, max_size=w), label="row"),
                         dtype=np.uint8)
-    outer = gf256.scale_rows(coeffs, row)
-    assert outer.shape == (k, w)
-    assert outer.tolist() == [[mul_ref(int(c), int(x)) for x in row] for c in coeffs]
+    column = np.zeros((k, 3), dtype=np.uint8)
+    column[:, 1] = coeffs
+    for scale in (coeffs, column[:, 1]):
+        outer = gf256.scale_rows(scale, row)
+        assert outer.dtype == np.uint8 and outer.shape == (k, w)
+        assert outer.tolist() == [[mul_ref(int(c), int(x)) for x in row] for c in coeffs]

@@ -1,11 +1,11 @@
 """tools/identity.py: the battery digest repeats in one tree, and a changed
-coefficient draw or solver step changes it."""
+coefficient draw, solver step or wide coded byte changes it."""
 
 import importlib.util
 import math
 import os
 
-from microcast import num, protocols
+from microcast import num, protocols, rlnc
 
 TOOL = os.path.join(os.path.dirname(__file__), os.pardir, "tools", "identity.py")
 RUNS = 12
@@ -47,6 +47,26 @@ def test_a_one_ulp_solver_step_changes_the_digest(monkeypatch):
     before = tool.battery_digest(seed=3, runs=0)
     monkeypatch.setattr(num, "STEP_SIZE", math.nextafter(num.STEP_SIZE, 1.0))
     assert tool.battery_digest(seed=3, runs=0) != before
+
+
+def test_one_wrong_byte_in_a_wide_packet_changes_the_digest(monkeypatch):
+    # the protocol battery's packets are 8 bytes wide; the codec battery
+    # must catch a fault that only wider packets show
+    tool = load_tool()
+    before = tool.battery_digest(seed=3, runs=0, codec=4)
+    real = rlnc.encode
+    widths = []
+
+    def encode_wide_off_by_one(generation, rng, params):
+        pkt = real(generation, rng, params)
+        widths.append(params.n)
+        if params.n > 8:
+            pkt.row[-1] ^= 1
+        return pkt
+
+    monkeypatch.setattr(rlnc, "encode", encode_wide_off_by_one)
+    assert tool.battery_digest(seed=3, runs=0, codec=4) != before
+    assert max(widths) > 8
 
 
 def test_main_prints_the_digest(capsys):

@@ -2,7 +2,7 @@
 
 rank_ref() below re-runs Gaussian elimination from scratch over the
 whole receive history on every call. It shares only the (separately
-verified) scalar field ops with the production decoder.
+verified) product and inverse tables with the production decoder.
 """
 
 import copy
@@ -38,12 +38,12 @@ def rank_ref(vectors) -> int:
         if pivot is None:
             continue
         rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = gf256.gf_inv(rows[rank][col])
-        rows[rank] = [gf256.gf_mul(inv, x) for x in rows[rank]]
+        inv = int(gf256.INV[rows[rank][col]])
+        rows[rank] = [int(gf256.MUL[inv, x]) for x in rows[rank]]
         for r in range(len(rows)):
             if r != rank and rows[r][col]:
                 c = rows[r][col]
-                rows[r] = [x ^ gf256.gf_mul(c, y) for x, y in zip(rows[r], rows[rank])]
+                rows[r] = [x ^ int(gf256.MUL[c, y]) for x, y in zip(rows[r], rows[rank])]
         rank += 1
     return rank
 
@@ -174,11 +174,21 @@ def test_incomplete_generation_rejected():
     rng = np.random.default_rng(8)
     params = GenerationParams(m=4, n=5)
     gen, _ = make_generation(rng, params)
-    with pytest.raises(ValueError, match="incomplete"):
-        encode(gen[:3], rng, params)
-    dup = [gen[0], gen[1], gen[2], gen[2]]
-    with pytest.raises(ValueError, match="duplicate"):
-        encode(dup, rng, params)
+    other, _ = make_generation(rng, params, segment_id=1)
+    short = PlainPacket(0, 3, gen[3].payload[:-1])
+    for packets, match in (
+            (gen[:3], "incomplete"),
+            ([gen[0], gen[1], gen[2], gen[2]], "duplicate"),
+            ([gen[0], gen[1], gen[2], PlainPacket(0, 4, gen[3].payload)], "index 4"),
+            ([gen[0], gen[1], gen[2], other[3]], "different segments"),
+            ([gen[0], gen[1], gen[2], short], "not n=5")):
+        with pytest.raises(ValueError, match=match):
+            encode(packets, rng, params)
+        with pytest.raises(ValueError, match=match):
+            DecoderState.from_plain(packets, params)
+    # a generation prepared under other params is checked like a list
+    with pytest.raises(ValueError, match="not n=6"):
+        encode(gen, rng, GenerationParams(m=4, n=6))
 
 
 def test_from_plain_equals_decoded_state():
@@ -299,6 +309,43 @@ def test_wire_format_rejects_bad_lengths():
         CodedPacket.from_bytes(buf + b"\x00")
     with pytest.raises(ValueError):
         CodedPacket.from_bytes(buf[:4])
+
+
+def encode_matrix_ref(segment_id, matrix, rng):
+    # the reference: draw, then combine the raw payload matrix
+    coeff = rlnc.draw_coefficients(matrix.shape[0], rng)
+    return CodedPacket(segment_id, np.concatenate((coeff, gf256.gf_dot(coeff, matrix))),
+                       matrix.shape[0])
+
+
+@settings(max_examples=80, deadline=None)
+@given(m=st.integers(1, 12), n=st.integers(1, 48), seed=st.integers(0, 2**32 - 1),
+       kind=st.sampled_from(["random", "zero", "one"]))
+def test_prepared_generation_encodes_like_the_raw_matrix(m, n, seed, kind):
+    rng = np.random.default_rng(seed)
+    params = GenerationParams(m=m, n=n)
+    data = _payload_data(kind, rng, params)
+    gen = split_segment(4, data, params)
+    matrix = np.frombuffer(data, dtype=np.uint8).reshape(m, n)
+    assert np.array_equal(gen.matrix, matrix)
+    assert not gen.matrix.flags.writeable and not gen.index.flags.writeable
+    # it reads as the list of its plain packets, and a hand-built copy of
+    # that list encodes and seeds a decoder alike
+    packets = [PlainPacket(4, k, data[k * n:(k + 1) * n]) for k in range(m)]
+    assert len(gen) == m and list(gen) == packets
+    assert gen[-1] == packets[-1] and list(gen[1:]) == packets[1:]
+    with pytest.raises(IndexError):
+        gen[m]
+    for source in (gen, packets):
+        ref_rng = copy.deepcopy(rng)
+        for _ in range(3):
+            pkt = encode(source, rng, params)
+            ref = encode_matrix_ref(4, matrix, ref_rng)
+            assert pkt.segment_id == 4 and pkt.m == m
+            assert pkt.row.dtype == np.uint8 and pkt.row.tobytes() == ref.row.tobytes()
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+    assert _same_state(DecoderState.from_plain(gen, params),
+                       DecoderState.from_plain(packets, params))
 
 
 def test_split_segment_pads_tail():

@@ -1,6 +1,6 @@
-"""Print one sha256 over a seeded random battery of protocol and solver runs.
+"""Print one sha256 over a seeded random battery of protocol, solver and codec runs.
 
-    PYTHONPATH=src python3 tools/identity.py --seed 0 --runs 400
+    PYTHONPATH=src python3 tools/identity.py --seed 0 --runs 400 --codec 32
 
 The seed draws each of the `--runs` protocol runs' `run_protocol` config:
 - 2 to 5 devices, 1 to all of them with a cellular link;
@@ -24,6 +24,15 @@ and 100 to 300 iterations:
 - gamma 1 or not, `x_cap` set or unset.
 A call's digest is the bytes of every seed's delivered rates.
 
+Last come `--codec` generations at packet width, m = 1..64 and
+n = 1..1500, of random, all-zero or short (zero-padded) data. Each is
+encoded until a decoder completes, every packet through the wire
+format; the decoder extracts, a relay holding half the packets recodes
+into a sink, and the full-rank state seeded from the plain packets
+recodes too. A generation's digest covers every coded row, every
+innovation flag, the decoders' rows, the extracted bytes and the rng
+state.
+
 Two trees ran the battery identically when they print the same digest:
 run the tool once with PYTHONPATH set to each tree's src.  Exit status
 is 0, or 2 for bad arguments.
@@ -36,7 +45,9 @@ import hashlib
 import random
 import sys
 
-from microcast import num
+import numpy as np
+
+from microcast import num, rlnc
 from microcast.netsim import (MODES, DeviceSpec, RateTrace, SimConfig,
                               SimStalled)
 from microcast.protocols import (ASSIGN_ADAPTIVE, ASSIGN_STATIC, PROTOCOLS,
@@ -119,9 +130,50 @@ def solve_digest(topo: num.Topology, cfg: num.SolverConfig) -> bytes:
     return total.digest()
 
 
-def battery_digest(seed: int, runs: int) -> str:
+def draw_generation(rng: random.Random) -> tuple[rlnc.GenerationParams, bytes, int]:
+    """One codec battery generation: its params, its data and an rng seed."""
+    params = rlnc.GenerationParams(m=rng.randint(1, 64), n=rng.randint(1, 1500))
+    kind = rng.choice(("random", "zero", "short"))
+    if kind == "zero":
+        data = bytes(params.segment_bytes)
+    else:
+        size = params.segment_bytes if kind == "random" else rng.randrange(params.segment_bytes)
+        data = rng.randbytes(size)
+    return params, data, rng.randrange(2**32)
+
+
+def codec_digest(params: rlnc.GenerationParams, data: bytes, seed: int) -> bytes:
+    """sha256 of every row, flag and extracted byte one generation produces."""
+    rng = np.random.default_rng(seed)
+    total = hashlib.sha256()
+    plain = rlnc.split_segment(9, data, params)
+    decoder, relay = rlnc.DecoderState(9, params), rlnc.DecoderState(9, params)
+    received = 0
+    while not decoder.complete:
+        pkt = rlnc.CodedPacket.from_bytes(rlnc.encode(plain, rng, params).to_bytes())
+        total.update(pkt.to_bytes())
+        total.update(bytes([decoder.insert(pkt)]))
+        received += 1
+        if received <= max(1, params.m // 2):
+            relay.insert(pkt)
+    total.update(decoder.rows.tobytes())
+    total.update(b"".join(p.payload for p in decoder.extract()))
+    sink = rlnc.DecoderState(9, params)
+    for source in (relay, rlnc.DecoderState.from_plain(plain, params)):
+        for _ in range(source.rank + 2):
+            pkt = rlnc.recode(source, rng)
+            total.update(pkt.to_bytes())
+            total.update(bytes([sink.insert(pkt)]))
+    total.update(relay.rows.tobytes())
+    total.update(sink.rows.tobytes())
+    total.update(repr(rng.bit_generator.state).encode())
+    return total.digest()
+
+
+def battery_digest(seed: int, runs: int, codec: int = 32) -> str:
     """One sha256 over the digests of `runs` protocol configs drawn from
-    `seed`, then of the solver battery drawn from it."""
+    `seed`, then of the solver battery and of `codec` generations drawn
+    from it."""
     rng = random.Random(seed)
     total = hashlib.sha256()
     for _ in range(runs):
@@ -130,6 +182,9 @@ def battery_digest(seed: int, runs: int) -> str:
     for n in range(1, 9):
         for policy in num.POLICIES:
             total.update(solve_digest(*draw_solve(rng, n, policy)))
+    rng = random.Random(f"codec {seed}")
+    for _ in range(codec):
+        total.update(codec_digest(*draw_generation(rng)))
     return total.hexdigest()
 
 
@@ -137,10 +192,13 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--runs", type=int, default=400)
+    parser.add_argument("--codec", type=int, default=32)
     args = parser.parse_args(argv)
     if args.runs < 1:
         parser.error("--runs must be at least 1")
-    print(battery_digest(args.seed, args.runs))
+    if args.codec < 0:
+        parser.error("--codec must not be negative")
+    print(battery_digest(args.seed, args.runs, args.codec))
     return 0
 
 
