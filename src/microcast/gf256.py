@@ -7,7 +7,9 @@ full 256x256 product table. A row operation gathers from the k x 256
 row table of its coefficients, MUL.take(coeffs, axis=0), where
 coeffs[i] * matrix[i, j] sits at offset (i << 8) | matrix[i, j]: that
 index depends on the matrix alone, so a matrix combined many times
-builds it once.
+builds it once. A matrix that changes by XOR can live inside its index:
+the matrix byte is the low byte, and XORing uint8 values into a uint16
+index leaves the row offsets alone, so it stays an index (`blank_index`).
 """
 
 from __future__ import annotations
@@ -52,6 +54,17 @@ def gather_index(matrix: np.ndarray) -> np.ndarray:
     c_i * matrix[i, j] in the flattened row table of any k coefficients.
     """
     return _ROW_OFFSET[: len(matrix), None] | matrix
+
+
+def blank_index(k: int, w: int) -> np.ndarray:
+    """The gather index of k zero rows of width w, writable and "<u2".
+
+    Little-endian puts each entry's matrix byte first, so the uint8 view
+    `blank_index(k, w).view(np.uint8)[:, ::2]` reads the rows on any host.
+    """
+    index = np.empty((k, w), dtype="<u2")
+    index[:] = _ROW_OFFSET[:k, None]
+    return index
 
 
 def scale_row(c: int, row: np.ndarray) -> np.ndarray:

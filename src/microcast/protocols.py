@@ -419,10 +419,14 @@ class BaseNode:
         state = self.decoders.get(segment)
         if state is None or state.rank == 0:
             return []
+        return self._coded_messages(state, count, dst)
+
+    def _coded_messages(self, state, count, dst):
+        """`count` fresh recodes of a held state, addressed to dst."""
         out = []
         for _ in range(count):
             pkt = recode(state, self.sim.rng)
-            out.append(Message(CODED_DATA, self.device, dst, segment,
+            out.append(Message(CODED_DATA, self.device, dst, state.segment_id,
                                self.coded_bytes, payload=pkt))
         return out
 
@@ -727,7 +731,8 @@ class R2PushNode(BaseNode):
     def _build_push(self, segment: int, neighbor: int):
         if (segment, neighbor) in self.braked:
             return None
-        rank = self.rank(segment)
+        state = self.decoders.get(segment)
+        rank = 0 if state is None else state.rank
         if rank == 0:
             return None
         cap = rank + self.cap_extra
@@ -737,7 +742,7 @@ class R2PushNode(BaseNode):
         self.pushed[(segment, neighbor)] = done + 1
         self.sim.log("push", self.device, segment=segment, peer=neighbor,
                      dims=1)
-        return self._recode_messages(segment, 1, neighbor)
+        return self._coded_messages(state, 1, neighbor)
 
     def _build_solicited(self, segment: int, neighbor: int, dims: int):
         msgs = self._recode_messages(segment, dims, neighbor)

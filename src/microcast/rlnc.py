@@ -182,6 +182,14 @@ class DecoderState:
     byte operations, so an insert is O(m(m + n)) and extraction is a
     read-off.
 
+    While the rank is partial, `rows` is the low bytes of `_index`, an
+    (m, m + n) little-endian uint16 array whose high byte holds each
+    slot's `slot << 8` from the start: `_index` is always
+    `gf256.gather_index(rows)`, 2 bytes per entry. The back-substitution
+    XORs its uint8 outer product straight into it, so elimination and
+    `recode` combine the held rows through `_index[:rank]` and never
+    build an index.
+
     At full rank every column is a pivot column, so the coefficient
     block is a permutation matrix: row `slot` is e_{_pivot_cols[slot]}.
     That allows two shortcuts. `insert` returns False straight after its
@@ -190,7 +198,8 @@ class DecoderState:
     (row[_pivot_cols] = w) and combines only the payload columns.
 
     A full-rank state never changes again, so when it is reached (in
-    `insert`, `full` or `from_plain`) the state records once whether
+    `insert`, `full` or `from_plain`) it keeps `rows` alone, C-contiguous
+    uint8 at 1 byte per entry, drops `_index`, and records once whether
     its payload block rows[:, m:] is all zero. Any combination of zero
     rows is zero, so `recode` from such a state returns a zero payload
     without a GF kernel call. The simulator's decoders carry a zero
@@ -200,10 +209,18 @@ class DecoderState:
     def __init__(self, segment_id: int, params: GenerationParams):
         self.segment_id = segment_id
         self.params = params
-        self.rows = np.zeros((params.m, params.m + params.n), dtype=np.uint8)
+        self._index: np.ndarray | None = gf256.blank_index(params.m, params.m + params.n)
+        self.rows = self._index.view(np.uint8)[:, ::2]
         self.pivots: dict[int, int] = {}  # pivot column -> row slot
         self._pivot_cols = np.zeros(params.m, dtype=np.intp)  # row slot -> pivot column
         self._zero_payload = False  # set at full rank: rows[:, m:] is all zero
+
+    def __setstate__(self, state: dict) -> None:
+        # copy and pickle rebuild each array apart; a copy's rows must
+        # view its own index again
+        self.__dict__.update(state)
+        if self._index is not None:
+            self.rows = self._index.view(np.uint8)[:, ::2]
 
     @property
     def rank(self) -> int:
@@ -218,7 +235,7 @@ class DecoderState:
         """The full-rank state [I | 0]: every packet held, every payload zero."""
         m = params.m
         state = cls(segment_id, params)
-        np.fill_diagonal(state.rows, 1)
+        state.rows, state._index = np.eye(m, m + params.n, dtype=np.uint8), None
         state.pivots = {k: k for k in range(m)}
         state._pivot_cols[:] = np.arange(m)
         state._zero_payload = True
@@ -256,9 +273,9 @@ class DecoderState:
         r = len(self.pivots)
         if r == m:
             return False
-        held = self.rows[:r]
+        index = self._index
         if r:
-            work = work ^ gf256.gf_dot(work.take(self._pivot_cols[:r]), held)
+            work = work ^ gf256.gf_dot(work.take(self._pivot_cols[:r]), index[:r])
         # the first nonzero coefficient, by one scan of the coefficient bytes
         tail = work[:m].tobytes().lstrip(b"\0")
         if not tail:
@@ -266,11 +283,13 @@ class DecoderState:
         lead = m - len(tail)
         work = gf256.scale_row(gf256.INV[tail[0]], work)
         if r:
-            held ^= gf256.scale_rows(held[:, lead], work)
+            # uint8 into uint16: the low bytes change, the offsets stay
+            index[:r] ^= gf256.scale_rows(self.rows[:r, lead], work)
         self.rows[r] = work
         self.pivots[lead] = r
         self._pivot_cols[r] = lead
         if r + 1 == m:
+            self.rows, self._index = np.ascontiguousarray(self.rows), None
             self._zero_payload = not self.rows[:, m:].any()
         return True
 
@@ -300,7 +319,7 @@ def recode(state: DecoderState, rng: np.random.Generator) -> CodedPacket:
         if not state._zero_payload:
             row[m:] = gf256.gf_dot(w, state.rows[:, m:])
         return CodedPacket(state.segment_id, row, m)
-    return CodedPacket(state.segment_id, gf256.gf_dot(w, state.rows[:r]), m)
+    return CodedPacket(state.segment_id, gf256.gf_dot(w, state._index[:r]), m)
 
 
 # slices per phase. The m values take turns slice by slice, so a swing in

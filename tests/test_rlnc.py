@@ -6,6 +6,7 @@ verified) product and inverse tables with the production decoder.
 """
 
 import copy
+import pickle
 
 import numpy as np
 import pytest
@@ -385,51 +386,118 @@ def assert_fully_reduced(state):
     assert not state.rows[state.rank:].any()
 
 
-@settings(max_examples=80, deadline=None)
-@given(m=st.integers(1, 10), n=st.integers(1, 12), seed=st.integers(0, 2**32 - 1),
-       ops=st.lists(st.sampled_from(["encode", "relay", "self", "duplicate", "erase"]),
-                    max_size=30))
-def test_insert_matches_rank_oracle_property(m, n, seed, ops):
+OPS = st.lists(st.sampled_from(["encode", "relay", "self", "duplicate", "erase"]),
+               max_size=30)
+
+
+def run_op_mix(ops, state, gen, rng, params, deliver):
     # fresh encodes, recodes from a part-rank relay (often redundant),
     # recodes of the receiver's own rows (never innovative), exact
     # duplicates and erasures (drawn, then lost) in any order; then
     # fresh encodes until complete
+    relay = DecoderState(0, params)
+    for _ in range(max(1, params.m // 2)):
+        relay.insert(encode(gen, rng, params))
+    sent = []
+
+    def send(pkt):
+        sent.append(pkt)
+        deliver(pkt)
+
+    for op in ops:
+        if op == "duplicate" and sent:
+            send(sent[int(rng.integers(0, len(sent)))])
+        elif op == "self" and state.rank:
+            send(recode(state, rng))
+        elif op == "relay":
+            send(recode(relay, rng))
+        else:
+            pkt = encode(gen, rng, params)
+            if op != "erase":
+                send(pkt)
+    while not state.complete:
+        send(encode(gen, rng, params))
+
+
+@settings(max_examples=80, deadline=None)
+@given(m=st.integers(1, 10), n=st.integers(1, 12), seed=st.integers(0, 2**32 - 1),
+       ops=OPS)
+def test_insert_matches_rank_oracle_property(m, n, seed, ops):
     rng = np.random.default_rng(seed)
     params = GenerationParams(m=m, n=n)
     gen, data = make_generation(rng, params)
     matrix = np.frombuffer(data, dtype=np.uint8).reshape(m, n)
-    relay = DecoderState(0, params)
-    for _ in range(max(1, m // 2)):
-        relay.insert(encode(gen, rng, params))
     state = DecoderState(0, params)
-    history, sent = [], []
+    history = []
 
     def deliver(pkt):
         before = rank_ref(history)
         history.append(pkt.coefficients)
-        sent.append(pkt)
         assert state.insert(pkt) == (rank_ref(history) > before)
         assert state.rank == rank_ref(history)
         assert_fully_reduced(state)
         for row in state.rows[: state.rank]:  # payload = coefficients . data
             assert np.array_equal(row[m:], gf256.gf_dot(row[:m], matrix))
 
-    for op in ops:
-        if op == "duplicate" and sent:
-            deliver(sent[int(rng.integers(0, len(sent)))])
-        elif op == "self" and state.rank:
-            deliver(recode(state, rng))
-        elif op == "relay":
-            deliver(recode(relay, rng))
-        else:
-            pkt = encode(gen, rng, params)
-            if op != "erase":
-                deliver(pkt)
-    while not state.complete:
-        deliver(encode(gen, rng, params))
+    run_op_mix(ops, state, gen, rng, params, deliver)
     out = state.extract()
     assert b"".join(p.payload for p in out) == data
     assert [p.index for p in out] == list(range(m))
+
+
+def assert_rows_in_their_index(state):
+    # partial: rows are the low bytes of their own gather index, and a
+    # blank slot holds only its offset; full rank: plain rows, no index
+    m, w = state.params.m, state.params.m + state.params.n
+    if state.complete:
+        assert state._index is None
+        assert state.rows.dtype == np.uint8 and state.rows.flags.c_contiguous
+        assert state.rows.shape == (m, w) and state.rows.nbytes == m * w
+        return
+    index = state._index
+    assert index.dtype == np.dtype("<u2") and index.shape == (m, w)
+    assert np.shares_memory(state.rows, index)
+    assert np.array_equal(index, gf256.gather_index(state.rows))
+    blank = np.arange(state.rank, m, dtype=np.uint16)[:, None] << 8
+    assert (index[state.rank:] == blank).all()
+
+
+@settings(max_examples=80, deadline=None)
+@given(m=st.integers(1, 12), n=st.integers(1, 48), seed=st.integers(0, 2**32 - 1),
+       ops=OPS)
+def test_partial_rows_live_in_their_gather_index(m, n, seed, ops):
+    rng = np.random.default_rng(seed)
+    params = GenerationParams(m=m, n=n)
+    gen, data = make_generation(rng, params)
+    state = DecoderState(0, params)
+    assert_rows_in_their_index(state)
+
+    def deliver(pkt):
+        state.insert(pkt)
+        assert_rows_in_their_index(state)
+        assert_fully_reduced(state)
+
+    run_op_mix(ops, state, gen, rng, params, deliver)
+    assert b"".join(p.payload for p in state.extract()) == data
+    for built in (DecoderState.full(0, params), DecoderState.from_plain(gen, params)):
+        assert_rows_in_their_index(built)
+
+
+def test_a_copied_state_keeps_its_rows_in_its_index():
+    rng = np.random.default_rng(14)
+    params = GenerationParams(m=5, n=7)
+    gen, _ = make_generation(rng, params)
+    state = DecoderState(0, params)
+    for _ in range(2):
+        state.insert(encode(gen, rng, params))
+    copies = [copy.deepcopy(state), pickle.loads(pickle.dumps(state))]
+    while not state.complete:
+        pkt = encode(gen, rng, params)
+        state.insert(pkt)
+        for twin in copies:
+            twin.insert(pkt)
+            assert_rows_in_their_index(twin)
+            assert _same_state(twin, state)
 
 
 def _decode_with_pivots(perm, rng, matrix, params):
