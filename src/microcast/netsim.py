@@ -101,17 +101,6 @@ class RateTrace:
         pts = sorted((float(t), float(k) * 1e3) for t, k in points)
         return cls(tuple(t for t, _ in pts), tuple(r for _, r in pts))
 
-    def rate_at(self, t: float) -> float:
-        """Rate at time t: a scalar reference kept for the tests; no result
-        calls it (runs integrate the trace in seconds_to_send)."""
-        idx = 0
-        for k, start in enumerate(self.times):
-            if start <= t:
-                idx = k
-            else:
-                break
-        return self.rates[idx]
-
     def seconds_to_send(self, t0: float, nbits: float) -> float:
         """Time to push nbits starting at t0, integrating across pieces."""
         if nbits <= 0:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import struct
 import time
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,13 +87,13 @@ class CodedPacket:
         return cls(seg, np.frombuffer(buf, dtype=np.uint8, offset=HEADER_BYTES).copy(), m)
 
 
-class Generation(Sequence[PlainPacket]):
+class Generation:
     """One segment's m plain packets, prepared once for encoding.
 
-    It reads as the list of its PlainPackets and carries two read-only
-    arrays: `matrix`, the (m, n) payloads over the segment's bytes, and
-    `index`, its `gf256.gather_index` (2 bytes per payload byte), so a
-    coded packet costs one table copy, one gather and one XOR-reduce.
+    It carries two read-only arrays: `matrix`, the (m, n) payloads over
+    the segment's bytes, and `index`, its `gf256.gather_index` (2 bytes
+    per payload byte), so a coded packet costs one table copy, one
+    gather and one XOR-reduce.
     """
 
     __slots__ = ("segment_id", "params", "matrix", "index")
@@ -104,45 +104,16 @@ class Generation(Sequence[PlainPacket]):
         self.index = gf256.gather_index(self.matrix)
         self.matrix.flags.writeable = self.index.flags.writeable = False
 
-    def __len__(self) -> int:
-        return self.params.m
-
-    def __getitem__(self, k):
-        picked = range(self.params.m)[k]
-        if isinstance(picked, range):
-            return [self[i] for i in picked]
-        return PlainPacket(self.segment_id, picked, self.matrix[picked].tobytes())
-
 
 def split_segment(segment_id: int, data: bytes, params: GenerationParams) -> Generation:
-    """Cut one segment's bytes into m plain packets, zero-padding the tail.
+    """Cut one segment's bytes into its prepared generation of m packets,
+    zero-padding the tail.
 
     The true byte length travels in file metadata, not in the packets.
     """
     if len(data) > params.segment_bytes:
         raise ValueError("segment data longer than m*n")
     return Generation(segment_id, data + bytes(params.segment_bytes - len(data)), params)
-
-
-def _prepared(generation: Sequence[PlainPacket], params: GenerationParams) -> Generation:
-    """The generation prepared; a list of plain packets is checked first."""
-    if isinstance(generation, Generation) and generation.params == params:
-        return generation
-    if len(generation) != params.m:
-        raise ValueError(
-            f"generation incomplete: {len(generation)} packets, expected {params.m}"
-        )
-    seg = generation[0].segment_id
-    payloads: list = [None] * params.m
-    for pkt in generation:
-        if pkt.segment_id != seg:
-            raise ValueError("generation mixes packets from different segments")
-        if not (0 <= pkt.index < params.m) or payloads[pkt.index] is not None:
-            raise ValueError(f"bad or duplicate packet index {pkt.index}")
-        if len(pkt.payload) != params.n:
-            raise ValueError(f"payload of packet {pkt.index} is not n={params.n} bytes")
-        payloads[pkt.index] = pkt.payload
-    return Generation(seg, b"".join(payloads), params)
 
 
 def draw_coefficients(m: int, rng: np.random.Generator) -> np.ndarray:
@@ -155,17 +126,15 @@ def draw_coefficients(m: int, rng: np.random.Generator) -> np.ndarray:
             return c
 
 
-def encode(generation: Sequence[PlainPacket], rng: np.random.Generator,
+def encode(generation: Generation, rng: np.random.Generator,
            params: GenerationParams) -> CodedPacket:
-    """Draw a uniform nonzero coefficient vector and mix the generation.
-
-    A generation from split_segment is used as prepared; any other list
-    of plain packets is checked and prepared on each call.
-    """
-    gen = _prepared(generation, params)
+    """Draw a uniform nonzero coefficient vector and mix the generation."""
+    if generation.params != params:
+        raise ValueError(f"generation prepared for {generation.params}, not {params}")
     coeff = draw_coefficients(params.m, rng)
-    return CodedPacket(gen.segment_id,
-                       np.concatenate((coeff, gf256.gf_dot(coeff, gen.index))), params.m)
+    return CodedPacket(generation.segment_id,
+                       np.concatenate((coeff, gf256.gf_dot(coeff, generation.index))),
+                       params.m)
 
 
 class DecoderState:
@@ -173,8 +142,9 @@ class DecoderState:
 
     Invariant: the first `rank` rows ([coefficients | payload]) are fully
     reduced. Row `slot` has a 1 in its pivot column `_pivot_cols[slot]`
-    and every held row has 0 in every other row's pivot column;
-    `pivots` maps each pivot column back to its slot. Because of it, an
+    and every held row has 0 in every other row's pivot column, so the
+    pivot columns `_pivot_cols[:rank]` are distinct; they are the only
+    pivot map, and `extract` inverts it. Because of the invariant, an
     insert is three batched row operations on the held rows instead of
     a loop over pivots: one GF(256) dot product eliminates the packet
     against all of them, one gather normalises it, and one outer-product
@@ -197,10 +167,11 @@ class DecoderState:
     its weights into the coefficient half of a new row
     (row[_pivot_cols] = w) and combines only the payload columns.
 
-    A full-rank state never changes again, so when it is reached (in
-    `insert`, `full` or `from_plain`) it keeps `rows` alone, C-contiguous
-    uint8 at 1 byte per entry, drops `_index`, and records once whether
-    its payload block rows[:, m:] is all zero. Any combination of zero
+    A full-rank state never changes again, so it keeps `rows` alone,
+    C-contiguous uint8 at 1 byte per entry, with no `_index`, and
+    records once whether its payload block rows[:, m:] is all zero.
+    `insert` drops the index when it reaches full rank; `full` and
+    `from_plain` build this layout directly. Any combination of zero
     rows is zero, so `recode` from such a state returns a zero payload
     without a GF kernel call. The simulator's decoders carry a zero
     payload column, which makes this the common case there.
@@ -211,7 +182,7 @@ class DecoderState:
         self.params = params
         self._index: np.ndarray | None = gf256.blank_index(params.m, params.m + params.n)
         self.rows = self._index.view(np.uint8)[:, ::2]
-        self.pivots: dict[int, int] = {}  # pivot column -> row slot
+        self.rank = 0
         self._pivot_cols = np.zeros(params.m, dtype=np.intp)  # row slot -> pivot column
         self._zero_payload = False  # set at full rank: rows[:, m:] is all zero
 
@@ -223,36 +194,33 @@ class DecoderState:
             self.rows = self._index.view(np.uint8)[:, ::2]
 
     @property
-    def rank(self) -> int:
-        return len(self.pivots)
-
-    @property
     def complete(self) -> bool:
-        return len(self.pivots) == self.params.m
+        return self.rank == self.params.m
 
     @classmethod
     def full(cls, segment_id: int, params: GenerationParams) -> "DecoderState":
         """The full-rank state [I | 0]: every packet held, every payload zero."""
         m = params.m
-        state = cls(segment_id, params)
+        state = cls.__new__(cls)
+        state.segment_id, state.params, state.rank = segment_id, params, m
         state.rows, state._index = np.eye(m, m + params.n, dtype=np.uint8), None
-        state.pivots = {k: k for k in range(m)}
-        state._pivot_cols[:] = np.arange(m)
+        state._pivot_cols = np.arange(m, dtype=np.intp)
         state._zero_payload = True
         return state
 
     @classmethod
-    def from_plain(cls, generation: Sequence[PlainPacket],
+    def from_plain(cls, generation: Generation,
                    params: GenerationParams) -> "DecoderState":
         """Seed a full-rank state from the original packets.
 
         Rows are [e_k | payload_k]; recoding from this state draws the
         same distribution as encoding the generation afresh.
         """
-        gen = _prepared(generation, params)
-        state = cls.full(gen.segment_id, params)
-        state.rows[:, params.m:] = gen.matrix
-        state._zero_payload = not gen.matrix.any()
+        if generation.params != params:
+            raise ValueError(f"generation prepared for {generation.params}, not {params}")
+        state = cls.full(generation.segment_id, params)
+        state.rows[:, params.m:] = generation.matrix
+        state._zero_payload = not generation.matrix.any()
         return state
 
     def insert(self, packet: CodedPacket) -> bool:
@@ -270,7 +238,7 @@ class DecoderState:
         work = packet.row
         if packet.m != m or len(work) != m + n:
             raise ValueError("coded packet shape does not match generation params")
-        r = len(self.pivots)
+        r = self.rank
         if r == m:
             return False
         index = self._index
@@ -286,30 +254,29 @@ class DecoderState:
             # uint8 into uint16: the low bytes change, the offsets stay
             index[:r] ^= gf256.scale_rows(self.rows[:r, lead], work)
         self.rows[r] = work
-        self.pivots[lead] = r
         self._pivot_cols[r] = lead
+        self.rank = r + 1
         if r + 1 == m:
             self.rows, self._index = np.ascontiguousarray(self.rows), None
             self._zero_payload = not self.rows[:, m:].any()
         return True
 
     def extract(self) -> list[PlainPacket]:
-        m, n = self.params.m, self.params.n
+        m = self.params.m
         if not self.complete:
             raise ValueError(
                 f"segment {self.segment_id} not decodable yet: rank "
                 f"{self.rank} of {m}"
             )
-        out = []
-        for k in range(m):
-            row = self.rows[self.pivots[k]]
-            out.append(PlainPacket(self.segment_id, k, row[m:].tobytes()))
-        return out
+        slots = np.empty(m, dtype=np.intp)  # pivot column -> row slot
+        slots[self._pivot_cols] = np.arange(m)
+        return [PlainPacket(self.segment_id, k, self.rows[slot, m:].tobytes())
+                for k, slot in enumerate(slots.tolist())]
 
 
 def recode(state: DecoderState, rng: np.random.Generator) -> CodedPacket:
     """Uniform random combination of the rows a device currently holds."""
-    m, r = state.params.m, len(state.pivots)
+    m, r = state.params.m, state.rank
     if r == 0:
         raise ValueError("cannot recode from a decoder with no packets")
     w = draw_coefficients(r, rng)

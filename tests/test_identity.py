@@ -69,6 +69,21 @@ def test_one_wrong_byte_in_a_wide_packet_changes_the_digest(monkeypatch):
     assert max(widths) > 8
 
 
+def test_an_uninverted_pivot_map_in_extract_changes_the_digest(monkeypatch):
+    # dense coefficients pivot in column order, where slot and column
+    # agree; only the battery's permuted decoder tells them apart
+    tool = load_tool()
+    before = tool.battery_digest(seed=3, runs=0, codec=4)
+
+    def extract_by_slot(state):
+        m = state.params.m
+        return [rlnc.PlainPacket(state.segment_id, k, state.rows[col, m:].tobytes())
+                for k, col in enumerate(state._pivot_cols.tolist())]
+
+    monkeypatch.setattr(rlnc.DecoderState, "extract", extract_by_slot)
+    assert tool.battery_digest(seed=3, runs=0, codec=4) != before
+
+
 def test_main_prints_the_digest(capsys):
     tool = load_tool()
     assert tool.main(["--seed", "3", "--runs", str(RUNS)]) == 0

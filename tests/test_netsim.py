@@ -42,7 +42,7 @@ def test_trace_constant_transfer_time():
     trace = RateTrace.constant(550e3)
     assert trace.seconds_to_send(0.0, 68750 * 8) == pytest.approx(1.0)
     assert trace.seconds_to_send(12.0, 68750 * 8) == pytest.approx(1.0)
-    assert trace.rate_at(99.0) == 550e3
+    assert (trace.times, trace.rates) == ((0.0,), (550e3,))
 
 
 def test_trace_piecewise_integration():
@@ -51,7 +51,7 @@ def test_trace_piecewise_integration():
     assert trace.seconds_to_send(0.0, 180e3) == pytest.approx(36.0)
     # 10 s left in the slow piece moves 50 kbit, the rest at full rate
     assert trace.seconds_to_send(50.0, 180e3) == pytest.approx(10.0 + 130e3 / 500e3)
-    assert trace.rate_at(59.9) == 5e3 and trace.rate_at(60.0) == 500e3
+    assert (trace.times, trace.rates) == ((0.0, 60.0), (5e3, 500e3))
 
 
 def test_trace_zero_rate_never_completes():

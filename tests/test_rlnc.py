@@ -18,7 +18,6 @@ from microcast.rlnc import (
     CodedPacket,
     DecoderState,
     GenerationParams,
-    PlainPacket,
     encode,
     recode,
     split_segment,
@@ -171,25 +170,19 @@ def test_extract_before_complete_rejected():
         state.extract()
 
 
-def test_incomplete_generation_rejected():
+def test_generation_of_other_params_rejected():
     rng = np.random.default_rng(8)
     params = GenerationParams(m=4, n=5)
     gen, _ = make_generation(rng, params)
-    other, _ = make_generation(rng, params, segment_id=1)
-    short = PlainPacket(0, 3, gen[3].payload[:-1])
-    for packets, match in (
-            (gen[:3], "incomplete"),
-            ([gen[0], gen[1], gen[2], gen[2]], "duplicate"),
-            ([gen[0], gen[1], gen[2], PlainPacket(0, 4, gen[3].payload)], "index 4"),
-            ([gen[0], gen[1], gen[2], other[3]], "different segments"),
-            ([gen[0], gen[1], gen[2], short], "not n=5")):
-        with pytest.raises(ValueError, match=match):
-            encode(packets, rng, params)
-        with pytest.raises(ValueError, match=match):
-            DecoderState.from_plain(packets, params)
-    # a generation prepared under other params is checked like a list
-    with pytest.raises(ValueError, match="not n=6"):
-        encode(gen, rng, GenerationParams(m=4, n=6))
+    drawn = copy.deepcopy(rng.bit_generator.state)
+    for other in (GenerationParams(m=4, n=6), GenerationParams(m=3, n=5),
+                  GenerationParams(m=5, n=4)):
+        with pytest.raises(ValueError, match="generation prepared for"):
+            encode(gen, rng, other)
+        with pytest.raises(ValueError, match="generation prepared for"):
+            DecoderState.from_plain(gen, other)
+    # the check comes before any draw
+    assert rng.bit_generator.state == drawn
 
 
 def test_from_plain_equals_decoded_state():
@@ -211,11 +204,11 @@ def test_from_plain_equals_decoded_state():
 def test_full_equals_from_plain_of_zero_packets(m, n):
     params = GenerationParams(m=m, n=n)
     full = DecoderState.full(3, params)
-    ref = DecoderState.from_plain([PlainPacket(3, k, bytes(n)) for k in range(m)],
-                                  params)
+    ref = DecoderState.from_plain(split_segment(3, b"", params), params)
     assert full.segment_id == ref.segment_id and full.params == ref.params
     assert np.array_equal(full.rows, ref.rows) and full.rows.dtype == ref.rows.dtype
-    assert full.pivots == ref.pivots
+    assert full.rank == ref.rank == m and type(full.rank) is int
+    assert np.array_equal(full._pivot_cols, np.arange(m))
     assert np.array_equal(full._pivot_cols, ref._pivot_cols)
     assert full._pivot_cols.dtype == ref._pivot_cols.dtype
     assert full._zero_payload is ref._zero_payload is True
@@ -269,7 +262,7 @@ def test_wire_round_trip_keeps_the_row(m, n, seed):
 
 
 def _same_state(a, b):
-    return (np.array_equal(a.rows, b.rows) and a.pivots == b.pivots
+    return (np.array_equal(a.rows, b.rows) and a.rank == b.rank
             and np.array_equal(a._pivot_cols, b._pivot_cols)
             and a._zero_payload is b._zero_payload)
 
@@ -330,32 +323,20 @@ def test_prepared_generation_encodes_like_the_raw_matrix(m, n, seed, kind):
     matrix = np.frombuffer(data, dtype=np.uint8).reshape(m, n)
     assert np.array_equal(gen.matrix, matrix)
     assert not gen.matrix.flags.writeable and not gen.index.flags.writeable
-    # it reads as the list of its plain packets, and a hand-built copy of
-    # that list encodes and seeds a decoder alike
-    packets = [PlainPacket(4, k, data[k * n:(k + 1) * n]) for k in range(m)]
-    assert len(gen) == m and list(gen) == packets
-    assert gen[-1] == packets[-1] and list(gen[1:]) == packets[1:]
-    with pytest.raises(IndexError):
-        gen[m]
-    for source in (gen, packets):
-        ref_rng = copy.deepcopy(rng)
-        for _ in range(3):
-            pkt = encode(source, rng, params)
-            ref = encode_matrix_ref(4, matrix, ref_rng)
-            assert pkt.segment_id == 4 and pkt.m == m
-            assert pkt.row.dtype == np.uint8 and pkt.row.tobytes() == ref.row.tobytes()
-        assert rng.bit_generator.state == ref_rng.bit_generator.state
-    assert _same_state(DecoderState.from_plain(gen, params),
-                       DecoderState.from_plain(packets, params))
+    ref_rng = copy.deepcopy(rng)
+    for _ in range(3):
+        pkt = encode(gen, rng, params)
+        ref = encode_matrix_ref(4, matrix, ref_rng)
+        assert pkt.segment_id == 4 and pkt.m == m
+        assert pkt.row.dtype == np.uint8 and pkt.row.tobytes() == ref.row.tobytes()
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 def test_split_segment_pads_tail():
     params = GenerationParams(m=3, n=4)
-    pkts = split_segment(2, b"\x01\x02\x03\x04\x05", params)
-    assert len(pkts) == 3
-    assert pkts[0].payload == b"\x01\x02\x03\x04"
-    assert pkts[1].payload == b"\x05\x00\x00\x00"
-    assert pkts[2].payload == b"\x00\x00\x00\x00"
+    gen = split_segment(2, b"\x01\x02\x03\x04\x05", params)
+    assert gen.segment_id == 2 and gen.params == params
+    assert gen.matrix.tolist() == [[1, 2, 3, 4], [5, 0, 0, 0], [0, 0, 0, 0]]
     with pytest.raises(ValueError):
         split_segment(0, b"x" * 13, params)
 
@@ -370,16 +351,19 @@ def test_decode_cost_scales_with_generation():
     while not state.complete:
         state.insert(encode(gen, rng, params))
         live = state.rows[: state.rank]
-        for col, slot in state.pivots.items():
+        cols = state._pivot_cols[: state.rank].tolist()
+        assert len(set(cols)) == len(cols)
+        for slot, col in enumerate(cols):
             assert live[slot][col] == 1
-            others = [s for s in state.pivots.values() if s != slot]
+            others = [s for s in range(state.rank) if s != slot]
             assert all(live[s][col] == 0 for s in others)
 
 
 def assert_fully_reduced(state):
     live = state.rows[: state.rank]
-    assert sorted(state.pivots.values()) == list(range(state.rank))
-    for col, slot in state.pivots.items():
+    cols = state._pivot_cols[: state.rank].tolist()
+    assert len(set(cols)) == len(cols) and all(0 <= c < state.params.m for c in cols)
+    for slot, col in enumerate(cols):
         expect = np.zeros(state.rank, dtype=np.uint8)
         expect[slot] = 1
         assert np.array_equal(live[:, col], expect), (col, slot)
@@ -564,6 +548,12 @@ def test_full_rank_fast_paths_match_general_path(mp, n, seed, kind):
     if kind == "zero":
         states.append(DecoderState.full(0, params))
     for state in states:
+        # extract inverts the pivot permutation: slot k's row is plain
+        # packet perm[k], not packet k
+        out = state.extract()
+        assert b"".join(p.payload for p in out) == data
+        assert [p.index for p in out] == list(range(m))
+
         # recode: same bytes and same rng draws as the general formula;
         # the payload kernel is skipped exactly when every payload byte is 0
         for _ in range(3):
@@ -582,11 +572,11 @@ def test_full_rank_fast_paths_match_general_path(mp, n, seed, kind):
         assert np.array_equal(pkt.coefficients, _general_recode(state, ref_rng)[:m])
 
         # insert: never innovative, leaves the state alone, still checks
-        before = (state.rows.copy(), dict(state.pivots), state._pivot_cols.copy())
+        before = (state.rows.copy(), state.rank, state._pivot_cols.copy())
         for pkt in (encode(gen, rng, params), recode(state, rng)):
             assert state.insert(pkt) is False
         assert np.array_equal(state.rows, before[0])
-        assert state.pivots == before[1]
+        assert state.rank == before[1]
         assert np.array_equal(state._pivot_cols, before[2])
         pkt = encode(gen, rng, params)
         with pytest.raises(ValueError, match="segment"):

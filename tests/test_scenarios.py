@@ -23,7 +23,8 @@ def test_minimal_scenario_defaults(tmp_path):
     sim_cfg, proto = scenarios.load_scenario(path)
     assert sim_cfg.n == 2
     assert sim_cfg.capacity_bps == pytest.approx(20e6)
-    assert sim_cfg.devices[0].cellular.rate_at(0.0) == pytest.approx(550e3)
+    assert sim_cfg.devices[0].cellular.times == (0.0,)
+    assert sim_cfg.devices[0].cellular.rates == pytest.approx((550e3,))
     assert sim_cfg.devices[1].cellular is None
     assert proto.protocol == "microcast"
     assert proto.file_bytes == 9_930_000 and proto.m == 25 and proto.n == 900
@@ -79,8 +80,8 @@ def test_trace_file_resolved_next_to_scenario(tmp_path):
     path = write_yaml(tmp_path, "devices: [{trace_file: link.csv}]\n")
     sim_cfg, _ = scenarios.load_scenario(path)
     trace = sim_cfg.devices[0].cellular
-    assert trace.rate_at(0.0) == pytest.approx(5e3)
-    assert trace.rate_at(80.0) == pytest.approx(500e3)
+    assert trace.times == (0.0, 75.0)
+    assert trace.rates == pytest.approx((5e3, 500e3))
 
 
 def test_rate_trace_rejects_bad_rows(tmp_path):
@@ -193,9 +194,8 @@ def test_recipe_output_and_aggregate_purity(tmp_path):
 
 def test_microdownload_traces_shape():
     fast, steady, choked = scenarios.microdownload_traces()
-    assert fast.rate_at(0.0) == pytest.approx(800e3)
-    assert fast.rate_at(10.0) == pytest.approx(1000e3)
-    assert fast.rate_at(20.0) == pytest.approx(800e3)
-    assert steady.rate_at(1e4) == pytest.approx(500e3)
-    assert choked.rate_at(74.9) == pytest.approx(5e3)
-    assert choked.rate_at(75.0) == pytest.approx(500e3)
+    assert fast.times == tuple(10.0 * k for k in range(12))
+    assert fast.rates == pytest.approx((800e3, 1000e3) * 6)
+    assert (steady.times, steady.rates) == ((0.0,), (500e3,))
+    assert choked.times == (0.0, 75.0)
+    assert choked.rates == pytest.approx((5e3, 500e3))

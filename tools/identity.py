@@ -29,9 +29,12 @@ n = 1..1500, of random, all-zero or short (zero-padded) data. Each is
 encoded until a decoder completes, every packet through the wire
 format; the decoder extracts, a relay holding half the packets recodes
 into a sink, and the full-rank state seeded from the plain packets
-recodes too. A generation's digest covers every coded row, every
+recodes too. Random dense coefficients pivot in column order, so one
+more decoder takes m packets built to pivot in a random column order
+and extracts. A generation's digest covers every coded row, every
 innovation flag, the decoders' rows, the extracted bytes and the rng
-state.
+state. Versions of this tool without that last decoder print other
+digests.
 
 Two trees ran the battery identically when they print the same digest:
 run the tool once with PYTHONPATH set to each tree's src.  Exit status
@@ -47,7 +50,7 @@ import sys
 
 import numpy as np
 
-from microcast import num, rlnc
+from microcast import gf256, num, rlnc
 from microcast.netsim import (MODES, DeviceSpec, RateTrace, SimConfig,
                               SimStalled)
 from microcast.protocols import (ASSIGN_ADAPTIVE, ASSIGN_STATIC, PROTOCOLS,
@@ -166,6 +169,18 @@ def codec_digest(params: rlnc.GenerationParams, data: bytes, seed: int) -> bytes
             total.update(bytes([sink.insert(pkt)]))
     total.update(relay.rows.tobytes())
     total.update(sink.rows.tobytes())
+    # packet k is nonzero at perm[k] and random on perm[:k], so after
+    # elimination slot k's pivot is column perm[k]
+    perm = rng.permutation(params.m)
+    permuted = rlnc.DecoderState(9, params)
+    for k, col in enumerate(perm):
+        coeff = np.zeros(params.m, dtype=np.uint8)
+        coeff[perm[:k]] = rng.integers(0, 256, k, dtype=np.uint8)
+        coeff[col] = rng.integers(1, 256, dtype=np.uint8)
+        row = np.concatenate((coeff, gf256.gf_dot(coeff, plain.matrix)))
+        total.update(bytes([permuted.insert(rlnc.CodedPacket(9, row, params.m))]))
+    total.update(permuted.rows.tobytes())
+    total.update(b"".join(p.payload for p in permuted.extract()))
     total.update(repr(rng.bit_generator.state).encode())
     return total.digest()
 
