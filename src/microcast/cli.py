@@ -254,11 +254,10 @@ def main(argv=None) -> int:
     try:
         if args.seeds is not None and args.seeds < 1:
             raise scenarios.ScenarioError("need at least one seed")
+        if args.seed < 0:
+            raise scenarios.ScenarioError("--seed must be >= 0")
         return args.func(args)
-    except scenarios.ScenarioError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:   # ScenarioError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -10,14 +10,13 @@ from __future__ import annotations
 
 import csv
 import os
-import sys
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
 
 from . import num, rlnc
-from .netsim import (MODE_CLIQUE, MODE_PSEUDO_ADHOC, MODE_STAR, MODES,
+from .netsim import (MODE_CLIQUE, MODE_PSEUDO_ADHOC, MODE_STAR,
                      DeviceSpec, RateTrace, SimConfig)
 from .protocols import (ASSIGN_ADAPTIVE, ASSIGN_STATIC, PROTO_BITTORRENT,
                         PROTO_MICROCAST, PROTO_NONE, PROTO_R2, ProtocolConfig,
@@ -30,68 +29,104 @@ class ScenarioError(ValueError):
 
 # ---------------------------------------------------------------- scenario files
 
-_DEVICE_KEYS = {"cellular_kbps", "trace_file", "cell_fail_prob", "cell_timeout_s"}
-_LOCAL_KEYS = {"capacity_mbps", "background_mbps", "loss_uniform", "loss_matrix"}
-_TOP_KEYS = {"devices", "local", "mode", "ap", "protocol", "assignment",
-             "initiator", "file_mb", "segment_params", "seed", "video_kbps",
-             "idle_window_s", "max_time_s", "log_events"}
+def _is_number(value) -> bool:
+    # bool is an int; NaN fails the bound, which keeps Mbps finite in bit/s
+    return (not isinstance(value, bool) and isinstance(value, (int, float))
+            and abs(value) <= 1e300)
 
 
-def _check_keys(mapping, allowed, where: str) -> dict:
-    if mapping is None:
-        return {}
+def _is_loss(value) -> bool:
+    return _is_number(value) or isinstance(value, list) and all(
+        isinstance(row, list) and len(row) == len(value) and all(map(_is_number, row))
+        for row in value)
+
+
+# A key's kind: what its error message says the value must be, and the test.
+_NUMBER = ("a finite number, at most 1e300 in size", _is_number)
+_INTEGER = ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool))
+_FLAG = ("true or false", lambda v: isinstance(v, bool))
+_STRING = ("a string", lambda v: isinstance(v, str))
+_LOSS = ("a number or a square list of lists of numbers", _is_loss)
+_NESTED = ("never refused here", lambda v: True)   # build_configs reads it
+
+# One table per mapping, key -> (kind, lower bound, default); an absent
+# key and a null one both take the default.
+_SCENARIO_TABLE = {
+    "devices": (_NESTED, None, None),
+    "local": (_NESTED, None, None),
+    "segment_params": (_NESTED, None, None),
+    "mode": (_STRING, None, MODE_PSEUDO_ADHOC),
+    "ap": (_INTEGER, None, None),
+    "protocol": (_STRING, None, PROTO_MICROCAST),
+    "assignment": (_STRING, None, ASSIGN_ADAPTIVE),
+    "initiator": (_INTEGER, 0, 0),
+    "file_mb": (_NUMBER, 1e-6, 9.93),
+    "seed": (_INTEGER, 0, 0),
+    "video_kbps": (_NUMBER, 0.0, 500.0),
+    "idle_window_s": (_NUMBER, 1e-9, 30.0),
+    "max_time_s": (_NUMBER, 1e-9, 3600.0),
+    "log_events": (_FLAG, None, False),
+}
+_DEVICE_TABLE = {
+    "cellular_kbps": (_NUMBER, 0.0, None),
+    "trace_file": (_STRING, None, None),
+    "cell_fail_prob": (_NUMBER, None, 0.0),
+    "cell_timeout_s": (_NUMBER, None, None),
+}
+_LOCAL_TABLE = {
+    "capacity_mbps": (_NUMBER, 0.0, 20.0),
+    "background_mbps": (_NUMBER, 0.0, 0.0),
+    "loss_uniform": (_LOSS, None, None),
+    "loss_matrix": (_LOSS, None, None),
+}
+_SEGMENT_TABLE = {"m": (_INTEGER, 1, 25), "n": (_INTEGER, 1, 900)}
+
+
+def _read(mapping, table: dict, where: str) -> dict:
+    """Check `mapping` against `table`; return every key's value or default."""
+    mapping = {} if mapping is None else mapping
     if not isinstance(mapping, dict):
         raise ScenarioError(f"{where}: expected a mapping, got {type(mapping).__name__}")
     for key in mapping:
-        if key not in allowed:
+        if key not in table:
             raise ScenarioError(
-                f"{where}: unknown key {key!r} (allowed: {', '.join(sorted(allowed))})")
-    return mapping
-
-
-def _number(mapping, key, where, default=None, lo=None):
-    value = mapping.get(key, default)
-    if value is None:
-        return None
-    if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or not abs(value) <= sys.float_info.max):   # NaN and inf fail
-        raise ScenarioError(f"{where}: {key} must be a finite number")
-    if lo is not None and value < lo:
-        raise ScenarioError(f"{where}: {key} must be >= {lo}")
-    return float(value)
-
-
-def _integer(mapping, key, where, default=None, lo=None):
-    value = mapping.get(key, default)
-    if value is None:
-        return None
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ScenarioError(f"{where}: {key} must be an integer")
-    if lo is not None and value < lo:
-        raise ScenarioError(f"{where}: {key} must be >= {lo}")
-    return value
+                f"{where}: unknown key {key!r} (allowed: {', '.join(sorted(table))})")
+    out = {}
+    for key, ((must_be, ok), lo, default) in table.items():
+        value = mapping.get(key)
+        if value is None:
+            value = default
+        elif not ok(value):
+            raise ScenarioError(f"{where}: {key} must be {must_be}")
+        elif lo is not None and value < lo:
+            raise ScenarioError(f"{where}: {key} must be >= {lo}")
+        elif ok is _is_number:
+            value = float(value)
+        out[key] = value
+    return out
 
 
 def load_rate_trace(path: str) -> RateTrace:
     """Read a piecewise-constant cellular trace from CSV `t_seconds,kbps`."""
-    points = []
+    # ValueError: a NUL in the path or bytes not UTF-8; csv.Error: an overlong field
     try:
-        fh = open(path, newline="", encoding="utf-8")
-    except OSError as exc:
-        raise ScenarioError(f"{path}: {exc.strerror}") from None
-    with fh:
-        for lineno, row in enumerate(csv.reader(fh), start=1):
-            if not row or row[0].lstrip().startswith("#"):
-                continue
-            head = [c.strip().lower() for c in row[:2]]
-            if head == ["t_seconds", "kbps"]:
-                continue
-            try:
-                points.append((float(row[0]), float(row[1])))
-            except (ValueError, IndexError):
-                raise ScenarioError(
-                    f"{path}:{lineno}: expected 't_seconds,kbps', got {','.join(row)!r}"
-                ) from None
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+    except (OSError, ValueError, csv.Error) as exc:
+        raise ScenarioError(f"{path}: {getattr(exc, 'strerror', None) or exc}") from None
+    points = []
+    for lineno, row in enumerate(rows, start=1):
+        if not row or row[0].lstrip().startswith("#"):
+            continue
+        head = [c.strip().lower() for c in row[:2]]
+        if head == ["t_seconds", "kbps"]:
+            continue
+        try:
+            points.append((float(row[0]), float(row[1])))
+        except (ValueError, IndexError):
+            raise ScenarioError(
+                f"{path}:{lineno}: expected 't_seconds,kbps', got {','.join(row)!r}"
+            ) from None
     if not points:
         raise ScenarioError(f"{path}: empty rate trace")
     try:
@@ -107,87 +142,50 @@ def load_scenario(path: str, seed: int | None = None):
     try:
         with open(path, encoding="utf-8") as fh:
             doc = yaml.safe_load(fh)
-    except OSError as exc:
-        raise ScenarioError(f"{path}: {exc.strerror}") from None
-    except yaml.YAMLError as exc:
-        raise ScenarioError(f"{path}: {exc}") from None
-    if not isinstance(doc, dict):
-        raise ScenarioError(f"{path}: scenario must be a mapping")
+    except (OSError, ValueError, yaml.YAMLError) as exc:  # ValueError: not UTF-8, no such date
+        raise ScenarioError(f"{path}: {getattr(exc, 'strerror', None) or exc}") from None
     return build_configs(doc, base_dir=os.path.dirname(path) or ".", seed=seed)
 
 
 def build_configs(doc: dict, base_dir: str = ".", seed: int | None = None):
     """Expand a scenario mapping; `seed` overrides the file's own seed."""
-    _check_keys(doc, _TOP_KEYS, "scenario")
-    devices_doc = doc.get("devices")
-    if not isinstance(devices_doc, list) or not devices_doc:
+    top = _read(doc, _SCENARIO_TABLE, "scenario")
+    if not isinstance(top["devices"], list) or not top["devices"]:
         raise ScenarioError("scenario: 'devices' must be a nonempty list")
 
     devices = []
-    for k, dev in enumerate(devices_doc):
+    for k, dev in enumerate(top["devices"]):
         where = f"devices[{k}]"
-        dev = _check_keys(dev, _DEVICE_KEYS, where)
-        if "cellular_kbps" in dev and "trace_file" in dev:
+        dev = _read(dev, _DEVICE_TABLE, where)
+        kbps, trace_file = dev["cellular_kbps"], dev["trace_file"]
+        if kbps is not None and trace_file is not None:
             raise ScenarioError(f"{where}: give cellular_kbps or trace_file, not both")
-        trace = None
-        if "cellular_kbps" in dev:
-            kbps = _number(dev, "cellular_kbps", where, lo=0.0)
-            trace = RateTrace.constant(kbps * 1e3)
-        elif "trace_file" in dev:
-            name = dev["trace_file"]
-            if not isinstance(name, str):
-                raise ScenarioError(f"{where}: trace_file must be a path")
-            trace = load_rate_trace(os.path.join(base_dir, name))
+        trace = None if kbps is None else RateTrace.constant(kbps * 1e3)
+        if trace_file is not None:
+            trace = load_rate_trace(os.path.join(base_dir, trace_file))
         try:
-            devices.append(DeviceSpec(
-                cellular=trace,
-                cell_fail_prob=_number(dev, "cell_fail_prob", where, default=0.0) or 0.0,
-                cell_timeout=_number(dev, "cell_timeout_s", where),
-            ))
+            devices.append(DeviceSpec(trace, dev["cell_fail_prob"],
+                                      dev["cell_timeout_s"]))
         except ValueError as exc:
             raise ScenarioError(f"{where}: {exc}") from None
 
-    local = _check_keys(doc.get("local"), _LOCAL_KEYS, "local")
-    if "loss_uniform" in local and "loss_matrix" in local:
+    local = _read(top["local"], _LOCAL_TABLE, "local")
+    losses = [x for x in (local["loss_uniform"], local["loss_matrix"]) if x is not None]
+    if len(losses) > 1:
         raise ScenarioError("local: give loss_uniform or loss_matrix, not both")
-    loss = local.get("loss_matrix", local.get("loss_uniform", 0.0))
-
-    mode = doc.get("mode", MODE_PSEUDO_ADHOC)
-    if mode not in MODES:
-        raise ScenarioError(
-            f"scenario: unknown mode {mode!r} (allowed: {', '.join(sorted(MODES))})")
-    seg = _check_keys(doc.get("segment_params"), {"m", "n"}, "segment_params")
-
-    file_mb = _number(doc, "file_mb", "scenario", default=9.93, lo=1e-6)
-    doc_seed = _integer(doc, "seed", "scenario", default=0)
-    log_events = doc.get("log_events", False)
-    if not isinstance(log_events, bool):
-        raise ScenarioError("scenario: log_events must be true or false")
-
+    seg = _read(top["segment_params"], _SEGMENT_TABLE, "segment_params")
     try:
         sim_cfg = SimConfig(
-            devices=devices,
-            capacity_bps=(_number(local, "capacity_mbps", "local", default=20.0, lo=0.0)) * 1e6,
-            background_bps=(_number(local, "background_mbps", "local", default=0.0, lo=0.0)) * 1e6,
-            loss=loss,
-            mode=mode,
-            ap=_integer(doc, "ap", "scenario"),
-            seed=doc_seed if seed is None else seed,
-            idle_window_s=_number(doc, "idle_window_s", "scenario", default=30.0, lo=1e-9),
-            max_time_s=_number(doc, "max_time_s", "scenario", default=3600.0, lo=1e-9),
-            log_events=log_events,
-        )
+            devices=devices, capacity_bps=local["capacity_mbps"] * 1e6,
+            background_bps=local["background_mbps"] * 1e6,
+            loss=losses[0] if losses else 0.0, mode=top["mode"], ap=top["ap"],
+            seed=top["seed"] if seed is None else seed,
+            idle_window_s=top["idle_window_s"], max_time_s=top["max_time_s"],
+            log_events=top["log_events"])
         proto_cfg = ProtocolConfig(
-            protocol=doc.get("protocol", PROTO_MICROCAST),
-            file_bytes=int(round(file_mb * 1e6)),
-            m=_integer(seg, "m", "segment_params", default=25, lo=1),
-            n=_integer(seg, "n", "segment_params", default=900, lo=1),
-            video_kbps=_number(doc, "video_kbps", "scenario", default=500.0, lo=0.0),
-            assignment=doc.get("assignment", ASSIGN_ADAPTIVE),
-            initiator=_integer(doc, "initiator", "scenario", default=0, lo=0),
-        )
-    except ScenarioError:
-        raise
+            protocol=top["protocol"], file_bytes=int(round(top["file_mb"] * 1e6)),
+            m=seg["m"], n=seg["n"], video_kbps=top["video_kbps"],
+            assignment=top["assignment"], initiator=top["initiator"])
     except ValueError as exc:
         raise ScenarioError(f"scenario: {exc}") from None
     return sim_cfg, proto_cfg

@@ -253,6 +253,9 @@ def test_proto_sim_unparsable_yaml_exit_2(tmp_path, capsys):
     ("m must be an integer", {"segment_params": "{m: 2.5}"}),
     ("initiator", {"initiator": "0.5"}),
     ("log_events", {"log_events": "'no'"}),
+    ("loss_uniform", {"local": "{loss_uniform: {p: 0.1}}"}),
+    ("loss_uniform", {"local": "{loss_uniform: true}"}),
+    ("seed", {"seed": "-1"}),
 ])
 def test_proto_sim_bad_value_exit_2(tmp_path, capsys, key, fields):
     (tmp_path / "inf.csv").write_text("t_seconds,kbps\n0,inf\n", encoding="utf-8")
@@ -263,6 +266,17 @@ def test_proto_sim_bad_value_exit_2(tmp_path, capsys, key, fields):
     err = capsys.readouterr().err
     assert key in err and "Traceback" not in err
     assert not os.path.exists(tmp_path / "res" / "tiny.csv")
+
+
+def test_proto_sim_empty_value_is_the_default(tmp_path):
+    # the same path both times: the CSV headers name the scenario file
+    base = "file_mb: 0.05\ndevices: [{cellular_kbps: 2000}, {}]\n"
+    scen = scenario_file(tmp_path, base + "local:\n  capacity_mbps:\nmax_time_s:\n")
+    assert run_cli("proto-sim", scen, "--out", str(tmp_path / "empty")) == 0
+    scenario_file(tmp_path, base)
+    assert run_cli("proto-sim", scen, "--out", str(tmp_path / "absent")) == 0
+    assert ((tmp_path / "empty" / "tiny.csv").read_bytes()
+            == (tmp_path / "absent" / "tiny.csv").read_bytes())
 
 
 def test_proto_sim_loads_the_scenario_once(tmp_path, monkeypatch):
@@ -347,6 +361,9 @@ def test_bench_codec_writes_csv(tmp_path):
     (("bench-codec", "--seconds", "0"), "seconds"),
     (("bench-codec", "--seconds", "-1"), "seconds"),
     (("num-sim", "--n-devices", "0"), "at least one device"),
+    (("num-sim", "--seed", "-1"), "--seed"),
+    (("bench-codec", "--seed", "-1"), "--seed"),
+    (("recipe", "fig4a", "--seed", "-1"), "--seed"),
 ])
 def test_bad_numbers_exit_2(tmp_path, capsys, argv, needle):
     # draw_coefficients(0) never returns, so m is checked before any draw

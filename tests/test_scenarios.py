@@ -1,11 +1,18 @@
 """Scenario parsing, CSV plumbing, and the figure recipe registry."""
 
+import copy
+import os
+import re
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from microcast import num, scenarios
-from microcast.netsim import MODE_STAR
-from microcast.protocols import ASSIGN_STATIC, PROTO_R2
+from microcast.netsim import MODE_STAR, MODES
+from microcast.protocols import (ASSIGN_ADAPTIVE, ASSIGN_STATIC, PROTO_R2,
+                                 PROTOCOLS)
 from microcast.scenarios import ScenarioError
 
 
@@ -91,6 +98,17 @@ def test_rate_trace_rejects_bad_rows(tmp_path):
         scenarios.load_rate_trace(str(bad))
 
 
+@pytest.mark.parametrize("data", [
+    b"t_seconds,kbps\n0," + b"5" * 200_000 + b"\n",   # past csv's field limit
+    b"t_seconds,kbps\n0,\xff\n",                      # not UTF-8
+])
+def test_unreadable_rate_trace_names_the_file(tmp_path, data):
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(data)
+    with pytest.raises(ScenarioError, match=r"bad\.csv"):
+        scenarios.load_rate_trace(str(bad))
+
+
 @pytest.mark.parametrize("text,needle", [
     ("devices: []\n", "nonempty"),
     ("devices: [{cellular_kbps: 1, trace_file: x.csv}]\n", "not both"),
@@ -103,6 +121,9 @@ def test_rate_trace_rejects_bad_rows(tmp_path):
     ("devices: [{}]\nsegment_params: {m: 0}\n", "m"),
     ("devices: [{}]\nsegment_params: {m: 256}\n", "m=256"),
     ("devices: [{}]\nsegment_params: {n: 65536}\n", "n=65536"),
+    # finite, but not once in bit/s or bytes
+    ("devices: [{}]\nfile_mb: 1.0e+303\n", "file_mb"),
+    ("devices: [{cellular_kbps: 1.0e+306}]\n", "cellular_kbps"),
 ])
 def test_scenario_errors_name_the_key(tmp_path, text, needle):
     path = write_yaml(tmp_path, text)
@@ -120,6 +141,123 @@ def test_unparsable_yaml_names_the_file(tmp_path):
     path = write_yaml(tmp_path, "devices: [\n", name="broken.yaml")
     with pytest.raises(ScenarioError, match="broken.yaml"):
         scenarios.load_scenario(path)
+
+
+@pytest.mark.parametrize("data", [b"devices: [{}]\nmode: \xff\n",       # not UTF-8
+                                  b"devices: [{}]\nseed: 2020-13-45\n"])  # no such date
+def test_undecodable_yaml_names_the_file(tmp_path, data):
+    path = tmp_path / "broken.yaml"
+    path.write_bytes(data)
+    with pytest.raises(ScenarioError, match="broken.yaml"):
+        scenarios.load_scenario(str(path))
+
+
+def _floats(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+# valid values per key; a drawn document uses two devices
+VALID_TOP = {
+    "mode": st.sampled_from(MODES),
+    "ap": st.integers(0, 1),
+    "protocol": st.sampled_from(PROTOCOLS),
+    "assignment": st.sampled_from([ASSIGN_ADAPTIVE, ASSIGN_STATIC]),
+    "initiator": st.integers(0, 1),
+    "file_mb": _floats(1e-6, 100),
+    "seed": st.integers(0, 2**64),
+    "video_kbps": _floats(0, 1e4),
+    "idle_window_s": _floats(1e-9, 1e4),
+    "max_time_s": _floats(1e-9, 1e4),
+    "log_events": st.booleans(),
+}
+VALID_LOCAL = {
+    "capacity_mbps": _floats(1, 100),
+    "background_mbps": _floats(0, 0.5),
+    "loss_uniform": _floats(0, 1),
+}
+VALID_SEGMENT = {"m": st.integers(1, 255), "n": st.integers(1, 65535)}
+VALID_DEVICE = {
+    "cell_fail_prob": _floats(0, 1),
+    "cell_timeout_s": _floats(1e-3, 100),
+}
+ODD = st.one_of(
+    st.sampled_from([None, True, False, "", "link.csv", "x", [], [[0.5]], [[1.0, 0.0]],
+                     [[0.0, 0.5], [0.5, 0.0]], [[0.0, True], [0.5, 0.0]],
+                     [[0.0, float("nan")], [0.5, 0.0]], [1, 2], {}, {"a": 1},
+                     float("nan"), float("inf"), float("-inf"), -1, -1.5, 0, 0.0,
+                     2, 1.5, 256, 65536, 1e300, -1e300, 1e301, 1.7e308, 10**400]),
+    st.integers(-2**70, 2**70), st.floats(), st.text(max_size=3))
+
+
+@st.composite
+def scenario_docs(draw):
+    """A valid scenario, then one key (or one nested mapping) given an odd value."""
+    def pick(table):
+        return {k: draw(v) for k, v in table.items() if draw(st.booleans())}
+
+    devices = []
+    for _ in range(2):
+        dev = pick(VALID_DEVICE)
+        link = draw(st.sampled_from(["none", "cellular_kbps", "trace_file"]))
+        if link == "cellular_kbps":
+            dev[link] = draw(_floats(0, 1e5))
+        elif link == "trace_file":
+            dev[link] = "link.csv"
+        devices.append(dev)
+    doc = {**pick(VALID_TOP), "devices": devices, "local": pick(VALID_LOCAL),
+           "segment_params": pick(VALID_SEGMENT)}
+    if draw(st.booleans()):
+        doc["local"].pop("loss_uniform", None)
+        doc["local"]["loss_matrix"] = [[0.0, draw(_floats(0, 1))],
+                                       [draw(_floats(0, 1)), 0.0]]
+    places = ([(doc, k) for k in [*VALID_TOP, "devices", "local", "segment_params"]]
+              + [(doc["local"], k) for k in [*VALID_LOCAL, "loss_matrix"]]
+              + [(doc["segment_params"], k) for k in VALID_SEGMENT]
+              + [(devices, 0), (devices, 1)]
+              + [(dev, k) for dev in devices
+                 for k in [*VALID_DEVICE, "cellular_kbps", "trace_file"]])
+    where, key = draw(st.sampled_from(places))
+    return doc, where, key, draw(ODD)
+
+
+def _plain(configs):
+    sim_cfg, proto = configs
+    return {**vars(sim_cfg), "loss": sim_cfg.loss.tolist()}, vars(proto)
+
+
+# a refusal raised by a config dataclass names the field a key feeds
+FIELD_WORDS = {"capacity_mbps": "capacity", "background_mbps": "background",
+               "loss_uniform": "loss", "loss_matrix": "loss",
+               "cell_timeout_s": "cell_timeout"}
+
+
+@settings(max_examples=400, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=scenario_docs())
+def test_scenario_grammar_builds_or_names_the_key(tmp_path, case):
+    # build_configs only: a drawn file_mb of 1e300 builds, and a run would
+    # allocate every one of its segment ids
+    (tmp_path / "link.csv").write_text("t_seconds,kbps\n0,5\n7,500\n", encoding="utf-8")
+    doc, where, key, value = case
+    if isinstance(where, dict):
+        where.pop(key, None)
+    absent = copy.deepcopy(doc)
+    where[key] = value
+    try:
+        built = scenarios.build_configs(doc, base_dir=str(tmp_path))
+    except ScenarioError as exc:
+        if isinstance(key, int):                 # a whole device entry
+            words = [re.escape(f"devices[{key}]")]
+        else:
+            words = [re.escape(key), FIELD_WORDS.get(key, re.escape(key))]
+        if key == "trace_file" and isinstance(value, str):
+            words.append(re.escape(os.path.join(str(tmp_path), value)))
+        assert any(re.search(rf"(?<!\w){w}(?!\w)", str(exc)) for w in words), \
+            (key, value, str(exc))
+        return
+    if value is None and isinstance(where, dict):
+        # null is the default, the same as leaving the key out
+        assert _plain(built) == _plain(scenarios.build_configs(absent, base_dir=str(tmp_path)))
 
 
 # ------------------------------------------------------------- CSV round trip
