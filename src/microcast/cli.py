@@ -71,10 +71,11 @@ def _blank(value):
 
 def cmd_proto_sim(args) -> int:
     n_seeds = args.seeds if args.seeds is not None else 1
-    seeds = range(args.seed, args.seed + n_seeds)
     stem = os.path.splitext(os.path.basename(args.scenario))[0]
     # the seed is the only field that differs between the runs
     base_cfg, proto = scenarios.load_scenario(args.scenario)
+    first = base_cfg.seed if args.seed is None else args.seed
+    seeds = range(first, first + n_seeds)
     if args.event_log:
         base_cfg = dataclasses.replace(base_cfg, log_events=True)
     rows, stalled = [], []
@@ -193,8 +194,9 @@ def cmd_check(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0,
-                        help="first random seed (default 0)")
+    common.add_argument("--seed", type=int, default=None,
+                        help="first random seed (default: proto-sim the "
+                             "scenario file's seed, the other commands 0)")
     common.add_argument("--seeds", type=int, default=None, metavar="N",
                         help="number of seeds to run (default per command)")
     common.add_argument("--out", default="results", metavar="DIR",
@@ -254,7 +256,9 @@ def main(argv=None) -> int:
     try:
         if args.seeds is not None and args.seeds < 1:
             raise scenarios.ScenarioError("need at least one seed")
-        if args.seed < 0:
+        if args.seed is None and args.command != "proto-sim":
+            args.seed = 0
+        if args.seed is not None and args.seed < 0:
             raise scenarios.ScenarioError("--seed must be >= 0")
         return args.func(args)
     except (ValueError, OSError) as exc:   # ScenarioError is a ValueError

@@ -325,8 +325,8 @@ class LocalMedium:
 
     A job holds the air until its last delivery, which grants the next
     job in the same event, unless it stopped the run: then no job is
-    built after the run's last event.  The loss matrix, the usable rate
-    and the log switch are read once.
+    built after the run's last event.  The loss matrix, the usable rate,
+    the relaying access point and the log switch are read once.
     """
 
     def __init__(self, sim: "Simulator"):
@@ -335,6 +335,8 @@ class LocalMedium:
         self.busy = False
         self.delivered = 0               # deliveries so far; numbers the next
         self._rate = sim.config.effective_bps
+        # the access point that relays, in star mode only
+        self._relay = sim.config.ap if sim.config.mode == MODE_STAR else None
         # the tx and rx records go straight to the log, not through sim.log
         self._log = sim.events.append if sim.config.log_events else None
         # per sender, (receiver, loss) in device order, as Python floats
@@ -343,9 +345,8 @@ class LocalMedium:
 
     def occupations(self, src: int, dst: int | None) -> int:
         """Medium occupations of one message from src to dst."""
-        cfg = self.sim.config
-        if (cfg.mode == MODE_STAR and src != cfg.ap
-                and dst is not None and dst != cfg.ap):
+        ap = self._relay
+        if ap is not None and src != ap and dst is not None and dst != ap:
             return 2   # relayed through the access point
         return 1
 
@@ -459,6 +460,23 @@ class Simulator:
         """The SimStalled to raise: `message`, the stall report and the log."""
         report = self.stall_reporter() if self.stall_reporter else ""
         return SimStalled(message, report, self.events)
+
+    def close(self) -> None:
+        """Break the run's reference cycles once it is over.
+
+        Empties the event heap and the job queues, drops the handlers
+        and the stall reporter, and unlinks the medium and the modems
+        from the simulator, so that reference counting frees the run as
+        soon as its last holder lets go.  `events`, `meter`, `config`,
+        `now`, `rng` and `medium.delivered` stay readable; a closed
+        simulator runs no more events.
+        """
+        self._heap.clear()
+        self.handlers = [None] * self.config.n
+        self.stall_reporter = None
+        for part in (self.medium, *self.modems):
+            part.queue.clear()
+            part.sim = None
 
     def _anything_in_flight(self) -> bool:
         return self.medium.busy or any(m.busy for m in self.modems)

@@ -63,6 +63,7 @@ BACKLOG_LIMIT = 3           # K, assignments in flight per device
 ADVERT_PERIOD_S = 0.1
 RECOVERY_TIMEOUT_S = 2.0    # recovery tick and control-message retry period
 DELTA = 0.03                # R2 redundancy fraction
+MAX_SEGMENTS = 2**32        # a segment id travels in the packet header's 32 bits
 
 
 @dataclass
@@ -83,6 +84,9 @@ class ProtocolConfig:
         if self.file_bytes <= 0:
             raise ValueError("file_bytes must be positive")
         GenerationParams(self.m, self.n)   # refuses m or n no run could take
+        if self.n_segments > MAX_SEGMENTS:
+            raise ValueError(f"file_bytes={self.file_bytes} makes {self.n_segments} "
+                             f"segments; segment ids number at most {MAX_SEGMENTS}")
 
     @property
     def segment_bytes(self) -> int:
@@ -829,15 +833,27 @@ _NODE_CLASSES = {
 
 
 def run_protocol(sim_config: SimConfig, proto: ProtocolConfig) -> RunResult:
-    """Execute one cooperative download and report its metrics."""
-    sim = Simulator(sim_config)
+    """Execute one cooperative download and report its metrics.
+
+    The run is closed (`Simulator.close`) however it ends, so a result,
+    or the traceback of a stalled or crashed run, is freed by reference
+    counting once its holder drops it.
+    """
     n = sim_config.n
     cellular = [d for d in range(n) if sim_config.devices[d].has_cellular]
     if not cellular:
         raise ValueError("at least one device needs a cellular link")
     if proto.initiator not in range(n):
         raise ValueError("initiator must be a group member")
+    sim = Simulator(sim_config)
+    try:
+        return _run(sim, proto, cellular)
+    finally:
+        sim.close()
 
+
+def _run(sim: Simulator, proto: ProtocolConfig, cellular: list) -> RunResult:
+    n = sim.config.n
     node_cls = _NODE_CLASSES[proto.protocol]
     nodes = [node_cls(sim, d, proto) for d in range(n)]
     if proto.cooperative and proto.assignment == ASSIGN_ADAPTIVE:

@@ -18,9 +18,9 @@ import numpy as np
 from . import num, rlnc
 from .netsim import (MODE_CLIQUE, MODE_PSEUDO_ADHOC, MODE_STAR,
                      DeviceSpec, RateTrace, SimConfig)
-from .protocols import (ASSIGN_ADAPTIVE, ASSIGN_STATIC, PROTO_BITTORRENT,
-                        PROTO_MICROCAST, PROTO_NONE, PROTO_R2, ProtocolConfig,
-                        run_protocol)
+from .protocols import (ASSIGN_ADAPTIVE, ASSIGN_STATIC, MAX_SEGMENTS,
+                        PROTO_BITTORRENT, PROTO_MICROCAST, PROTO_NONE, PROTO_R2,
+                        ProtocolConfig, run_protocol)
 
 
 class ScenarioError(ValueError):
@@ -174,6 +174,12 @@ def build_configs(doc: dict, base_dir: str = ".", seed: int | None = None):
     if len(losses) > 1:
         raise ScenarioError("local: give loss_uniform or loss_matrix, not both")
     seg = _read(top["segment_params"], _SEGMENT_TABLE, "segment_params")
+    file_bytes = int(round(top["file_mb"] * 1e6))
+    most = MAX_SEGMENTS * seg["m"] * seg["n"]
+    if file_bytes > most:
+        raise ScenarioError(
+            f"scenario: file_mb must be at most {most / 1e6:.10g} at m={seg['m']}, "
+            f"n={seg['n']}: segment ids number at most {MAX_SEGMENTS}")
     try:
         sim_cfg = SimConfig(
             devices=devices, capacity_bps=local["capacity_mbps"] * 1e6,
@@ -183,7 +189,7 @@ def build_configs(doc: dict, base_dir: str = ".", seed: int | None = None):
             idle_window_s=top["idle_window_s"], max_time_s=top["max_time_s"],
             log_events=top["log_events"])
         proto_cfg = ProtocolConfig(
-            protocol=top["protocol"], file_bytes=int(round(top["file_mb"] * 1e6)),
+            protocol=top["protocol"], file_bytes=file_bytes,
             m=seg["m"], n=seg["n"], video_kbps=top["video_kbps"],
             assignment=top["assignment"], initiator=top["initiator"])
     except ValueError as exc:

@@ -130,6 +130,26 @@ def test_proto_sim_multi_seed_rows(tmp_path):
     assert [r["seed"] for r in rows] == ["5", "6"]
 
 
+def test_proto_sim_starts_from_the_files_seed(tmp_path):
+    # two files that differ only in `seed` run different seeds, and an
+    # explicit --seed still wins over the file's
+    lossy = ("file_mb: 0.01\ndevices: [{cellular_kbps: 2000}, {}]\n"
+             "local: {loss_uniform: 0.2}\nsegment_params: {m: 5, n: 200}\n")
+
+    def rows(name, seed_key, *argv):
+        scen = scenario_file(tmp_path, lossy + seed_key)
+        out = tmp_path / name
+        assert run_cli("proto-sim", scen, "--seeds", "2", "--out", str(out), *argv) == 0
+        return scenarios.read_csv(str(out / "tiny.csv"))[2]
+
+    zero, seven = rows("zero", "seed: 0\n"), rows("seven", "seed: 7\n")
+    assert [r["seed"] for r in zero] == ["0", "1"]
+    assert [r["seed"] for r in seven] == ["7", "8"]
+    assert [r["duration_s"] for r in zero] != [r["duration_s"] for r in seven]
+    assert rows("flag0", "seed: 7\n", "--seed", "0") == zero
+    assert rows("flag7", "", "--seed", "7") == seven
+
+
 def test_proto_sim_keeps_finished_seeds_when_one_stalls(tmp_path, capsys, monkeypatch):
     real = cli.run_protocol
 
@@ -248,6 +268,7 @@ def test_proto_sim_unparsable_yaml_exit_2(tmp_path, capsys):
     ("cellular_kbps", {"devices": "[{cellular_kbps: .nan}, {}]"}),
     ("inf.csv", {"devices": "[{trace_file: inf.csv}, {}]"}),
     ("file_mb", {"file_mb": ".inf"}),
+    ("file_mb", {"file_mb": "1.0e+300"}),
     ("capacity_mbps", {"local": "{capacity_mbps: .nan}"}),
     ("loss", {"local": "{loss_uniform: .nan}"}),
     ("m must be an integer", {"segment_params": "{m: 2.5}"}),
@@ -364,6 +385,7 @@ def test_bench_codec_writes_csv(tmp_path):
     (("num-sim", "--seed", "-1"), "--seed"),
     (("bench-codec", "--seed", "-1"), "--seed"),
     (("recipe", "fig4a", "--seed", "-1"), "--seed"),
+    (("proto-sim", "tiny.yaml", "--seed", "-1"), "--seed"),
 ])
 def test_bad_numbers_exit_2(tmp_path, capsys, argv, needle):
     # draw_coefficients(0) never returns, so m is checked before any draw

@@ -1,7 +1,9 @@
 """Cooperative download protocols: scheduling, dissemination, invariants."""
 
 import contextlib
+import gc
 import itertools
+import weakref
 
 import numpy as np
 import pytest
@@ -138,6 +140,10 @@ def test_config_validation():
         ProtocolConfig(assignment="roundrobin")
     with pytest.raises(ValueError, match="positive"):
         ProtocolConfig(file_bytes=0)
+    # a segment id is a 32-bit header field
+    assert ProtocolConfig(file_bytes=2**32 * 25 * 900).n_segments == 2**32
+    with pytest.raises(ValueError, match="segment ids number at most 4294967296"):
+        ProtocolConfig(file_bytes=2**32 * 25 * 900 + 1)
 
 
 def test_run_protocol_validation():
@@ -570,3 +576,110 @@ def test_logging_only_observes(protocol):
     assert quiet.sim.now == logged.sim.now
     assert quiet.sim.medium.delivered == logged.sim.medium.delivered
     assert quiet.sim.rng.random() == logged.sim.rng.random()
+
+
+# ---------------------------------------------------------------- freeing
+
+
+def assert_freed_without_collector(monkeypatch, run):
+    """run() makes protocol runs and drops them.  With the garbage collector
+    off, every simulator run_protocol built and every node attached to one
+    must then be dead, and no cyclic garbage may be left."""
+    refs = []
+
+    class Recorded(Simulator):
+        def __init__(self, config):
+            super().__init__(config)
+            refs.append(weakref.ref(self))
+
+        def attach(self, device, on_message):
+            super().attach(device, on_message)
+            refs.append(weakref.ref(on_message.__self__))
+
+    monkeypatch.setattr(protocols, "Simulator", Recorded)
+    gc.collect()
+    gc.disable()
+    try:
+        run()
+        alive = sum(ref() is not None for ref in refs)
+        garbage = gc.collect()
+    finally:
+        gc.enable()
+    assert refs and alive == 0 and garbage == 0
+
+
+@pytest.mark.parametrize("mode", [MODE_CLIQUE, MODE_PSEUDO_ADHOC, MODE_STAR])
+@pytest.mark.parametrize("protocol", list(protocols._NODE_CLASSES))
+def test_a_finished_run_is_freed_without_the_collector(monkeypatch, protocol, mode):
+    def run():
+        res = run_proto(protocol, rates=(2000.0, 1500.0, None), segments=3,
+                        loss=0.2, mode=mode)
+        assert res.metrics.complete
+
+    assert_freed_without_collector(monkeypatch, run)
+
+
+def test_runs_that_end_early_are_freed_without_the_collector(monkeypatch):
+    def run():
+        # adaptive MicroDownload over links that fail and time out
+        devices = make_devices((2000.0, 500.0), fail={1}, timeout=0.2)
+        res = run_proto(devices=devices, segments=8, loss=0.1)
+        assert res.metrics.complete and res.scheduler.failures > 0
+        # capped with jobs queued, downloads running and ticks pending
+        res = run_proto(PROTO_R2, rates=(2000.0, 1000.0, None, None),
+                        segments=6, loss=0.3, max_time_s=0.05)
+        assert not res.metrics.complete
+        # a static split whose download fails stalls; the caller holds only
+        # the exception, and drops it at the end of its except block
+        try:
+            run_proto(PROTO_MICROCAST, devices=make_devices((550.0, 550.0, None),
+                                                            fail={1}),
+                      segments=2, m=5, n=13750, assignment=ASSIGN_STATIC)
+        except SimStalled as exc:
+            assert exc.events
+        else:
+            raise AssertionError("the static run did not stall")
+
+    assert_freed_without_collector(monkeypatch, run)
+
+
+def test_a_crashed_run_is_freed_without_the_collector(monkeypatch):
+    def crash(self, msg):
+        raise RuntimeError("handler failed")
+
+    monkeypatch.setattr(MicroNCP2Node, "on_message", crash)
+
+    def run():
+        try:
+            run_proto(PROTO_MICROCAST, loss=0.1)
+        except RuntimeError as exc:
+            assert str(exc) == "handler failed"
+        else:
+            raise AssertionError("the run did not crash")
+
+    assert_freed_without_collector(monkeypatch, run)
+
+
+def test_a_closed_run_reads_the_same(monkeypatch):
+    # a star relays between leaves, so the occupations trace_problems
+    # counts must still come out right once the medium is unlinked; a
+    # planted tx record gives it problems to name
+    seen = []
+    close = Simulator.close
+
+    def checked_close(sim):
+        sim.events.append(LogRecord(sim.now, "tx", 2, CODED_DATA, 0, 100, 3,
+                                    sim.medium.delivered + 5, 1))
+        seen.append((trace_problems(sim), sim.now, sim.medium.delivered,
+                     sim.rng.bit_generator.state))
+        close(sim)
+
+    monkeypatch.setattr(Simulator, "close", checked_close)
+    res = run_proto(PROTO_R2, rates=(2000.0, None, None, None), segments=3,
+                    loss=0.2, mode=MODE_STAR, ap=1, seed=4)
+    (problems, addressee), now, delivered, state = seen[0]
+    assert len(problems) == 4 and len(addressee) == delivered + 1
+    assert trace_problems(res.sim) == (problems, addressee)
+    assert (res.sim.now, res.sim.medium.delivered) == (now, delivered)
+    assert res.sim.rng.bit_generator.state == state
+    assert res.sim.medium.sim is None and not res.sim._heap

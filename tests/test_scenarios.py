@@ -123,6 +123,11 @@ def test_unreadable_rate_trace_names_the_file(tmp_path, data):
     ("devices: [{}]\nsegment_params: {n: 65536}\n", "n=65536"),
     # finite, but not once in bit/s or bytes
     ("devices: [{}]\nfile_mb: 1.0e+303\n", "file_mb"),
+    # finite in bytes, but more segments than a 32-bit segment id numbers
+    ("devices: [{}]\nfile_mb: 1.0e+300\n",
+     "file_mb must be at most 96636764.16 at m=25, n=900"),
+    ("devices: [{}]\nfile_mb: 1.0e+5\nsegment_params: {m: 1, n: 1}\n",
+     "file_mb must be at most 4294.967296 at m=1, n=1"),
     ("devices: [{cellular_kbps: 1.0e+306}]\n", "cellular_kbps"),
 ])
 def test_scenario_errors_name_the_key(tmp_path, text, needle):
@@ -235,8 +240,8 @@ FIELD_WORDS = {"capacity_mbps": "capacity", "background_mbps": "background",
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(case=scenario_docs())
 def test_scenario_grammar_builds_or_names_the_key(tmp_path, case):
-    # build_configs only: a drawn file_mb of 1e300 builds, and a run would
-    # allocate every one of its segment ids
+    # build_configs only: a valid drawn file of up to 100 MB can still make
+    # a long run
     (tmp_path / "link.csv").write_text("t_seconds,kbps\n0,5\n7,500\n", encoding="utf-8")
     doc, where, key, value = case
     if isinstance(where, dict):
