@@ -268,7 +268,6 @@ def test_proto_sim_unparsable_yaml_exit_2(tmp_path, capsys):
     ("cellular_kbps", {"devices": "[{cellular_kbps: .nan}, {}]"}),
     ("inf.csv", {"devices": "[{trace_file: inf.csv}, {}]"}),
     ("file_mb", {"file_mb": ".inf"}),
-    ("file_mb", {"file_mb": "1.0e+300"}),
     ("capacity_mbps", {"local": "{capacity_mbps: .nan}"}),
     ("loss", {"local": "{loss_uniform: .nan}"}),
     ("m must be an integer", {"segment_params": "{m: 2.5}"}),
@@ -277,6 +276,7 @@ def test_proto_sim_unparsable_yaml_exit_2(tmp_path, capsys):
     ("loss_uniform", {"local": "{loss_uniform: {p: 0.1}}"}),
     ("loss_uniform", {"local": "{loss_uniform: true}"}),
     ("seed", {"seed": "-1"}),
+    ("file_mb", {"file_mb": "1.0e+300"}),
 ])
 def test_proto_sim_bad_value_exit_2(tmp_path, capsys, key, fields):
     (tmp_path / "inf.csv").write_text("t_seconds,kbps\n0,inf\n", encoding="utf-8")
