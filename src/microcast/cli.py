@@ -45,10 +45,9 @@ def _parse_list(text: str, cast) -> list:
 # ----------------------------------------------------------- num-sim
 
 def cmd_num_sim(args) -> int:
-    n_seeds = args.seeds if args.seeds is not None else 10
     out = scenarios.num_sweep(
         "num-sim", "command: num-sim", _parse_list(args.n_devices, int),
-        _parse_list(args.p_local, float), range(args.seed, args.seed + n_seeds),
+        _parse_list(args.p_local, float), range(args.seed, args.seed + args.seeds),
         args.iterations, cell_capacity=args.cell_capacity,
         local_capacity=args.local_capacity, gamma=args.gamma,
         policies=num.POLICIES if args.policy == "all" else (args.policy,))
@@ -70,19 +69,18 @@ def _blank(value):
 
 
 def cmd_proto_sim(args) -> int:
-    n_seeds = args.seeds if args.seeds is not None else 1
     stem = os.path.splitext(os.path.basename(args.scenario))[0]
     # the seed is the only field that differs between the runs
     base_cfg, proto = scenarios.load_scenario(args.scenario)
     first = base_cfg.seed if args.seed is None else args.seed
-    seeds = range(first, first + n_seeds)
+    seeds = range(first, first + args.seeds)
     if args.event_log:
         base_cfg = dataclasses.replace(base_cfg, log_events=True)
     rows, stalled = [], []
     os.makedirs(args.out, exist_ok=True)
 
     def write_event_log(seed, events):
-        suffix = "_events.csv" if n_seeds == 1 else f"_events_s{seed}.csv"
+        suffix = "_events.csv" if args.seeds == 1 else f"_events_s{seed}.csv"
         path = os.path.join(args.out, stem + suffix)
         ev_rows = [[e.t, e.device, _event_kind(e), _blank(e.segment),
                     e.nbytes, _blank(e.peer), _blank(e.msg), e.dims]
@@ -126,7 +124,7 @@ def cmd_proto_sim(args) -> int:
         stem, comments, PROTO_COLUMNS, rows, agg_cols, agg_rows), args.out)
     print(f"wrote {raw} ({len(rows)} rows) and {agg}")
     if stalled:
-        print(f"error: {len(stalled)} of {n_seeds} seeds stalled: {stalled}",
+        print(f"error: {len(stalled)} of {args.seeds} seeds stalled: {stalled}",
               file=sys.stderr)
         return EXIT_STALLED
     return 0
@@ -193,23 +191,14 @@ def cmd_check(args) -> int:
 # --------------------------------------------------------------- wiring
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=None,
-                        help="first random seed (default: proto-sim the "
-                             "scenario file's seed, the other commands 0)")
-    common.add_argument("--seeds", type=int, default=None, metavar="N",
-                        help="number of seeds to run (default per command)")
-    common.add_argument("--out", default="results", metavar="DIR",
-                        help="output directory (default ./results)")
-
     parser = argparse.ArgumentParser(
         prog="microcast",
         description="cooperative streaming experiments: rate allocation, "
                     "packet-level protocol runs, codec benchmarks")
     sub = parser.add_subparsers(dest="command", required=True)
+    out_help = "output directory (default ./results)"
 
-    p = sub.add_parser("num-sim", parents=[common],
-                       help="sweep the rate-allocation solver")
+    p = sub.add_parser("num-sim", help="sweep the rate-allocation solver")
     p.add_argument("--policy", default="all",
                    choices=list(num.POLICIES) + ["all"])
     p.add_argument("--n-devices", default="1,2,3,4,5,6,7,8",
@@ -221,32 +210,47 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gamma", type=float, default=1.0,
                    help="local airtime budget per unit time")
     p.add_argument("--iterations", type=int, default=1000)
+    p.add_argument("--seed", type=int, default=0, help="first seed (default 0)")
+    p.add_argument("--seeds", type=int, default=10, metavar="N",
+                   help="number of seeds (default 10)")
+    p.add_argument("--out", default="results", metavar="DIR", help=out_help)
     p.set_defaults(func=cmd_num_sim)
 
-    p = sub.add_parser("proto-sim", parents=[common],
-                       help="run one scenario file through the simulator")
+    p = sub.add_parser("proto-sim", help="run one scenario file through the simulator")
     p.add_argument("scenario", help="scenario YAML file")
     p.add_argument("--event-log", action="store_true",
                    help="also write per-run event records (as the "
                         "scenario key log_events: true does)")
+    p.add_argument("--seed", type=int, default=None,
+                   help="first seed (default: the scenario file's seed)")
+    p.add_argument("--seeds", type=int, default=1, metavar="N",
+                   help="number of seeds, one run each (default 1)")
+    p.add_argument("--out", default="results", metavar="DIR", help=out_help)
     p.set_defaults(func=cmd_proto_sim)
 
-    p = sub.add_parser("bench-codec", parents=[common],
-                       help="measure encode/decode throughput")
+    p = sub.add_parser("bench-codec", help="measure encode/decode throughput")
     p.add_argument("--m", default="16,25,32,64",
                    help="comma list of generation sizes")
     p.add_argument("--n", type=int, default=900, help="payload bytes")
     p.add_argument("--seconds", type=float, default=0.3,
                    help="wall-clock budget per measurement")
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed of the data and coefficients (default 0)")
+    p.add_argument("--out", default="results", metavar="DIR", help=out_help)
     p.set_defaults(func=cmd_bench)
 
-    p = sub.add_parser("recipe", parents=[common],
-                       help="reproduce a named figure sweep")
+    p = sub.add_parser("recipe", help="reproduce a named figure sweep")
     p.add_argument("name", choices=list(scenarios.RECIPES) + ["all"])
+    p.add_argument("--seed", type=int, default=0, help="first seed (default 0)")
+    p.add_argument("--seeds", type=int, default=None, metavar="N",
+                   help="number of seeds (default: the recipe's own count; "
+                        "fig7b runs its first seed only)")
+    p.add_argument("--out", default="results", metavar="DIR", help=out_help)
     p.set_defaults(func=cmd_recipe)
 
-    p = sub.add_parser("check", parents=[common],
-                       help="evaluate the acceptance criteria")
+    p = sub.add_parser("check", help="evaluate the acceptance criteria")
+    p.add_argument("--out", default="results", metavar="DIR",
+                   help="results directory to read (default ./results)")
     p.set_defaults(func=cmd_check)
     return parser
 
@@ -254,11 +258,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.seeds is not None and args.seeds < 1:
+        # not every command reads a seed: bench-codec has no --seeds, check neither
+        if getattr(args, "seeds", None) is not None and args.seeds < 1:
             raise scenarios.ScenarioError("need at least one seed")
-        if args.seed is None and args.command != "proto-sim":
-            args.seed = 0
-        if args.seed is not None and args.seed < 0:
+        if getattr(args, "seed", None) is not None and args.seed < 0:
             raise scenarios.ScenarioError("--seed must be >= 0")
         return args.func(args)
     except (ValueError, OSError) as exc:   # ScenarioError is a ValueError

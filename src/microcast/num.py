@@ -147,6 +147,8 @@ class Topology:
     @classmethod
     def uniform(cls, n: int, cell_capacity=1.0, cell_loss=0.0,
                 local_capacity=1.0, local_loss=0.0, gamma=1.0) -> "Topology":
+        if n < 1:   # before np.full, whose message for a negative n names no device
+            raise ValueError("need at least one device")
         return cls(
             cell_capacity=_as_vector(cell_capacity, n),
             cell_loss=_as_vector(cell_loss, n),

@@ -170,11 +170,11 @@ class DecoderState:
     A full-rank state never changes again, so it keeps `rows` alone,
     C-contiguous uint8 at 1 byte per entry, with no `_index`, and
     records once whether its payload block rows[:, m:] is all zero.
-    `insert` drops the index when it reaches full rank; `full` and
-    `from_plain` build this layout directly. Any combination of zero
-    rows is zero, so `recode` from such a state returns a zero payload
-    without a GF kernel call. The simulator's decoders carry a zero
-    payload column, which makes this the common case there.
+    `insert` drops the index when it reaches full rank; `full` builds
+    this layout directly. Any combination of zero rows is zero, so
+    `recode` from such a state returns a zero payload without a GF
+    kernel call. The simulator's decoders carry a zero payload column,
+    which makes this the common case there.
     """
 
     def __init__(self, segment_id: int, params: GenerationParams):
@@ -206,21 +206,6 @@ class DecoderState:
         state.rows, state._index = np.eye(m, m + params.n, dtype=np.uint8), None
         state._pivot_cols = np.arange(m, dtype=np.intp)
         state._zero_payload = True
-        return state
-
-    @classmethod
-    def from_plain(cls, generation: Generation,
-                   params: GenerationParams) -> "DecoderState":
-        """Seed a full-rank state from the original packets.
-
-        Rows are [e_k | payload_k]; recoding from this state draws the
-        same distribution as encoding the generation afresh.
-        """
-        if generation.params != params:
-            raise ValueError(f"generation prepared for {generation.params}, not {params}")
-        state = cls.full(generation.segment_id, params)
-        state.rows[:, params.m:] = generation.matrix
-        state._zero_payload = not generation.matrix.any()
         return state
 
     def insert(self, packet: CodedPacket) -> bool:

@@ -135,7 +135,7 @@ def load_rate_trace(path: str) -> RateTrace:
         raise ScenarioError(f"{path}: {exc}") from None
 
 
-def load_scenario(path: str, seed: int | None = None):
+def load_scenario(path: str):
     """Parse a YAML scenario file into (SimConfig, ProtocolConfig)."""
     import yaml   # only scenario files need PyYAML; recipes build configs directly
 
@@ -144,7 +144,7 @@ def load_scenario(path: str, seed: int | None = None):
             doc = yaml.safe_load(fh)
     except (OSError, ValueError, yaml.YAMLError) as exc:  # ValueError: not UTF-8, no such date
         raise ScenarioError(f"{path}: {getattr(exc, 'strerror', None) or exc}") from None
-    return build_configs(doc, base_dir=os.path.dirname(path) or ".", seed=seed)
+    return build_configs(doc, base_dir=os.path.dirname(path) or ".")
 
 
 def build_configs(doc: dict, base_dir: str = ".", seed: int | None = None):

@@ -1,5 +1,7 @@
 """Command line harness: subcommands, CSV contracts, exit codes."""
 
+import argparse
+import dataclasses
 import os
 import subprocess
 import sys
@@ -96,6 +98,14 @@ def test_num_sim_deterministic(tmp_path):
         with open(os.path.join(a, name), "rb") as fa, \
              open(os.path.join(b, name), "rb") as fb:
             assert fa.read() == fb.read()
+
+
+def test_num_sim_default_seeds_are_0_to_9(tmp_path):
+    out = str(tmp_path)
+    assert run_cli("num-sim", "--policy", "unicast", "--n-devices", "1",
+                   "--iterations", "10", "--out", out) == 0
+    _, _, rows = scenarios.read_csv(os.path.join(out, "num-sim.csv"))
+    assert [r["seed"] for r in rows] == [str(s) for s in range(10)]
 
 
 # ---------------------------------------------------------------- proto-sim
@@ -314,11 +324,11 @@ def test_proto_sim_loads_the_scenario_once(tmp_path, monkeypatch):
     assert run_cli("proto-sim", scen, "--seeds", "3", "--seed", "4",
                    "--event-log", "--out", out) == 0
     assert calls == [(scen,)]
-    # each seed's run is the one a fresh load with that seed gives
+    # each seed's run is the file's config with only the seed replaced
     _, columns, rows = scenarios.read_csv(os.path.join(out, "tiny.csv"))
     for row, seed in zip(rows, (4, 5, 6), strict=True):
-        sim_cfg, proto = real(scen, seed=seed)
-        met = cli.run_protocol(sim_cfg, proto).metrics
+        sim_cfg, proto = real(scen)
+        met = cli.run_protocol(dataclasses.replace(sim_cfg, seed=seed), proto).metrics
         expected = [met.protocol, seed, int(met.complete), met.duration_s,
                     met.avg_rate_bps, met.local_bytes, met.local_data_bytes,
                     met.local_control_bytes, "done"]
@@ -386,6 +396,7 @@ def test_bench_codec_writes_csv(tmp_path):
     (("bench-codec", "--seed", "-1"), "--seed"),
     (("recipe", "fig4a", "--seed", "-1"), "--seed"),
     (("proto-sim", "tiny.yaml", "--seed", "-1"), "--seed"),
+    (("num-sim", "--n-devices", "-1"), "at least one device"),
 ])
 def test_bad_numbers_exit_2(tmp_path, capsys, argv, needle):
     # draw_coefficients(0) never returns, so m is checked before any draw
@@ -412,6 +423,56 @@ def test_recipe_unknown_name_exits_2(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         run_cli("recipe", "fig9z", "--out", str(tmp_path))
     assert exc.value.code == 2
+
+
+def test_recipe_default_seeds_are_the_recipes_own(tmp_path):
+    out = str(tmp_path)
+    assert run_cli("recipe", "fig-microdownload", "--out", out) == 0
+    _, _, rows = scenarios.read_csv(os.path.join(out, "fig-microdownload.csv"))
+    assert sorted({r["seed"] for r in rows}) == ["0", "1", "2"]
+
+
+# --------------------------------------------------------------- flag table
+
+
+# every flag a subcommand takes, with its default: each one has a reader
+FLAGS = {
+    "num-sim": {"--policy": "all", "--n-devices": "1,2,3,4,5,6,7,8",
+                "--p-local": "0", "--cell-capacity": 1.0,
+                "--local-capacity": 10.0, "--gamma": 1.0,
+                "--iterations": 1000, "--seed": 0, "--seeds": 10,
+                "--out": "results"},
+    "proto-sim": {"--event-log": False, "--seed": None, "--seeds": 1,
+                  "--out": "results"},
+    "bench-codec": {"--m": "16,25,32,64", "--n": 900, "--seconds": 0.3,
+                    "--seed": 0, "--out": "results"},
+    "recipe": {"--seed": 0, "--seeds": None, "--out": "results"},
+    "check": {"--out": "results"},
+}
+
+
+def test_each_subcommand_declares_only_the_flags_it_reads():
+    commands = next(a for a in cli.build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    assert sorted(commands) == sorted(FLAGS)
+    for name, parser in commands.items():
+        flags = {a.option_strings[-1]: a.default for a in parser._actions
+                 if a.option_strings and a.option_strings != ["-h", "--help"]}
+        assert flags == FLAGS[name], name
+
+
+@pytest.mark.parametrize("argv", [
+    ("check", "--seed", "5"),
+    ("check", "--seeds", "2"),
+    ("bench-codec", "--m", "4", "--n", "8", "--seconds", "0.01", "--seeds", "2"),
+], ids=["check-seed", "check-seeds", "bench-codec-seeds"])
+def test_a_flag_the_command_never_reads_exits_2(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv, "--out", str(out))
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # --------------------------------------------------------------------- check

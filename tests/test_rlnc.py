@@ -179,18 +179,18 @@ def test_generation_of_other_params_rejected():
                   GenerationParams(m=5, n=4)):
         with pytest.raises(ValueError, match="generation prepared for"):
             encode(gen, rng, other)
-        with pytest.raises(ValueError, match="generation prepared for"):
-            DecoderState.from_plain(gen, other)
     # the check comes before any draw
     assert rng.bit_generator.state == drawn
 
 
 def test_from_plain_equals_decoded_state():
+    # a full-rank state with a payload is what m inserts of the plain
+    # packets reach; its recodes decode elsewhere
     rng = np.random.default_rng(10)
     params = GenerationParams(m=5, n=9)
     gen, data = make_generation(rng, params)
-    state = DecoderState.from_plain(gen, params)
-    assert state.complete
+    state = _decode_with_pivots(range(params.m), rng, gen.matrix, params)
+    assert state.complete and not state._zero_payload
     out = state.extract()
     assert b"".join(p.payload for p in out) == data
     # recoded packets from the seeded state decode elsewhere
@@ -202,11 +202,15 @@ def test_from_plain_equals_decoded_state():
 
 @pytest.mark.parametrize("m, n", [(1, 1), (4, 1), (5, 9), (25, 1)])
 def test_full_equals_from_plain_of_zero_packets(m, n):
+    # `full` builds the state that m inserts of all-zero plain packets reach
     params = GenerationParams(m=m, n=n)
-    full = DecoderState.full(3, params)
-    ref = DecoderState.from_plain(split_segment(3, b"", params), params)
+    full = DecoderState.full(0, params)
+    ref = _decode_with_pivots(range(m), np.random.default_rng(m * n),
+                              split_segment(0, b"", params).matrix, params)
     assert full.segment_id == ref.segment_id and full.params == ref.params
     assert np.array_equal(full.rows, ref.rows) and full.rows.dtype == ref.rows.dtype
+    assert full.rows.flags.c_contiguous and ref.rows.flags.c_contiguous
+    assert full._index is ref._index is None
     assert full.rank == ref.rank == m and type(full.rank) is int
     assert np.array_equal(full._pivot_cols, np.arange(m))
     assert np.array_equal(full._pivot_cols, ref._pivot_cols)
@@ -245,7 +249,7 @@ def _wire_packets(rng, params):
     partial.insert(encode(gen, rng, params))
     zero = DecoderState.full(5, params)
     return [encode(gen, rng, params), recode(partial, rng), recode(zero, rng),
-            recode(DecoderState.from_plain(gen, params), rng)]
+            recode(_decode_with_pivots(range(params.m), rng, gen.matrix, params, 5), rng)]
 
 
 @settings(max_examples=60, deadline=None)
@@ -463,8 +467,7 @@ def test_partial_rows_live_in_their_gather_index(m, n, seed, ops):
 
     run_op_mix(ops, state, gen, rng, params, deliver)
     assert b"".join(p.payload for p in state.extract()) == data
-    for built in (DecoderState.full(0, params), DecoderState.from_plain(gen, params)):
-        assert_rows_in_their_index(built)
+    assert_rows_in_their_index(DecoderState.full(0, params))
 
 
 def test_a_copied_state_keeps_its_rows_in_its_index():
@@ -484,16 +487,16 @@ def test_a_copied_state_keeps_its_rows_in_its_index():
             assert _same_state(twin, state)
 
 
-def _decode_with_pivots(perm, rng, matrix, params):
+def _decode_with_pivots(perm, rng, matrix, params, segment_id=0):
     # the packet for slot k is nonzero at perm[k] and random on perm[:k],
     # so after elimination its lead column, and slot k's pivot, is perm[k]
-    state = DecoderState(0, params)
+    state = DecoderState(segment_id, params)
     for k, col in enumerate(perm):
         coeff = np.zeros(params.m, dtype=np.uint8)
         coeff[list(perm[:k])] = rng.integers(0, 256, k, dtype=np.uint8)
         coeff[col] = rng.integers(1, 256, dtype=np.uint8)
         row = np.concatenate((coeff, gf256.gf_dot(coeff, matrix)))
-        assert state.insert(CodedPacket(0, row, params.m))
+        assert state.insert(CodedPacket(segment_id, row, params.m))
     assert state.complete and list(state._pivot_cols) == list(perm)
     return state
 
@@ -543,7 +546,7 @@ def test_full_rank_fast_paths_match_general_path(mp, n, seed, kind):
     data = _payload_data(kind, rng, params)
     gen = split_segment(0, data, params)
     matrix = np.frombuffer(data, dtype=np.uint8).reshape(m, n)
-    states = [DecoderState.from_plain(gen, params),
+    states = [_decode_with_pivots(range(m), rng, matrix, params),
               _decode_with_pivots(perm, rng, matrix, params)]
     if kind == "zero":
         states.append(DecoderState.full(0, params))

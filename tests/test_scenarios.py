@@ -77,7 +77,9 @@ def test_seed_parameter_overrides_file(tmp_path):
     path = write_yaml(tmp_path, "seed: 3\ndevices: [{cellular_kbps: 500}]\n")
     sim_cfg, _ = scenarios.load_scenario(path)
     assert sim_cfg.seed == 3
-    sim_cfg, _ = scenarios.load_scenario(path, seed=11)
+    doc = {"seed": 3, "devices": [{"cellular_kbps": 500}]}
+    assert scenarios.build_configs(doc)[0] == sim_cfg
+    sim_cfg, _ = scenarios.build_configs(doc, seed=11)
     assert sim_cfg.seed == 11
 
 

@@ -28,10 +28,10 @@ Last come `--codec` generations at packet width, m = 1..64 and
 n = 1..1500, of random, all-zero or short (zero-padded) data. Each is
 encoded until a decoder completes, every packet through the wire
 format; the decoder extracts, a relay holding half the packets recodes
-into a sink, and the full-rank state seeded from the plain packets
-recodes too. Random dense coefficients pivot in column order, so one
-more decoder takes m packets built to pivot in a random column order
-and extracts. A generation's digest covers every coded row, every
+into a sink, and so does a full-rank state built by inserting the m
+plain packets as rows [e_k | payload_k]. Random dense coefficients
+pivot in column order, so one more decoder takes m packets built to
+pivot in a random column order and extracts. A generation's digest covers every coded row, every
 innovation flag, the decoders' rows, the extracted bytes and the rng
 state. Versions of this tool without that last decoder print other
 digests.
@@ -161,8 +161,13 @@ def codec_digest(params: rlnc.GenerationParams, data: bytes, seed: int) -> bytes
             relay.insert(pkt)
     total.update(decoder.rows.tobytes())
     total.update(b"".join(p.payload for p in decoder.extract()))
+    # the full-rank state of the plain packets, reached by m inserts that
+    # draw nothing from the rng
+    seeded = rlnc.DecoderState(9, params)
+    for row in np.hstack((np.eye(params.m, dtype=np.uint8), plain.matrix)):
+        seeded.insert(rlnc.CodedPacket(9, row, params.m))
     sink = rlnc.DecoderState(9, params)
-    for source in (relay, rlnc.DecoderState.from_plain(plain, params)):
+    for source in (relay, seeded):
         for _ in range(source.rank + 2):
             pkt = rlnc.recode(source, rng)
             total.update(pkt.to_bytes())
