@@ -137,7 +137,7 @@ def cmd_bench(args) -> int:
                                 _parse_list(args.m, int), args.n, args.seconds,
                                 args.seed)
     raw, agg = scenarios.write_recipe_output(out, args.out)
-    for m, encode, decode, enc_q1, enc_q3, dec_q1, dec_q3 in out.rows:
+    for m, encode, decode, enc_q1, enc_q3, dec_q1, dec_q3, *_ in out.rows:
         print(f"m={m:>3}: encode {encode:7.2f} Mbps ({enc_q1:.2f}-{enc_q3:.2f}), "
               f"decode {decode:7.2f} Mbps ({dec_q1:.2f}-{dec_q3:.2f})")
     print(f"wrote {raw} and {agg}")
@@ -252,11 +252,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="results", metavar="DIR",
                    help="results directory to read (default ./results)")
     p.set_defaults(func=cmd_check)
+    for p in sub.choices.values():
+        p.set_defaults(command_parser=p)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args, extra = build_parser().parse_known_args(argv)
+    if extra:
+        # argparse would report these with the top-level usage
+        args.command_parser.error(f"unrecognized arguments: {' '.join(extra)}")
     try:
         # not every command reads a seed: bench-codec has no --seeds, check neither
         if getattr(args, "seeds", None) is not None and args.seeds < 1:

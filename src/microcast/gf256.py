@@ -10,6 +10,22 @@ index depends on the matrix alone, so a matrix combined many times
 builds it once. A matrix that changes by XOR can live inside its index:
 the matrix byte is the low byte, and XORing uint8 values into a uint16
 index leaves the row offsets alone, so it stays an index (`blank_index`).
+
+Multiplication is also linear over GF(2): c * x is the XOR of x * x^b
+over the set bits b of c. So a matrix combined many times can keep its
+eight x^b multiples instead (`bit_planes`), and each combination is a
+select-and-XOR of whole 64-bit words with no gather (`plane_dot`); this
+is the bit-matrix view behind XOR-based erasure codes. Each kernel is
+used only where it is cheaper, and no object holds both forms:
+
+- `plane_dot` encodes from a prepared generation, whose matrix never
+  changes, so its planes are built once.
+- `gf_dot` does everything else: decoder elimination, the
+  back-substitution and both recode paths. A decoder's rows change on
+  every insert, and keeping their planes current would cost eight
+  outer-product gathers per insert instead of one. A one-off
+  combination does not pay for its planes either: building them takes
+  about 65 us at k=25, n=900, against about 6 us for `gather_index`.
 """
 
 from __future__ import annotations
@@ -45,6 +61,52 @@ _ROW_OFFSET = np.arange(256, dtype=np.uint16) << 8
 # INV[a] = a^-1 for a >= 1; INV[0] unused
 INV = np.zeros(256, dtype=np.uint8)
 INV[1:] = EXP[255 - LOG[1:]]
+
+
+# xtime on 8 packed bytes: the high bits leave, the 0x1D carry comes in.
+# numpy scalars throughout, since a Python int would promote the shifts
+# to float under NumPy 1.24's value-based casting
+_LOW7 = np.uint64(0x7F7F7F7F7F7F7F7F)
+_ONES = np.uint64(0x0101010101010101)
+_CARRY = np.uint64(0x1D)
+_ONE, _SEVEN = np.uint64(1), np.uint64(7)
+
+
+def bit_planes(matrix: np.ndarray) -> np.ndarray:
+    """The eight x^b multiples of a matrix: (k, n) uint8 -> (8k, w/8) uint64.
+
+    Row b*k + i holds x^b * matrix[i] (b-major, so each plane is one
+    contiguous block), with w = n rounded up to a multiple of 8 and the
+    padding bytes zero. The result is read-only. xtime cannot carry
+    across bytes, so byte order does not matter.
+    """
+    k, n = matrix.shape
+    words = -(-n // 8)
+    planes = np.zeros((8, k, words), dtype=np.uint64)
+    planes[0].view(np.uint8)[:, :n] = matrix
+    high = np.empty((k, words), dtype=np.uint64)
+    for b in range(7):
+        p, nxt = planes[b], planes[b + 1]
+        np.right_shift(p, _SEVEN, out=high)
+        np.bitwise_and(high, _ONES, out=high)
+        np.multiply(high, _CARRY, out=high)
+        np.bitwise_and(p, _LOW7, out=nxt)
+        np.left_shift(nxt, _ONE, out=nxt)
+        np.bitwise_xor(nxt, high, out=nxt)
+    planes = planes.reshape(8 * k, words)
+    planes.flags.writeable = False
+    return planes
+
+
+def plane_dot(coeffs: np.ndarray, planes: np.ndarray, n: int) -> np.ndarray:
+    """sum_k coeffs[k] * matrix[k, :] over GF(256), read from `bit_planes(matrix)`.
+
+    coeffs: (k,) uint8; returns (n,) uint8. Bit b of coeffs[i] selects
+    plane row b*k + i: unpacking the (1, k) coefficients little-endian
+    along axis 0 gives an (8, k) mask, b-major like the planes.
+    """
+    mask = np.unpackbits(coeffs[None], axis=0, bitorder="little").view(bool).ravel()
+    return np.bitwise_xor.reduce(planes.compress(mask, axis=0), axis=0).view(np.uint8)[:n]
 
 
 def gather_index(matrix: np.ndarray) -> np.ndarray:

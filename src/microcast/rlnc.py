@@ -91,18 +91,18 @@ class Generation:
     """One segment's m plain packets, prepared once for encoding.
 
     It carries two read-only arrays: `matrix`, the (m, n) payloads over
-    the segment's bytes, and `index`, its `gf256.gather_index` (2 bytes
-    per payload byte), so a coded packet costs one table copy, one
-    gather and one XOR-reduce.
+    the segment's bytes, and `planes`, its `gf256.bit_planes` (8 bytes
+    per payload byte, rounded up to whole words), so a coded packet is
+    one select-and-XOR of 64-bit words.
     """
 
-    __slots__ = ("segment_id", "params", "matrix", "index")
+    __slots__ = ("segment_id", "params", "matrix", "planes")
 
     def __init__(self, segment_id: int, data: bytes, params: GenerationParams):
         self.segment_id, self.params = segment_id, params
         self.matrix = np.frombuffer(data, dtype=np.uint8).reshape(params.m, params.n)
-        self.index = gf256.gather_index(self.matrix)
-        self.matrix.flags.writeable = self.index.flags.writeable = False
+        self.matrix.flags.writeable = False
+        self.planes = gf256.bit_planes(self.matrix)
 
 
 def split_segment(segment_id: int, data: bytes, params: GenerationParams) -> Generation:
@@ -132,9 +132,8 @@ def encode(generation: Generation, rng: np.random.Generator,
     if generation.params != params:
         raise ValueError(f"generation prepared for {generation.params}, not {params}")
     coeff = draw_coefficients(params.m, rng)
-    return CodedPacket(generation.segment_id,
-                       np.concatenate((coeff, gf256.gf_dot(coeff, generation.index))),
-                       params.m)
+    payload = gf256.plane_dot(coeff, generation.planes, params.n)
+    return CodedPacket(generation.segment_id, np.concatenate((coeff, payload)), params.m)
 
 
 class DecoderState:
@@ -298,6 +297,9 @@ def bench(m_values: Iterable[int], n: int, seconds: float,
     _BENCH_SLICES slices that alternate across the m values; a rate is
     the median over its slices, and `*_q1_mbps`/`*_q3_mbps` are the
     slices' quartiles, which show how far host contention spread them.
+    Every m but the largest also gets `*_ratio_next`: the median over
+    rounds of its rate over the next larger m's rate in the same round,
+    so a slowdown that spans a round cancels out of the ratio.
     """
     # reject bad sizes before drawing: draw_coefficients(0) never returns
     generations = [GenerationParams(m=m, n=n) for m in m_values]
@@ -330,14 +332,20 @@ def bench(m_values: Iterable[int], n: int, seconds: float,
 
             enc.append(_rate(budget, encode_generation))
             dec.append(_rate(budget, decode_generation))
+    # (encode, decode) x slice, in Mbps; each m's next larger neighbour
+    mbps = [np.array(both) * (params.segment_bytes * 8 / 1e6)
+            for (params, _, _), both in zip(setups, rates)]
+    by_m = sorted(range(len(setups)), key=lambda i: setups[i][0].m)
+    next_m = dict(zip(by_m, by_m[1:]))
     results = []
-    for (params, _, _), (enc, dec) in zip(setups, rates):
-        mbps = params.segment_bytes * 8 / 1e6
-        row = {"m": params.m,
-               "encode_mbps": float(np.median(enc)) * mbps,
-               "decode_mbps": float(np.median(dec)) * mbps}
-        for kind, per_slice in (("encode", enc), ("decode", dec)):
-            q1, q3 = np.percentile(per_slice, (25, 75))
-            row[f"{kind}_q1_mbps"], row[f"{kind}_q3_mbps"] = float(q1) * mbps, float(q3) * mbps
+    for i, (params, _, _) in enumerate(setups):
+        row = {"m": params.m}
+        for kind, per_slice in zip(("encode", "decode"), mbps[i]):
+            q1, q2, q3 = np.percentile(per_slice, (25, 50, 75))
+            row[f"{kind}_mbps"] = float(q2)
+            row[f"{kind}_q1_mbps"], row[f"{kind}_q3_mbps"] = float(q1), float(q3)
+        if i in next_m:
+            ratios = np.median(mbps[i] / mbps[next_m[i]], axis=1)
+            row["encode_ratio_next"], row["decode_ratio_next"] = ratios.tolist()
         results.append(row)
     return results

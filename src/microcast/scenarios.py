@@ -445,16 +445,18 @@ def _congested_recipe(seeds) -> RecipeOutput:
                          ["protocol", "n_devices"], ["avg_rate_bps"])
 
 
-# per m: the median slice rates, then their quartiles
+# per m: the median slice rates, their quartiles, then the median per-round
+# ratio to the next larger m's rate (blank on the largest m)
 BENCH_COLUMNS = ["m", "encode_mbps", "decode_mbps", "encode_q1_mbps", "encode_q3_mbps",
-                 "decode_q1_mbps", "decode_q3_mbps"]
+                 "decode_q1_mbps", "decode_q3_mbps", "encode_ratio_next",
+                 "decode_ratio_next"]
 
 
 def codec_bench(name: str, header: str, m_values, n: int, seconds: float,
                 seed: int) -> RecipeOutput:
     """One `rlnc.bench` run as BENCH_COLUMNS rows."""
     m_values = list(m_values)
-    rows = [[r[c] for c in BENCH_COLUMNS]
+    rows = [[r.get(c, "") for c in BENCH_COLUMNS]
             for r in rlnc.bench(m_values, n, seconds=seconds, seed=seed)]
     comments = [
         header,

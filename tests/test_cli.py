@@ -385,6 +385,9 @@ def test_bench_codec_writes_csv(tmp_path):
     assert columns == scenarios.BENCH_COLUMNS
     assert [r["m"] for r in rows] == ["4", "8"]
     assert all(float(r["encode_mbps"]) > 0 for r in rows)
+    # m=4 over its neighbour m=8; the largest m has no neighbour
+    assert float(rows[0]["encode_ratio_next"]) > 0 and float(rows[0]["decode_ratio_next"]) > 0
+    assert rows[1]["encode_ratio_next"] == rows[1]["decode_ratio_next"] == ""
 
 
 @pytest.mark.parametrize("argv, needle", [
@@ -465,13 +468,20 @@ def test_each_subcommand_declares_only_the_flags_it_reads():
     ("check", "--seed", "5"),
     ("check", "--seeds", "2"),
     ("bench-codec", "--m", "4", "--n", "8", "--seconds", "0.01", "--seeds", "2"),
-], ids=["check-seed", "check-seeds", "bench-codec-seeds"])
+    ("recipe", "fig7b", "--m", "4"),
+    ("num-sim", "--m", "4"),
+    ("proto-sim", "scenario.yaml", "--policy", "all"),
+], ids=["check-seed", "check-seeds", "bench-codec-seeds", "recipe-m", "num-sim-m",
+        "proto-sim-policy"])
 def test_a_flag_the_command_never_reads_exits_2(tmp_path, capsys, argv):
+    # reported with the subcommand's own usage, not the top-level one
     out = tmp_path / "out"
     with pytest.raises(SystemExit) as exc:
         run_cli(*argv, "--out", str(out))
     assert exc.value.code == 2
-    assert "unrecognized arguments" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: microcast {argv[0]} ")
+    assert "unrecognized arguments" in err
     assert not out.exists()
 
 

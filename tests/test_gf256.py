@@ -159,3 +159,40 @@ def test_gf_dot_and_scale_rows_match_scalar_reference(data):
         outer = gf256.scale_rows(scale, row)
         assert outer.dtype == np.uint8 and outer.shape == (k, w)
         assert outer.tolist() == [[mul_ref(int(c), int(x)) for x in row] for c in coeffs]
+
+
+# x^b * v for every byte v, off the shift-and-xor oracle: row b is plane b
+XTIMES = np.array([[mul_ref(1 << b, v) for v in range(256)] for b in range(8)],
+                  dtype=np.uint8)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_bit_planes_and_plane_dot_match_gf_dot_and_scalar_reference(data):
+    # k up to a full m=64 generation, widths on and off a multiple of 8,
+    # zero-heavy coefficients and the all-zero vector
+    k = data.draw(st.integers(1, 64), label="k")
+    n = data.draw(st.integers(1, 40), label="n")
+    mat = np.frombuffer(data.draw(st.binary(min_size=k * n, max_size=k * n),
+                                  label="matrix"), dtype=np.uint8).reshape(k, n)
+    planes = gf256.bit_planes(mat)
+    words = -(-n // 8)
+    assert planes.dtype == np.uint64 and planes.shape == (8 * k, words)
+    assert not planes.flags.writeable
+    # b-major: row b*k + i is x^b * mat[i], and the padding bytes are zero
+    as_bytes = planes.view(np.uint8).reshape(8, k, 8 * words)
+    assert not as_bytes[:, :, n:].any()
+    for b in range(8):
+        assert np.array_equal(as_bytes[b, :, :n], XTIMES[b][mat]), b
+    zero_heavy = st.lists(st.one_of(st.just(0), st.integers(0, 255)), min_size=k, max_size=k)
+    for coeffs in (data.draw(zero_heavy, label="coeffs"), [0] * k,
+                   data.draw(st.lists(st.integers(1, 255), min_size=k, max_size=k),
+                             label="dense")):
+        coeffs = np.array(coeffs, dtype=np.uint8)
+        want = [0] * n
+        for r in range(k):
+            for col in range(n):
+                want[col] ^= mul_ref(int(coeffs[r]), int(mat[r, col]))
+        out = gf256.plane_dot(coeffs, planes, n)
+        assert out.dtype == np.uint8 and out.tolist() == want
+        assert out.tolist() == gf256.gf_dot(coeffs, mat).tolist()

@@ -326,7 +326,8 @@ def test_prepared_generation_encodes_like_the_raw_matrix(m, n, seed, kind):
     gen = split_segment(4, data, params)
     matrix = np.frombuffer(data, dtype=np.uint8).reshape(m, n)
     assert np.array_equal(gen.matrix, matrix)
-    assert not gen.matrix.flags.writeable and not gen.index.flags.writeable
+    assert not gen.matrix.flags.writeable and not gen.planes.flags.writeable
+    assert gen.planes.dtype == np.uint64 and gen.planes.shape == (8 * m, -(-n // 8))
     ref_rng = copy.deepcopy(rng)
     for _ in range(3):
         pkt = encode(gen, rng, params)
@@ -589,3 +590,20 @@ def test_full_rank_fast_paths_match_general_path(mp, n, seed, kind):
         longer = np.concatenate((np.append(pkt.coefficients, 1), pkt.payload))
         with pytest.raises(ValueError, match="shape"):
             state.insert(CodedPacket(0, longer, m + 1))
+
+
+def test_bench_ratio_is_the_median_of_per_round_ratios(monkeypatch):
+    # scripted generations/s, one per timed slice; each round times
+    # m=4 encode, m=4 decode, m=2 encode, m=2 decode, in the order given
+    script = np.random.default_rng(5).uniform(50, 150, (rlnc._BENCH_SLICES, 2, 2))
+    calls = iter(script.ravel().tolist())
+    monkeypatch.setattr(rlnc, "_rate", lambda budget, step: next(calls))
+    four, two = rlnc.bench((4, 2), n=8, seconds=1.0)
+    mbps = script * (np.array([4, 2]) * 8 * 8 / 1e6)[None, :, None]
+    assert four["m"] == 4 and "encode_ratio_next" not in four
+    assert two["m"] == 2
+    for k, kind in enumerate(("encode", "decode")):
+        assert two[f"{kind}_mbps"] == pytest.approx(np.median(mbps[:, 1, k]))
+        assert four[f"{kind}_q3_mbps"] == pytest.approx(np.percentile(mbps[:, 0, k], 75))
+        assert two[f"{kind}_ratio_next"] == pytest.approx(
+            np.median(mbps[:, 1, k] / mbps[:, 0, k]))
