@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import glob
 import os
 import sys
 
@@ -105,8 +104,7 @@ def cmd_proto_sim(args) -> int:
         met = res.metrics
         rows.append([met.protocol, s, int(met.complete), met.duration_s,
                      met.avg_rate_bps, met.local_bytes, met.local_data_bytes,
-                     met.local_control_bytes,
-                     "done" if met.complete else "capped"])
+                     met.local_control_bytes, res.status])
         print(f"seed {s}: {'complete' if met.complete else 'INCOMPLETE'} "
               f"in {met.duration_s:.2f}s, avg rate "
               f"{met.avg_rate_bps / 1e6:.3f} Mbps, local traffic "
@@ -158,24 +156,8 @@ def cmd_recipe(args) -> int:
 
 # --------------------------------------------------------------- check
 
-def _stale_warnings(results_dir: str) -> list:
-    src_dir = os.path.dirname(os.path.abspath(__file__))
-    src_mtime = max(os.path.getmtime(f)
-                    for f in glob.glob(os.path.join(src_dir, "*.py")))
-    warnings = []
-    for name in scenarios.RECIPES:
-        path = os.path.join(results_dir, f"{name}.csv")
-        if os.path.exists(path) and os.path.getmtime(path) < src_mtime:
-            warnings.append(f"warning: {path} is older than the installed "
-                            "package; results may be stale")
-    return warnings
-
-
 def cmd_check(args) -> int:
-    results_dir = args.out
-    for line in _stale_warnings(results_dir) if os.path.isdir(results_dir) else []:
-        print(line)
-    results = acceptance.evaluate_all(results_dir)
+    results = acceptance.evaluate_all(args.out)
     for r in results:
         print(f"criterion {r.number} {r.name}: {r.verdict}")
         print(f"  measured: {r.measured}")

@@ -149,13 +149,9 @@ class Topology:
                 local_capacity=1.0, local_loss=0.0, gamma=1.0) -> "Topology":
         if n < 1:   # before np.full, whose message for a negative n names no device
             raise ValueError("need at least one device")
-        return cls(
-            cell_capacity=_as_vector(cell_capacity, n),
-            cell_loss=_as_vector(cell_loss, n),
-            local_capacity=_as_matrix(local_capacity, n),
-            local_loss=_as_matrix(local_loss, n),
-            gamma=gamma,
-        )
+        # __post_init__ reads n off cell_capacity and converts the rest
+        return cls(cell_capacity=_as_vector(cell_capacity, n), cell_loss=cell_loss,
+                   local_capacity=local_capacity, local_loss=local_loss, gamma=gamma)
 
 
 def enumerate_hyperarcs(n: int) -> list[tuple[int, tuple[int, ...]]]:
@@ -183,7 +179,7 @@ def threshold_prefixes(topo: Topology) -> list[tuple[int, tuple[int, ...]]]:
     receiver-index order, sorted by their `enumerate_hyperarcs` order.
     Each sender's list is padded to the longest one by repeating its last
     candidate, so the result comes in equal per-sender blocks, as
-    `HyperarcSet` needs; a repeat weighs the same as the arc before it and
+    `LocalActions` needs; a repeat weighs the same as the arc before it and
     never wins an argmax-first. A uniform group gets n - 1 candidates per
     sender; distinct goodputs give at most (n - 1) n / 2.
     """
@@ -200,44 +196,6 @@ def threshold_prefixes(topo: Topology) -> list[tuple[int, tuple[int, ...]]]:
     width = max(map(len, blocks), default=0)
     return [(i, block[min(k, len(block) - 1)])
             for i, block in enumerate(blocks) for k in range(width)]
-
-
-class HyperarcSet:
-    """Precomputed arrays over the hyperarcs of one topology.
-
-    `arcs` defaults to the full `enumerate_hyperarcs`; a subset must come
-    in equal per-sender blocks, in sender order.
-    """
-
-    def __init__(self, topo: Topology,
-                 arcs: list[tuple[int, tuple[int, ...]]] | None = None):
-        self.arcs = enumerate_hyperarcs(topo.n) if arcs is None else arcs
-        self.n = topo.n
-        a = len(self.arcs)
-        self.sender = np.array([i for i, _ in self.arcs], dtype=np.intp)
-        self.member_mask = np.zeros((a, topo.n), dtype=bool)
-        for k, (_, members) in enumerate(self.arcs):
-            self.member_mask[k, list(members)] = True
-        # one (arcs per sender, n) block per sender, as floats so that
-        # weighing them does not cast
-        self.block_mask = self.member_mask.reshape(topo.n, -1, topo.n).astype(float)
-        # per-arc service rate under each broadcast policy, and the raw
-        # over-the-air rate (min member capacity, no loss discount)
-        cap = topo.local_capacity[self.sender]  # (a, n)
-        loss = topo.local_loss[self.sender]
-        big = np.where(self.member_mask, cap, np.inf)
-        self.raw_rate = np.min(big, axis=1) if a else np.zeros(0)
-        good = np.where(self.member_mask, cap * (1.0 - loss), np.inf)
-        self.kappa_nc = np.min(good, axis=1) if a else np.zeros(0)
-        succ = np.where(self.member_mask, 1.0 - loss, 1.0)
-        self.kappa_plain = self.raw_rate * np.prod(succ, axis=1) if a else np.zeros(0)
-
-    def kappa(self, policy: str) -> np.ndarray:
-        if policy == PSEUDO_BROADCAST:
-            return self.kappa_nc
-        if policy == PSEUDO_BROADCAST_NO_NC:
-            return self.kappa_plain
-        raise ValueError(f"no hyperarc service rate for policy {policy!r}")
 
 
 @dataclass
@@ -282,16 +240,21 @@ def channel_draws(topo: Topology, seeds: Sequence[int],
 
 
 class LocalActions:
-    """The local-channel actions max-weight chooses from; action 0 idles.
+    """One policy's local-channel actions, for max-weight and the LP oracle.
 
-    Action k >= 1 is `arcs[k - 1]`: the links (i, j) in row-major order
-    under unicast, the hyperarcs of `enumerate_hyperarcs` under
-    pseudo_broadcast_no_nc on a lossy medium, and otherwise only the
-    `threshold_prefixes`: per sender, every prefix of every threshold set
-    A_c = {j : good_ij >= c}, in enumeration order, padded to equal
+    Action 0 idles; action k >= 1 is `arcs[k - 1]`: the links (i, j) in
+    row-major order under unicast, which ignores the `arcs` argument. A
+    broadcast policy takes `arcs` in equal per-sender blocks, in sender
+    order, and defaults to the hyperarcs of `enumerate_hyperarcs` under
+    pseudo_broadcast_no_nc on a lossy medium, and otherwise to the
+    `threshold_prefixes`: per sender, every prefix of every threshold
+    set A_c = {j : good_ij >= c}, in enumeration order, padded to equal
     per-sender blocks by repeating the last one. `service[k]` holds the
-    action's over-the-air rate times gamma on each of its links,
-    `members[k]` marks those links.
+    action's over-the-air rate (min member capacity) times gamma on each
+    of its links, `members[k]` marks those links. A broadcast table also
+    keeps `kappa`, each arc's service rate under its policy, and
+    `block_mask`, the member masks as one (arcs per sender, n) float
+    block per sender.
 
     Max-weight picks the first action of the largest weight, and a seed
     idles exactly when no weight is positive: no weight is negative
@@ -316,22 +279,37 @@ class LocalActions:
     comes after it, so it never wins.
     """
 
-    def __init__(self, topo: Topology, policy: str):
+    def __init__(self, topo: Topology, policy: str,
+                 arcs: list[tuple[int, tuple[int, ...]]] | None = None):
         n = topo.n
         self.topo, self.policy = topo, policy
         if policy == UNICAST:
             self.arcs = [(i, (j,)) for i in range(n) for j in range(n)]
             rate = topo.local_capacity.ravel()
         elif policy in (PSEUDO_BROADCAST, PSEUDO_BROADCAST_NO_NC):
-            # With every off-diagonal local loss 0, kappa_plain = raw_rate * 1.0
-            # equals kappa_nc = min cap bit for bit and every member link is
-            # ON, so no_nc is pseudo_broadcast and the class docstring's
-            # argument for the prefixes holds word for word.
-            candidates = (threshold_prefixes(topo) if policy == PSEUDO_BROADCAST
-                          or not topo.local_loss[~np.eye(n, dtype=bool)].any() else None)
-            self.hyperarcs = HyperarcSet(topo, candidates)
-            self.arcs = self.hyperarcs.arcs
-            rate = self.hyperarcs.raw_rate
+            # With every off-diagonal local loss 0, no_nc's kappa = rate * 1.0
+            # equals pseudo_broadcast's min cap bit for bit and every member
+            # link is ON, so no_nc is pseudo_broadcast and the class
+            # docstring's argument for the prefixes holds word for word.
+            if arcs is None:
+                arcs = (threshold_prefixes(topo) if policy == PSEUDO_BROADCAST
+                        or not topo.local_loss[~np.eye(n, dtype=bool)].any()
+                        else enumerate_hyperarcs(n))
+            self.arcs = arcs
+            sender = np.array([i for i, _ in arcs], dtype=np.intp)
+            member_mask = np.zeros((len(arcs), n), dtype=bool)
+            for k, (_, receivers) in enumerate(arcs):
+                member_mask[k, list(receivers)] = True
+            # floats, so that weighing the blocks does not cast
+            self.block_mask = member_mask.reshape(n, -1, n).astype(float)
+            cap, loss = topo.local_capacity[sender], topo.local_loss[sender]  # (arcs, n)
+            rate = np.min(np.where(member_mask, cap, np.inf), axis=1)
+            if policy == PSEUDO_BROADCAST:
+                self.kappa = np.min(np.where(member_mask, cap * (1.0 - loss), np.inf), axis=1)
+            else:
+                self.kappa = rate * np.prod(np.where(member_mask, 1.0 - loss, 1.0), axis=1)
+            # free the (arcs, n) arrays before the larger service build
+            del cap, loss
         else:
             raise ValueError(f"policy {policy!r} has no local schedule")
         self.members = np.zeros((len(self.arcs) + 1, n, n), dtype=bool)
@@ -411,7 +389,7 @@ def build_iteration(actions: LocalActions, cap: float,
         # mask-matrix product: a matmul orders the float additions
         # differently, and the changed bits flip argmax ties between
         # equal-weight arcs
-        block_mask, kappa = actions.hyperarcs.block_mask, actions.hyperarcs.kappa(policy)
+        block_mask, kappa = actions.block_mask, actions.kappa
         blocks = np.empty((n_seeds,) + block_mask.shape)  # (S, n, arcs per sender, n)
         block_rows = blocks.reshape(n_seeds, -1, n)
     if plain_copies:
@@ -562,9 +540,10 @@ def centralized_oracle(topo: Topology, policy: str) -> float:
     if policy == UNICAST:
         arcs_list: list[tuple[int, tuple[int, ...]]] = []
     else:
-        hset = HyperarcSet(topo)
-        arcs_list = hset.arcs
-        kappa = hset.kappa(policy)
+        # the full enumeration, never the prefixes that `simulate` weighs:
+        # the oracle is the reference that `simulate` is held to
+        table = LocalActions(topo, policy, enumerate_hyperarcs(n))
+        arcs_list, kappa = table.arcs, table.kappa
 
     # variable layout: x | x_dl (n*n) | g (pairs) | f (arcs) | tau
     n_dl = n * n

@@ -136,6 +136,7 @@ class RunResult:
     sim: Simulator
     nodes: list
     scheduler: object
+    status: str   # how `Simulator.run` ended: "done", "capped" or "drained"
 
 
 def _math_params(m: int) -> GenerationParams:
@@ -895,9 +896,9 @@ def _run(sim: Simulator, proto: ProtocolConfig, cellular: list) -> RunResult:
     for target in targets:
         target.on_done = target_done
     sim.stall_reporter = report
-    sim.run()
+    status = sim.run()
     return RunResult(compute_metrics(sim, proto, nodes, targets), sim, nodes,
-                     scheduler)
+                     scheduler, status)
 
 
 def compute_metrics(sim: Simulator, proto: ProtocolConfig, nodes,

@@ -202,6 +202,25 @@ max_time_s: 0.01
     assert [(r["complete"], r["status"]) for r in rows] == [("0", "capped")]
 
 
+def test_proto_sim_drained_run_is_data(tmp_path):
+    # under `none` a failed download strands only its own device, and the
+    # run ends with no event left, long before max_time_s
+    scen = scenario_file(tmp_path, """
+protocol: none
+file_mb: 0.05
+devices:
+  - cellular_kbps: 2000
+  - {cellular_kbps: 2000, cell_fail_prob: 1.0}
+local: {capacity_mbps: 10}
+max_time_s: 3600
+""")
+    out = str(tmp_path / "res")
+    assert run_cli("proto-sim", scen, "--out", out) == 0
+    _, _, rows = scenarios.read_csv(os.path.join(out, "tiny.csv"))
+    assert [(r["complete"], r["status"]) for r in rows] == [("0", "drained")]
+    assert float(rows[0]["duration_s"]) < 1.0
+
+
 def test_proto_sim_zero_rate_device_stalls(tmp_path, capsys):
     # a static split gives the 0 kbps device a share it can never download
     scen = scenario_file(tmp_path, """
@@ -547,15 +566,22 @@ def test_check_table_and_exit_codes(tmp_path, capsys, monkeypatch):
     assert "PASS (1/1)" in capsys.readouterr().out
 
 
-def test_check_warns_on_stale_csv(tmp_path, capsys, monkeypatch):
-    out = tmp_path / "res"
-    out.mkdir()
-    stale = out / "fig4a.csv"
-    stale.write_text("# old\npolicy\n", encoding="utf-8")
-    os.utime(stale, (1, 1))   # far older than the package source
-    monkeypatch.setattr(acceptance, "evaluate_all", lambda d: [])
-    run_cli("check", "--out", str(out))
-    assert "stale" in capsys.readouterr().out
+def test_check_ignores_file_times(tmp_path, capsys, monkeypatch):
+    # a fresh clone may write results/ before src/; the golden test, not a
+    # file time, says whether the results are current
+    committed = os.path.join(os.path.dirname(__file__), "..", "results")
+    for name in ("fig4a.csv", "fig4a_agg.csv", "fig4b.csv", "fig4b_agg.csv"):
+        with open(os.path.join(committed, name), encoding="utf-8") as fh:
+            (tmp_path / name).write_text(fh.read(), encoding="utf-8")
+    monkeypatch.setattr(acceptance, "evaluate_all", lambda d: [
+        acceptance.evaluate_group_size_shapes(d)])
+    assert run_cli("check", "--out", str(tmp_path)) == 0
+    fresh = capsys.readouterr().out
+    for path in tmp_path.iterdir():
+        os.utime(path, (1, 1))   # far older than the package source
+    assert run_cli("check", "--out", str(tmp_path)) == 0
+    assert capsys.readouterr().out == fresh
+    assert "PASS (1/1)" in fresh and "stale" not in fresh
 
 
 # ------------------------------------------------------------ lazy imports

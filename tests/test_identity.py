@@ -1,5 +1,5 @@
 """tools/identity.py: the battery digest repeats in one tree, and a changed
-coefficient draw, solver step or wide coded byte changes it."""
+coefficient draw, solver step, LP optimum or wide coded byte changes it."""
 
 import importlib.util
 import math
@@ -47,6 +47,23 @@ def test_a_one_ulp_solver_step_changes_the_digest(monkeypatch):
     before = tool.battery_digest(seed=3, runs=0)
     monkeypatch.setattr(num, "STEP_SIZE", math.nextafter(num.STEP_SIZE, 1.0))
     assert tool.battery_digest(seed=3, runs=0) != before
+
+
+def test_a_one_ulp_oracle_change_changes_the_digest(monkeypatch):
+    tool = load_tool()
+    before = tool.battery_digest(seed=3, runs=0, codec=0)
+    real = num.centralized_oracle
+    sizes = []
+
+    def oracle_one_ulp_up(topo, policy):
+        sizes.append(topo.n)
+        return math.nextafter(real(topo, policy), math.inf)
+
+    monkeypatch.setattr(num, "centralized_oracle", oracle_one_ulp_up)
+    assert tool.battery_digest(seed=3, runs=0, codec=0) != before
+    # every group size the oracle takes, once per policy
+    assert sorted(set(sizes)) == list(range(1, num.ORACLE_DEVICE_LIMIT + 1))
+    assert len(sizes) == num.ORACLE_DEVICE_LIMIT * len(num.POLICIES)
 
 
 def test_one_wrong_byte_in_a_wide_packet_changes_the_digest(monkeypatch):

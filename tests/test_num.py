@@ -17,7 +17,6 @@ from microcast.num import (
     PSEUDO_BROADCAST_NO_NC,
     STEP_SIZE,
     UNICAST,
-    HyperarcSet,
     LocalActions,
     SolverConfig,
     Topology,
@@ -96,10 +95,10 @@ def downlink_rates_ref(lam, eta, rate):
     return (lam[:, None, :] > eta) * rate
 
 
-def hyperarc_weights_ref(eta, arcs, policy):
+def hyperarc_weights_ref(eta, actions):
     """(sum_j eta_ij) * kappa per hyperarc (S, arcs), summed per sender block."""
-    blocks = eta[:, :, None, :] * arcs.block_mask
-    return np.add.reduce(blocks.reshape(len(eta), -1, arcs.n), axis=-1) * arcs.kappa(policy)
+    blocks = eta[:, :, None, :] * actions.block_mask
+    return np.add.reduce(blocks.reshape(len(eta), -1, actions.topo.n), axis=-1) * actions.kappa
 
 
 def unicast_weights_ref(eta, topo):
@@ -280,7 +279,7 @@ def test_out_paths_write_the_allocating_bytes(data):
     if actions.policy == UNICAST:
         want = unicast_weights_ref(eta, actions.topo)
     else:
-        want = hyperarc_weights_ref(eta, actions.hyperarcs, actions.policy)
+        want = hyperarc_weights_ref(eta, actions)
     assert not got.weights[:, 0].any()
     assert got.weights[:, 1:].tobytes() == want.tobytes()
     best = np.hstack([np.zeros((len(eta), 1)), want]).argmax(axis=1)
@@ -359,7 +358,7 @@ def test_schedule_matches_brute_force():
                         1 - topo.local_loss[i, j] for j in members
                     )
                 assert weights[k, best[k] - 1] == weights[k].max()
-                assert actions.hyperarcs.kappa(policy)[best[k] - 1] == pytest.approx(kappa)
+                assert actions.kappa[best[k] - 1] == pytest.approx(kappa)
                 raw = min(topo.local_capacity[i, j] for j in members)
                 g = got.g[k]
                 for j in members:
@@ -516,8 +515,8 @@ def test_lossless_no_nc_is_pseudo_broadcast(data):
     eta = zero_diagonal(draw_grid(data, (s, n, n), "eta", TIE_LEVELS))
     got = one_step(actions, eta)
     best, w = got.best, got.weights
-    full = HyperarcSet(topo)
-    w_full = np.hstack([np.zeros((s, 1)), hyperarc_weights_ref(eta, full, PSEUDO_BROADCAST_NO_NC)])
+    full = LocalActions(topo, PSEUDO_BROADCAST_NO_NC, enumerate_hyperarcs(n))
+    w_full = np.hstack([np.zeros((s, 1)), hyperarc_weights_ref(eta, full)])
     best_full = w_full.argmax(axis=1)
     for k in range(s):
         want = full.arcs[best_full[k] - 1] if best_full[k] else None
@@ -689,6 +688,29 @@ def test_simulate_tracks_oracle_on_random_topologies():
             assert got == pytest.approx(want, rel=0.10), (policy, want, got)
 
 
+def test_the_oracle_does_not_weigh_the_threshold_prefixes(monkeypatch):
+    # `simulate` weighs the prefixes and is held to the oracle, so the
+    # oracle must weigh every hyperarc: a faulty prefix scan that keeps
+    # only each sender's first candidate moves `simulate` and not the LP
+    rng = np.random.default_rng(36)
+    topo = Topology(cell_capacity=rng.uniform(0.5, 2.0, 4), cell_loss=np.full(4, 0.1),
+                    local_capacity=rng.uniform(1.0, 6.0, (4, 4)), local_loss=np.zeros((4, 4)))
+    cfg = {p: SolverConfig(policy=p, iterations=200, seeds=(0,))
+           for p in (PSEUDO_BROADCAST, PSEUDO_BROADCAST_NO_NC)}
+    rates = {p: simulate(topo, c).runs[0].device_avg.tobytes() for p, c in cfg.items()}
+    optima = {p: float.hex(centralized_oracle(topo, p)) for p in cfg}
+    real = num.threshold_prefixes
+
+    def first_candidates(topo):
+        arcs = real(topo)
+        return arcs[::len(arcs) // topo.n]
+
+    monkeypatch.setattr(num, "threshold_prefixes", first_candidates)
+    for p, c in cfg.items():
+        assert simulate(topo, c).runs[0].device_avg.tobytes() != rates[p], p
+        assert float.hex(centralized_oracle(topo, p)) == optima[p], p
+
+
 def test_simulate_no_coop_matches_closed_form():
     topo = Topology.uniform(3, cell_capacity=2.0, cell_loss=0.2)
     rep = simulate(topo, SolverConfig(policy=NO_COOP, seeds=range(8)))
@@ -727,7 +749,18 @@ def simulate_ref(topo, cfg, seed):
     rng = np.random.default_rng(seed)
     lam, eta = np.zeros(n), np.zeros((n, n))
     delivered = np.zeros((cfg.iterations, n))
-    arcs = HyperarcSet(topo)
+    # every hyperarc, weighed with the float operations `LocalActions` uses
+    arcs = enumerate_hyperarcs(n)
+    sender = np.array([i for i, _ in arcs], dtype=np.intp)
+    member_mask = np.zeros((len(arcs), n), dtype=bool)
+    for k, (_, members) in enumerate(arcs):
+        member_mask[k, list(members)] = True
+    cap, loss = topo.local_capacity[sender], topo.local_loss[sender]
+    raw_rate = np.min(np.where(member_mask, cap, np.inf), axis=1)
+    if policy == PSEUDO_BROADCAST:
+        kappa = np.min(np.where(member_mask, cap * (1.0 - loss), np.inf), axis=1)
+    else:
+        kappa = raw_rate * np.prod(np.where(member_mask, 1.0 - loss, 1.0), axis=1)
     for t in range(cfg.iterations):
         cell_on = rng.random(n) >= topo.cell_loss
         local_on = rng.random((n, n)) >= topo.local_loss
@@ -746,16 +779,16 @@ def simulate_ref(topo, cfg, seed):
             i, j = divmod(int(np.argmax(w)), n)
             if w[i, j] > 0.0 and local_on[i, j]:
                 g[i, j] = topo.local_capacity[i, j] * topo.gamma
-        elif arcs.arcs:
-            w = (eta[arcs.sender] * arcs.member_mask).sum(axis=1) * arcs.kappa(policy)
+        elif arcs:
+            w = (eta[sender] * member_mask).sum(axis=1) * kappa
             best = int(np.argmax(w))
             if w[best] > 0.0:
-                i, mem = arcs.sender[best], arcs.member_mask[best]
+                i, mem = sender[best], member_mask[best]
                 on = local_on[i] & mem
                 if policy == PSEUDO_BROADCAST:
-                    g[i, on] = arcs.raw_rate[best] * topo.gamma
+                    g[i, on] = raw_rate[best] * topo.gamma
                 elif on.sum() == mem.sum():  # plain copies need every member ON
-                    g[i, mem] = arcs.raw_rate[best] * topo.gamma
+                    g[i, mem] = raw_rate[best] * topo.gamma
         inflow = x_real.sum(axis=0)
         delivered[t] = inflow
         lam = np.maximum(lam + beta * (x - inflow), 0.0)

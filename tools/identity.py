@@ -22,7 +22,10 @@ and 100 to 300 iterations:
 - cellular capacities equal or mixed, with or without cell loss;
 - local capacities uniform or mixed, on a lossless or a lossy medium;
 - gamma 1 or not, `x_cap` set or unset.
-A call's digest is the bytes of every seed's delivered rates.
+A call's digest is the bytes of every seed's delivered rates and, for
+n <= `num.ORACLE_DEVICE_LIMIT`, the hex of `num.centralized_oracle`'s
+optimum on the same topology and policy, which draws nothing. Versions
+of this tool without the optimum print other digests.
 
 Last come `--codec` generations at packet width, m = 1..64 and
 n = 1..1500, of random, all-zero or short (zero-padded) data. Each is
@@ -126,10 +129,12 @@ def draw_solve(rng: random.Random, n: int,
 
 
 def solve_digest(topo: num.Topology, cfg: num.SolverConfig) -> bytes:
-    """sha256 of every seed's delivered rates, bit for bit."""
+    """sha256 of every seed's delivered rates and of the LP optimum, bit for bit."""
     total = hashlib.sha256()
     for run in num.simulate(topo, cfg).runs:
         total.update(run.device_avg.tobytes())
+    if topo.n <= num.ORACLE_DEVICE_LIMIT:
+        total.update(float.hex(num.centralized_oracle(topo, cfg.policy)).encode())
     return total.digest()
 
 
