@@ -19,11 +19,13 @@ is the bit-matrix view behind XOR-based erasure codes. Each kernel is
 used only where it is cheaper, and no object holds both forms:
 
 - `plane_dot` encodes from a prepared generation, whose matrix never
-  changes, so its planes are built once.
+  changes, so its planes are built once. It also solves a complete
+  decoder's payload from its raw payloads, which never change once
+  held: their planes are built once and read m times.
 - `gf_dot` does everything else: decoder elimination, the
-  back-substitution and both recode paths. A decoder's rows change on
-  every insert, and keeping their planes current would cost eight
-  outer-product gathers per insert instead of one. A one-off
+  back-substitution and both recode paths. A decoder's reduced rows
+  change on every insert, and keeping their planes current would cost
+  eight outer-product gathers per insert instead of one. A one-off
   combination does not pay for its planes either: building them takes
   about 65 us at k=25, n=900, against about 6 us for `gather_index`.
 """

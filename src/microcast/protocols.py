@@ -16,11 +16,9 @@ medium:
   none             every cellular device downloads the whole file alone
 
 Decoder bookkeeping runs the real GF(256) elimination on coefficient
-vectors; the carried payload column is 1 byte wide and always zero,
-while all metered sizes use the configured wire packet size (rank
-dynamics and byte accounting are exact, video content itself is not
-simulated).  A complete decoder therefore recodes without a GF kernel
-call on its payload (see rlnc.DecoderState).
+vectors with no payload (rlnc.DecoderState with n = 0), while all
+metered sizes use the configured wire packet size (rank dynamics and
+byte accounting are exact, video content itself is not simulated).
 """
 
 from __future__ import annotations
@@ -84,6 +82,8 @@ class ProtocolConfig:
         if self.file_bytes <= 0:
             raise ValueError("file_bytes must be positive")
         GenerationParams(self.m, self.n)   # refuses m or n no run could take
+        if self.n < 1:
+            raise ValueError(f"packet size n={self.n}: a coded packet carries a payload")
         if self.n_segments > MAX_SEGMENTS:
             raise ValueError(f"file_bytes={self.file_bytes} makes {self.n_segments} "
                              f"segments; segment ids number at most {MAX_SEGMENTS}")
@@ -140,8 +140,8 @@ class RunResult:
 
 
 def _math_params(m: int) -> GenerationParams:
-    # 1-byte payload column: same coefficient elimination, tiny state
-    return GenerationParams(m, 1)
+    # no payload column: the same coefficient elimination, nothing to solve
+    return GenerationParams(m, 0)
 
 
 class MicroDownloadScheduler:

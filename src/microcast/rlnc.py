@@ -25,14 +25,17 @@ HEADER_BYTES = _HEADER.size
 
 @dataclass(frozen=True)
 class GenerationParams:
+    """m packets of n bytes; n = 0 is a math-only generation, which only a
+    decoder takes (see DecoderState)."""
+
     m: int = 25  # packets per generation
     n: int = 900  # payload bytes per packet
 
     def __post_init__(self) -> None:
         if not (1 <= self.m <= 255):
             raise ValueError(f"generation size m={self.m} outside [1, 255]")
-        if not (1 <= self.n <= 65535):
-            raise ValueError(f"packet size n={self.n} outside [1, 65535]")
+        if not (0 <= self.n <= 65535):
+            raise ValueError(f"packet size n={self.n} outside [0, 65535]")
 
     @property
     def segment_bytes(self) -> int:
@@ -80,6 +83,8 @@ class CodedPacket:
         if len(buf) < HEADER_BYTES:
             raise ValueError("coded packet shorter than its fixed header")
         seg, m, n = _HEADER.unpack_from(buf)
+        if not n:
+            raise ValueError("coded packet with n=0: a packet carries a payload")
         if len(buf) != HEADER_BYTES + m + n:
             raise ValueError(
                 f"coded packet length {len(buf)} != header + m + n = {HEADER_BYTES + m + n}"
@@ -99,6 +104,8 @@ class Generation:
     __slots__ = ("segment_id", "params", "matrix", "planes")
 
     def __init__(self, segment_id: int, data: bytes, params: GenerationParams):
+        if not params.n:
+            raise ValueError("packet size n=0: a generation to encode needs a payload")
         self.segment_id, self.params = segment_id, params
         self.matrix = np.frombuffer(data, dtype=np.uint8).reshape(params.m, params.n)
         self.matrix.flags.writeable = False
@@ -137,9 +144,21 @@ def encode(generation: Generation, rng: np.random.Generator,
 
 
 class DecoderState:
-    """Progressive Gauss-Jordan elimination for one generation.
+    """Progressive Gauss-Jordan elimination for one generation, on the
+    coefficients alone.
 
-    Invariant: the first `rank` rows ([coefficients | payload]) are fully
+    A packet's coefficient vector tells what it holds (Chou, Wu and
+    Jain, "Practical Network Coding", 2003), so the m coefficient
+    columns alone decide innovation and the pivots. A partial decoder
+    eliminates on [coefficients | T] and keeps the payloads apart:
+
+    - `_raw` holds the innovative packets' payloads as received, slot by
+      slot, inside an append-only gather index that nothing XORs
+      (`gf256.blank_index(m, n)`);
+    - row k of T, m columns wide, records reduced row k as a combination
+      of those raw payloads, so its payload would be T[k] · raw.
+
+    Invariant: the first `rank` rows of [coefficients | T] are fully
     reduced. Row `slot` has a 1 in its pivot column `_pivot_cols[slot]`
     and every held row has 0 in every other row's pivot column, so the
     pivot columns `_pivot_cols[:rank]` are distinct; they are the only
@@ -147,54 +166,75 @@ class DecoderState:
     insert is three batched row operations on the held rows instead of
     a loop over pivots: one GF(256) dot product eliminates the packet
     against all of them, one gather normalises it, and one outer-product
-    gather clears its lead column from them. Each costs O(rank * (m + n))
-    byte operations, so an insert is O(m(m + n)) and extraction is a
-    read-off.
+    gather clears its lead column from them. Each costs O(rank * m)
+    byte operations, whatever n is. The held rows live inside their own
+    index: `_held` is the low bytes of `_index`, an (m, m + t)
+    little-endian uint16 array (t = m, or 0 without a payload) whose
+    high byte holds each slot's `slot << 8` from the start. The
+    back-substitution XORs its uint8 outer product straight into it, so
+    elimination and `recode` never build an index. A partial `recode`
+    gathers [w · coefficients | w T] from `_index`, then its payload
+    (w T) · raw from `_raw`.
 
-    While the rank is partial, `rows` is the low bytes of `_index`, an
-    (m, m + n) little-endian uint16 array whose high byte holds each
-    slot's `slot << 8` from the start: `_index` is always
-    `gf256.gather_index(rows)`, 2 bytes per entry. The back-substitution
-    XORs its uint8 outer product straight into it, so elimination and
-    `recode` combine the held rows through `_index[:rank]` and never
-    build an index.
-
-    At full rank every column is a pivot column, so the coefficient
-    block is a permutation matrix: row `slot` is e_{_pivot_cols[slot]}.
-    That allows two shortcuts. `insert` returns False straight after its
-    checks, since nothing is innovative any more, and `recode` scatters
-    its weights into the coefficient half of a new row
+    The insert that completes the decoder solves the payload block once:
+    payload k is `gf256.plane_dot(T[k], planes, n)`, with the raw
+    payloads' bit planes built once and read m times. A full-rank system
+    has one solution, so these are the bytes that eliminating across the
+    payload columns would give. The decoder then keeps only `rows`,
+    [coefficients | payload] as C-contiguous uint8, and drops T, the raw
+    payloads and the index; `full` builds this layout directly. Every
+    column is now a pivot column, so the coefficient block is a
+    permutation matrix: row `slot` is e_{_pivot_cols[slot]}. `insert`
+    returns False straight after its checks, and `recode` scatters its
+    weights into the coefficient half of a new row
     (row[_pivot_cols] = w) and combines only the payload columns.
 
-    A full-rank state never changes again, so it keeps `rows` alone,
-    C-contiguous uint8 at 1 byte per entry, with no `_index`, and
-    records once whether its payload block rows[:, m:] is all zero.
-    `insert` drops the index when it reaches full rank; `full` builds
-    this layout directly. Any combination of zero rows is zero, so
-    `recode` from such a state returns a zero payload without a GF
-    kernel call. The simulator's decoders carry a zero payload column,
-    which makes this the common case there.
+    `rows` is the reduced [coefficients | payload] matrix at every rank,
+    zero beyond it. While the rank is partial it is solved from T and the
+    raw payloads on each read, which no hot path does.
+
+    n = 0 is for math-only decoders, the simulator's: rank dynamics on
+    the coefficients and no payload. T then has no columns and there are
+    no raw payloads, so the same code runs with nothing to defer. Prepared
+    generations and packets on the wire refuse n = 0.
     """
 
     def __init__(self, segment_id: int, params: GenerationParams):
+        m, n = params.m, params.n
         self.segment_id = segment_id
         self.params = params
-        self._index: np.ndarray | None = gf256.blank_index(params.m, params.m + params.n)
-        self.rows = self._index.view(np.uint8)[:, ::2]
         self.rank = 0
-        self._pivot_cols = np.zeros(params.m, dtype=np.intp)  # row slot -> pivot column
-        self._zero_payload = False  # set at full rank: rows[:, m:] is all zero
+        self._pivot_cols = np.zeros(m, dtype=np.intp)  # row slot -> pivot column
+        self._index: np.ndarray | None = gf256.blank_index(m, 2 * m if n else m)
+        self._held = self._index.view(np.uint8)[:, ::2]  # [coefficients | T]
+        self._raw = gf256.blank_index(m, n) if n else None
+        self._rows: np.ndarray | None = None  # set at full rank
 
     def __setstate__(self, state: dict) -> None:
-        # copy and pickle rebuild each array apart; a copy's rows must
-        # view its own index again
+        # copy and pickle rebuild each array apart; a copy's held rows
+        # must view its own index again
         self.__dict__.update(state)
         if self._index is not None:
-            self.rows = self._index.view(np.uint8)[:, ::2]
+            self._held = self._index.view(np.uint8)[:, ::2]
 
     @property
     def complete(self) -> bool:
         return self.rank == self.params.m
+
+    @property
+    def rows(self) -> np.ndarray:
+        """The reduced [coefficients | payload] rows, (m, m + n) uint8,
+        zero beyond the rank."""
+        if self._rows is not None:
+            return self._rows
+        m, n, r = self.params.m, self.params.n, self.rank
+        rows = np.zeros((m, m + n), dtype=np.uint8)
+        rows[:r, :m] = self._held[:r, :m]
+        if r and n:
+            planes = gf256.bit_planes(self._raw.view(np.uint8)[:r, ::2])
+            for k, t in enumerate(self._held[:r, m:m + r]):
+                rows[k, m:] = gf256.plane_dot(t, planes, n)
+        return rows
 
     @classmethod
     def full(cls, segment_id: int, params: GenerationParams) -> "DecoderState":
@@ -202,16 +242,17 @@ class DecoderState:
         m = params.m
         state = cls.__new__(cls)
         state.segment_id, state.params, state.rank = segment_id, params, m
-        state.rows, state._index = np.eye(m, m + params.n, dtype=np.uint8), None
+        state._rows = np.eye(m, m + params.n, dtype=np.uint8)
+        state._index = state._held = state._raw = None
         state._pivot_cols = np.arange(m, dtype=np.intp)
-        state._zero_payload = True
         return state
 
     def insert(self, packet: CodedPacket) -> bool:
         """Reduce a packet against held rows; True iff it was innovative.
 
-        The packet's row is read, never written: the reduction XORs into
-        a new array.
+        The packet's row is read, never written or copied whole: the
+        reduction XORs into a new array, and an innovative packet's
+        payload is copied into its raw slot.
         """
         m, n = self.params.m, self.params.n
         if packet.segment_id != self.segment_id:
@@ -219,30 +260,44 @@ class DecoderState:
                 f"packet for segment {packet.segment_id} fed to decoder of "
                 f"segment {self.segment_id}"
             )
-        work = packet.row
-        if packet.m != m or len(work) != m + n:
+        row = packet.row
+        if packet.m != m or len(row) != m + n:
             raise ValueError("coded packet shape does not match generation params")
         r = self.rank
         if r == m:
             return False
-        index = self._index
+        held = self._held
+        # [coefficients | T] of the packet less its share of the held rows;
+        # without a payload that is the row itself, still never written
         if r:
-            work = work ^ gf256.gf_dot(work.take(self._pivot_cols[:r]), index[:r])
+            work = gf256.gf_dot(row.take(self._pivot_cols[:r]), self._index[:r])
+            if n:
+                work[:m] ^= row[:m]
+            else:
+                work ^= row
+        elif n:
+            work = np.zeros(held.shape[1], dtype=np.uint8)
+            work[:m] = row[:m]
+        else:
+            work = row
         # the first nonzero coefficient, by one scan of the coefficient bytes
         tail = work[:m].tobytes().lstrip(b"\0")
         if not tail:
             return False
         lead = m - len(tail)
+        if n:
+            work[m + r] = 1  # the packet itself is raw payload r
+            self._raw.view(np.uint8)[r, ::2] = row[m:]
         work = gf256.scale_row(gf256.INV[tail[0]], work)
         if r:
             # uint8 into uint16: the low bytes change, the offsets stay
-            index[:r] ^= gf256.scale_rows(self.rows[:r, lead], work)
-        self.rows[r] = work
+            self._index[:r] ^= gf256.scale_rows(held[:r, lead], work)
+        held[r] = work
         self._pivot_cols[r] = lead
         self.rank = r + 1
-        if r + 1 == m:
-            self.rows, self._index = np.ascontiguousarray(self.rows), None
-            self._zero_payload = not self.rows[:, m:].any()
+        if r + 1 == m:  # solve the payloads once; keep only the rows
+            self._rows = self.rows
+            self._index = self._held = self._raw = None
         return True
 
     def extract(self) -> list[PlainPacket]:
@@ -254,23 +309,26 @@ class DecoderState:
             )
         slots = np.empty(m, dtype=np.intp)  # pivot column -> row slot
         slots[self._pivot_cols] = np.arange(m)
-        return [PlainPacket(self.segment_id, k, self.rows[slot, m:].tobytes())
+        return [PlainPacket(self.segment_id, k, self._rows[slot, m:].tobytes())
                 for k, slot in enumerate(slots.tolist())]
 
 
 def recode(state: DecoderState, rng: np.random.Generator) -> CodedPacket:
     """Uniform random combination of the rows a device currently holds."""
-    m, r = state.params.m, state.rank
+    m, n, r = state.params.m, state.params.n, state.rank
     if r == 0:
         raise ValueError("cannot recode from a decoder with no packets")
     w = draw_coefficients(r, rng)
     if r == m:  # permutation coefficient block, see DecoderState
-        row = np.zeros(m + state.params.n, dtype=np.uint8)
+        row = np.zeros(m + n, dtype=np.uint8)
         row[state._pivot_cols] = w
-        if not state._zero_payload:
-            row[m:] = gf256.gf_dot(w, state.rows[:, m:])
+        if n:
+            row[m:] = gf256.gf_dot(w, state._rows[:, m:])
         return CodedPacket(state.segment_id, row, m)
-    return CodedPacket(state.segment_id, gf256.gf_dot(w, state._index[:r]), m)
+    row = gf256.gf_dot(w, state._index[:r])  # [w · coefficients | w T]
+    if n:  # w T weighs the raw payloads; T's columns past r are zero
+        row = np.concatenate((row[:m], gf256.gf_dot(row[m:m + r], state._raw[:r])))
+    return CodedPacket(state.segment_id, row, m)
 
 
 # slices per phase. The m values take turns slice by slice, so a swing in

@@ -306,6 +306,7 @@ def test_proto_sim_unparsable_yaml_exit_2(tmp_path, capsys):
     ("loss_uniform", {"local": "{loss_uniform: true}"}),
     ("seed", {"seed": "-1"}),
     ("file_mb", {"file_mb": "1.0e+300"}),
+    ("segment_params: n must be >= 1", {"segment_params": "{n: 0}"}),
 ])
 def test_proto_sim_bad_value_exit_2(tmp_path, capsys, key, fields):
     (tmp_path / "inf.csv").write_text("t_seconds,kbps\n0,inf\n", encoding="utf-8")

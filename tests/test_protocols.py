@@ -140,6 +140,8 @@ def test_config_validation():
         ProtocolConfig(assignment="roundrobin")
     with pytest.raises(ValueError, match="positive"):
         ProtocolConfig(file_bytes=0)
+    with pytest.raises(ValueError, match="n=0"):   # only a math-only decoder takes it
+        ProtocolConfig(n=0)
     # a segment id is a 32-bit header field
     assert ProtocolConfig(file_bytes=2**32 * 25 * 900).n_segments == 2**32
     with pytest.raises(ValueError, match="segment ids number at most 4294967296"):

@@ -190,7 +190,7 @@ def test_from_plain_equals_decoded_state():
     params = GenerationParams(m=5, n=9)
     gen, data = make_generation(rng, params)
     state = _decode_with_pivots(range(params.m), rng, gen.matrix, params)
-    assert state.complete and not state._zero_payload
+    assert_layout(state)
     out = state.extract()
     assert b"".join(p.payload for p in out) == data
     # recoded packets from the seeded state decode elsewhere
@@ -200,22 +200,21 @@ def test_from_plain_equals_decoded_state():
     assert b"".join(p.payload for p in other.extract()) == data
 
 
-@pytest.mark.parametrize("m, n", [(1, 1), (4, 1), (5, 9), (25, 1)])
+@pytest.mark.parametrize("m, n", [(1, 1), (4, 1), (5, 9), (25, 1), (1, 0), (25, 0)])
 def test_full_equals_from_plain_of_zero_packets(m, n):
     # `full` builds the state that m inserts of all-zero plain packets reach
     params = GenerationParams(m=m, n=n)
     full = DecoderState.full(0, params)
     ref = _decode_with_pivots(range(m), np.random.default_rng(m * n),
-                              split_segment(0, b"", params).matrix, params)
+                              np.zeros((m, n), dtype=np.uint8), params)
     assert full.segment_id == ref.segment_id and full.params == ref.params
     assert np.array_equal(full.rows, ref.rows) and full.rows.dtype == ref.rows.dtype
-    assert full.rows.flags.c_contiguous and ref.rows.flags.c_contiguous
-    assert full._index is ref._index is None
+    assert_layout(full)
+    assert_layout(ref)
     assert full.rank == ref.rank == m and type(full.rank) is int
     assert np.array_equal(full._pivot_cols, np.arange(m))
     assert np.array_equal(full._pivot_cols, ref._pivot_cols)
     assert full._pivot_cols.dtype == ref._pivot_cols.dtype
-    assert full._zero_payload is ref._zero_payload is True
 
 
 def test_wire_format_frozen_example():
@@ -267,8 +266,7 @@ def test_wire_round_trip_keeps_the_row(m, n, seed):
 
 def _same_state(a, b):
     return (np.array_equal(a.rows, b.rows) and a.rank == b.rank
-            and np.array_equal(a._pivot_cols, b._pivot_cols)
-            and a._zero_payload is b._zero_payload)
+            and np.array_equal(a._pivot_cols, b._pivot_cols))
 
 
 def test_one_packet_reaches_three_decoders_unchanged():
@@ -434,21 +432,42 @@ def test_insert_matches_rank_oracle_property(m, n, seed, ops):
     assert [p.index for p in out] == list(range(m))
 
 
-def assert_rows_in_their_index(state):
-    # partial: rows are the low bytes of their own gather index, and a
-    # blank slot holds only its offset; full rank: plain rows, no index
-    m, w = state.params.m, state.params.m + state.params.n
+def assert_layout(state, received=None):
+    """Partial: [coefficients | T] are the low bytes of their own gather
+    index, T is m columns wide (none without a payload), and the raw
+    payloads (`received`, when given) sit apart in an append-only gather
+    index (none without a payload); a blank slot holds only its offset.
+    Complete: `rows` alone, plain uint8, with no index, T or raw payloads."""
+    m, n, r = state.params.m, state.params.n, state.rank
     if state.complete:
-        assert state._index is None
+        assert state._index is None and state._held is None and state._raw is None
+        assert state.rows is state._rows
         assert state.rows.dtype == np.uint8 and state.rows.flags.c_contiguous
-        assert state.rows.shape == (m, w) and state.rows.nbytes == m * w
+        assert state.rows.shape == (m, m + n) and state.rows.nbytes == m * (m + n)
         return
-    index = state._index
-    assert index.dtype == np.dtype("<u2") and index.shape == (m, w)
-    assert np.shares_memory(state.rows, index)
-    assert np.array_equal(index, gf256.gather_index(state.rows))
-    blank = np.arange(state.rank, m, dtype=np.uint16)[:, None] << 8
-    assert (index[state.rank:] == blank).all()
+    assert state._rows is None
+    index, held = state._index, state._held
+    blank = np.arange(r, m, dtype=np.uint16)[:, None] << 8
+    assert index.dtype == np.dtype("<u2") and index.shape == (m, 2 * m if n else m)
+    assert np.shares_memory(held, index)
+    assert np.array_equal(index, gf256.gather_index(held))
+    assert (index[r:] == blank).all()
+    assert np.array_equal(state.rows[:, :m], held[:, :m])
+    if not n:
+        assert state._raw is None
+        return
+    raw = state._raw
+    assert raw.dtype == np.dtype("<u2") and raw.shape == (m, n)
+    payloads = raw.view(np.uint8)[:, ::2]
+    assert np.array_equal(raw, gf256.gather_index(payloads))
+    assert (raw[r:] == blank).all()
+    if received is not None:
+        assert payloads[:r].tobytes() == b"".join(p.tobytes() for p in received)
+    # row k of T weighs the raw payloads into reduced row k's payload
+    trans = held[:, m:]
+    assert not trans[:, r:].any()
+    for k in range(r):
+        assert np.array_equal(state.rows[k, m:], gf256.gf_dot(trans[k, :r], payloads[:r]))
 
 
 @settings(max_examples=80, deadline=None)
@@ -459,16 +478,18 @@ def test_partial_rows_live_in_their_gather_index(m, n, seed, ops):
     params = GenerationParams(m=m, n=n)
     gen, data = make_generation(rng, params)
     state = DecoderState(0, params)
-    assert_rows_in_their_index(state)
+    received = []
+    assert_layout(state, received)
 
     def deliver(pkt):
-        state.insert(pkt)
-        assert_rows_in_their_index(state)
+        if state.insert(pkt):
+            received.append(pkt.payload)
+        assert_layout(state, received)
         assert_fully_reduced(state)
 
     run_op_mix(ops, state, gen, rng, params, deliver)
     assert b"".join(p.payload for p in state.extract()) == data
-    assert_rows_in_their_index(DecoderState.full(0, params))
+    assert_layout(DecoderState.full(0, params))
 
 
 def test_a_copied_state_keeps_its_rows_in_its_index():
@@ -484,7 +505,7 @@ def test_a_copied_state_keeps_its_rows_in_its_index():
         state.insert(pkt)
         for twin in copies:
             twin.insert(pkt)
-            assert_rows_in_their_index(twin)
+            assert_layout(twin)
             assert _same_state(twin, state)
 
 
@@ -558,8 +579,8 @@ def test_full_rank_fast_paths_match_general_path(mp, n, seed, kind):
         assert b"".join(p.payload for p in out) == data
         assert [p.index for p in out] == list(range(m))
 
-        # recode: same bytes and same rng draws as the general formula;
-        # the payload kernel is skipped exactly when every payload byte is 0
+        # recode: same bytes and same rng draws as the general formula,
+        # and one payload kernel call, whatever the payload bytes are
         for _ in range(3):
             ref_rng = copy.deepcopy(rng)
             pkt, kernel_calls = _recode_counting_kernel(state, rng)
@@ -568,7 +589,7 @@ def test_full_rank_fast_paths_match_general_path(mp, n, seed, kind):
             assert np.array_equal(pkt.payload, row[m:])
             assert np.array_equal(pkt.payload, gf256.gf_dot(pkt.coefficients, matrix))
             assert rng.bit_generator.state == ref_rng.bit_generator.state
-            assert kernel_calls == int(matrix.any())
+            assert kernel_calls == 1
         zero_first = _ZeroFirstRng()
         ref_rng = copy.deepcopy(zero_first.inner)
         pkt = recode(state, zero_first)
@@ -607,3 +628,155 @@ def test_bench_ratio_is_the_median_of_per_round_ratios(monkeypatch):
         assert four[f"{kind}_q3_mbps"] == pytest.approx(np.percentile(mbps[:, 0, k], 75))
         assert two[f"{kind}_ratio_next"] == pytest.approx(
             np.median(mbps[:, 1, k] / mbps[:, 0, k]))
+
+
+def test_generations_refuse_n_0():
+    # n = 0 is for math-only decoders; nothing can be encoded from it
+    params = GenerationParams(m=3, n=0)
+    with pytest.raises(ValueError, match="n=0"):
+        split_segment(0, b"", params)
+    rng = np.random.default_rng(15)
+    gen, _ = make_generation(rng, GenerationParams(m=3, n=4))
+    with pytest.raises(ValueError, match="generation prepared for"):
+        encode(gen, rng, params)
+    with pytest.raises(ValueError, match="n=-1"):
+        GenerationParams(m=3, n=-1)
+
+
+def test_wire_format_rejects_n_0():
+    buf = CodedPacket(1, np.array([1, 2, 3], dtype=np.uint8), 3).to_bytes()
+    with pytest.raises(ValueError, match="n=0"):
+        CodedPacket.from_bytes(buf)
+
+
+def test_a_math_only_decoder_has_no_payload():
+    # the simulator's decoders: coefficients only, no T, no raw payloads,
+    # and no payload kernel when a complete one recodes
+    rng = np.random.default_rng(16)
+    params = GenerationParams(m=6, n=0)
+    state = DecoderState(0, params)
+    while not state.complete:
+        assert_layout(state)
+        if state.rank:
+            pkt, kernel_calls = _recode_counting_kernel(state, rng)
+            assert kernel_calls == 1 and pkt.row.shape == (6,)
+        state.insert(CodedPacket(0, rlnc.draw_coefficients(6, rng), 6))
+    assert_layout(state)
+    for source in (state, DecoderState.full(0, params)):
+        pkt, kernel_calls = _recode_counting_kernel(source, rng)
+        assert kernel_calls == 0 and pkt.row.shape == (6,) and pkt.row.any()
+    assert [p.payload for p in state.extract()] == [b""] * 6
+
+
+class EagerDecoder:
+    """The reference: eager Gauss-Jordan on [coefficients | payload], one
+    pivot at a time, eliminating and back-substituting across every column."""
+
+    def __init__(self, m, n):
+        self.m = m
+        self.rows = np.zeros((m, m + n), dtype=np.uint8)
+        self.pivots = []
+
+    def insert(self, row):
+        work = row.copy()
+        for slot, col in enumerate(self.pivots):
+            work ^= gf256.MUL[work[col]].take(self.rows[slot])
+        nonzero = np.flatnonzero(work[: self.m])
+        if not nonzero.size:
+            return False
+        lead = int(nonzero[0])
+        work = gf256.MUL[gf256.INV[work[lead]]].take(work)
+        for slot in range(len(self.pivots)):
+            self.rows[slot] ^= gf256.MUL[self.rows[slot, lead]].take(work)
+        self.rows[len(self.pivots)] = work
+        self.pivots.append(lead)
+        return True
+
+    def recode(self, rng):
+        out = np.zeros(self.rows.shape[1], dtype=np.uint8)
+        for c, row in zip(rlnc.draw_coefficients(len(self.pivots), rng), self.rows):
+            out ^= gf256.MUL[c].take(row)
+        return out
+
+    def payloads(self):
+        slot = {col: s for s, col in enumerate(self.pivots)}
+        return [self.rows[slot[k], self.m:].tobytes() for k in range(self.m)]
+
+
+EQUIVALENCE_OPS = st.lists(st.sampled_from(["encode", "partial", "full", "self",
+                                            "duplicate"]), max_size=24)
+
+
+@settings(max_examples=80, deadline=None)
+@given(m=st.integers(1, 9), n=st.sampled_from([0, 0, 1, 2, 5, 9, 17]),
+       seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(["random", "zero", "short"]),
+       ops=EQUIVALENCE_OPS)
+def test_decoder_equals_the_eager_reference(m, n, seed, kind, ops):
+    # encodes, recodes from partial and full sources and from the decoder
+    # itself, and duplicates, at n = 0 and n >= 1: every flag, `rows`,
+    # recoded byte and rng state matches the eager reference, and so does
+    # every deep copy and pickled copy of the decoder taken on the way
+    rng = np.random.default_rng(seed)
+    params = GenerationParams(m=m, n=n)
+    if kind == "short":
+        data = rng.integers(0, 256, int(rng.integers(0, m * n + 1)), dtype=np.uint8).tobytes()
+    else:
+        data = _payload_data(kind, rng, params)
+    matrix = np.frombuffer(data.ljust(m * n, b"\0"), dtype=np.uint8).reshape(m, n)
+    gen = split_segment(0, data, params) if n else None
+
+    def fresh():
+        # encode's draw and product; at n = 0 no generation can be prepared
+        drawn = copy.deepcopy(rng)
+        pkt = encode(gen, rng, params) if n else CodedPacket(
+            0, rlnc.draw_coefficients(m, rng), m)
+        assert pkt.row.tobytes() == encode_matrix_ref(0, matrix, drawn).row.tobytes()
+        assert rng.bit_generator.state == drawn.bit_generator.state
+        return pkt
+
+    def pair(rank):
+        state, ref = DecoderState(0, params), EagerDecoder(m, n)
+        while state.rank < rank:
+            pkt = fresh()
+            assert state.insert(pkt) == ref.insert(pkt.row)
+        return state, ref
+
+    def recoded(state, ref):
+        drawn = copy.deepcopy(rng)
+        pkt = recode(state, rng)
+        assert pkt.row.tobytes() == ref.recode(drawn).tobytes()
+        assert rng.bit_generator.state == drawn.bit_generator.state
+        return pkt
+
+    sources = {"partial": pair(max(1, m // 2)), "full": pair(m)}
+    state, ref = pair(0)
+    sent = []
+
+    def deliver(pkt):
+        sent.append(pkt)
+        twins = [copy.deepcopy(state), pickle.loads(pickle.dumps(state))]
+        innovative = ref.insert(pkt.row)
+        for decoder in [state, *twins]:
+            assert decoder.insert(pkt) == innovative
+            assert decoder.rank == len(ref.pivots)
+            assert decoder.rows.tobytes() == ref.rows.tobytes()
+            assert_layout(decoder)
+
+    for op in ops:
+        if op == "duplicate" and sent:
+            deliver(sent[int(rng.integers(0, len(sent)))])
+        elif op == "self" and state.rank:
+            twin, drawn = copy.deepcopy(state), copy.deepcopy(rng)
+            pkt = recoded(state, ref)
+            assert recode(twin, drawn).row.tobytes() == pkt.row.tobytes()
+            deliver(pkt)
+        elif op in sources:
+            deliver(recoded(*sources[op]))
+        else:
+            deliver(fresh())
+    while not state.complete:
+        deliver(fresh())
+    for source, source_ref in [*sources.values(), (state, ref)]:
+        recoded(source, source_ref)
+    assert [p.payload for p in state.extract()] == ref.payloads()
+    assert b"".join(ref.payloads()) == matrix.tobytes()

@@ -131,6 +131,8 @@ def test_unreadable_rate_trace_names_the_file(tmp_path, data):
     ("devices: [{}]\nfile_mb: 1.0e+5\nsegment_params: {m: 1, n: 1}\n",
      "file_mb must be at most 4294.967296 at m=1, n=1"),
     ("devices: [{cellular_kbps: 1.0e+306}]\n", "cellular_kbps"),
+    # n = 0 is for math-only decoders; a scenario's packets go on the wire
+    ("devices: [{}]\nsegment_params: {n: 0}\n", "segment_params: n must be >= 1"),
 ])
 def test_scenario_errors_name_the_key(tmp_path, text, needle):
     path = write_yaml(tmp_path, text)
