@@ -23,10 +23,13 @@ downlink arrivals, and per-(sender, receiver) relay queues (eta) fed by
 downlink arrivals and drained by the local schedule. All three control
 laws are closed-form in the queues; `simulate` iterates them against
 Bernoulli ON/OFF link draws, and `centralized_oracle` solves the same
-problem exactly as an LP for small groups, on a dense-tableau primal
-simplex (`_max_lp`): every right-hand side is a cap or the airtime
-budget, so the slack basis is feasible and there is no phase 1. The
-module needs numpy only.
+problem exactly as an LP for groups of up to 8 devices. Its variables
+are the stream rate x, the downloads x_dl (n*n) and one airtime share
+tau per local action; an action's flow is its service rate times tau,
+so no per-pair or per-arc flow variable is needed. It runs on a
+dense-tableau primal simplex (`_max_lp`): every right-hand side is a
+cap or the airtime budget, so the slack basis is feasible and there is
+no phase 1. The module needs numpy only.
 
 `simulate` steps all of a run's seeds together, so every control law
 works on a leading seed axis: lam is (S, n), eta is (S, n, n). Each seed
@@ -82,8 +85,9 @@ POLICIES = (PSEUDO_BROADCAST, PSEUDO_BROADCAST_NO_NC, UNICAST, NO_COOP)
 STEP_SIZE = 0.01
 
 HYPERARC_DEVICE_LIMIT = 10  # 10 * (2^9 - 1) arcs; enumeration stops being sane past this
-ORACLE_DEVICE_LIMIT = 5
-# the oracle LPs of n = 5 (146 rows, 196 variables) take at most about 250 pivots
+ORACLE_DEVICE_LIMIT = 8  # the largest fig4 group
+# the oracle LPs of n = 8 (129 rows, 1081 variables under the broadcast
+# policies, 129 under unicast) took at most 564 pivots on 160 random topologies
 ORACLE_MAX_PIVOTS = 1000
 _LP_TOL = 1e-9
 
@@ -524,8 +528,14 @@ def _max_lp(c: np.ndarray, A: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def centralized_oracle(topo: Topology, policy: str) -> float:
-    """Exact optimum of the allocation LP; small groups only.
+    """Exact optimum of the allocation LP, for groups up to ORACLE_DEVICE_LIMIT.
 
+    Variables: x | x_dl (n*n, row-major) | one airtime share tau per action
+    of the policy's `LocalActions` table, built over the full enumeration,
+    never the prefixes that `simulate` weighs: the oracle is the reference
+    that `simulate` is held to. An action's flow is kappa * tau, so a
+    helping download x_dl[i, j] is capped by the sum of kappa * tau over
+    the actions serving (i, j); under unicast kappa is the link goodput.
     no_coop has no coupled program: returns the mean standalone rate.
     """
     if policy == NO_COOP:
@@ -535,73 +545,29 @@ def centralized_oracle(topo: Topology, policy: str) -> float:
     n = topo.n
     if n > ORACLE_DEVICE_LIMIT:
         raise ValueError(f"oracle limited to {ORACLE_DEVICE_LIMIT} devices, got {n}")
-    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
-    pair_idx = {p: k for k, p in enumerate(pairs)}
     if policy == UNICAST:
-        arcs_list: list[tuple[int, tuple[int, ...]]] = []
+        table = LocalActions(topo, policy)
+        kappa = (topo.local_capacity * (1.0 - topo.local_loss)).ravel()
     else:
-        # the full enumeration, never the prefixes that `simulate` weighs:
-        # the oracle is the reference that `simulate` is held to
         table = LocalActions(topo, policy, enumerate_hyperarcs(n))
-        arcs_list, kappa = table.arcs, table.kappa
-
-    # variable layout: x | x_dl (n*n) | g (pairs) | f (arcs) | tau
-    n_dl = n * n
-    n_g = len(pairs)
-    n_f = len(arcs_list)
-    n_tau = n_g if policy == UNICAST else len(arcs_list)
-    off_dl = 1
-    off_g = off_dl + n_dl
-    off_f = off_g + n_g
-    off_tau = off_f + n_f
-    n_var = off_tau + n_tau
-
-    rows, rhs = [], []
-
-    def row() -> np.ndarray:
-        r = np.zeros(n_var)
-        rows.append(r)
-        rhs.append(0.0)
-        return r
-
-    for j in range(n):  # stream conservation: x <= sum_i x_dl[i, j]
-        r = row()
-        r[0] = 1.0
-        for i in range(n):
-            r[off_dl + i * n + j] = -1.0
-    for (i, j) in pairs:  # helping downloads must be forwarded: x_dl <= g
-        r = row()
-        r[off_dl + i * n + j] = 1.0
-        r[off_g + pair_idx[(i, j)]] = -1.0
-    if policy == UNICAST:
-        goodput = topo.local_capacity * (1.0 - topo.local_loss)
-        for (i, j) in pairs:  # g <= goodput * tau on the one link
-            r = row()
-            r[off_g + pair_idx[(i, j)]] = 1.0
-            r[off_tau + pair_idx[(i, j)]] = -goodput[i, j]
-    else:
-        for (i, j) in pairs:  # g <= sum of flows on arcs from i covering j
-            r = row()
-            r[off_g + pair_idx[(i, j)]] = 1.0
-            for a, (s, members) in enumerate(arcs_list):
-                if s == i and j in members:
-                    r[off_f + a] = -1.0
-        for a in range(len(arcs_list)):  # f <= kappa * tau per arc
-            r = row()
-            r[off_f + a] = 1.0
-            r[off_tau + a] = -kappa[a]
-    if n_tau:  # airtime budget
-        r = row()
-        r[off_tau:] = 1.0
-        rhs[-1] = topo.gamma
-
-    caps = topo.downlink_caps
-    for i in range(n):  # downlink caps: x_dl[i, j] <= C_i (1 - p_i)
-        for j in range(n):
-            r = row()
-            r[off_dl + i * n + j] = 1.0
-            rhs[-1] = float(caps[i])
-
-    c = np.zeros(n_var)
+        kappa = table.kappa
+    helping = ~np.eye(n, dtype=bool).ravel()
+    # serve[p, a]: action a's flow toward helping pair p
+    serve = table.members[1:].reshape(len(kappa), n * n)[:, helping].T * kappa
+    n_pairs, n_tau = serve.shape
+    dl, tau, pair = slice(1, 1 + n * n), slice(1 + n * n, None), np.eye(n * n)
+    A = np.zeros((n + n_pairs + 1 + n * n, 1 + n * n + n_tau))
+    # stream conservation: x <= sum_i x_dl[i, j]
+    A[:n, 0] = 1.0
+    A[:n, dl] = -np.tile(np.eye(n), n)
+    # helping downloads must be forwarded: x_dl[i, j] <= sum kappa_a tau_a
+    A[n:n + n_pairs, dl] = pair[helping]
+    A[n:n + n_pairs, tau] = -serve
+    # airtime budget, then the downlink caps x_dl[i, j] <= C_i (1 - p_i)
+    A[n + n_pairs, tau] = 1.0
+    A[n + n_pairs + 1:, dl] = pair
+    b = np.concatenate((np.zeros(n + n_pairs), [topo.gamma],
+                        np.repeat(topo.downlink_caps, n)))
+    c = np.zeros(A.shape[1])
     c[0] = 1.0
-    return float(_max_lp(c, np.array(rows), np.array(rhs))[0])
+    return float(_max_lp(c, A, b)[0])

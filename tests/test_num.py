@@ -576,6 +576,15 @@ def test_oracle_frozen_cases():
         1.0 + 2.0 * 0.49 / 3.0
     )
     assert centralized_oracle(topo, NO_COOP) == pytest.approx(1.0)
+    # the same closed forms past n = 5, up to the largest fig4 group
+    for n in (6, 7, 8):
+        topo = Topology.uniform(n, cell_capacity=1.0, local_capacity=2.0)
+        assert centralized_oracle(topo, PSEUDO_BROADCAST) == pytest.approx(1.0 + (n - 1) * 2.0 / n)
+        topo = Topology.uniform(n, cell_capacity=1.0, local_capacity=1.0)
+        assert centralized_oracle(topo, UNICAST) == pytest.approx(1.0 + 1.0 / n)
+        # a fat lossless pipe shares every download: x = n
+        topo = Topology.uniform(n, cell_capacity=1.0, local_capacity=10.0)
+        assert centralized_oracle(topo, PSEUDO_BROADCAST_NO_NC) == pytest.approx(n)
 
 
 def test_oracle_degenerate_cases():
@@ -597,6 +606,62 @@ def test_oracle_degenerate_cases():
     assert centralized_oracle(topo, UNICAST) == pytest.approx(1.0 + 0.5 / 3.0)
 
 
+def reference_lp(topo, policy):
+    """The allocation LP in its full form, as (c, A, b) for max c.v, A v <= b.
+
+    Variables: x | x_dl (n*n) | g per helping pair | f per hyperarc | tau
+    per hyperarc, or per helping pair under unicast. Each service rate
+    comes from the topology here, not from `LocalActions`.
+    """
+    n = topo.n
+    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+    good = topo.local_capacity * (1.0 - topo.local_loss)
+    arcs = [] if policy == UNICAST else enumerate_hyperarcs(n)
+    if policy == PSEUDO_BROADCAST:
+        kappa = [min(good[i, j] for j in js) for i, js in arcs]
+    else:
+        kappa = [min(topo.local_capacity[i, j] for j in js)
+                 * math.prod(1.0 - topo.local_loss[i, j] for j in js) for i, js in arcs]
+    n_tau = len(pairs) if policy == UNICAST else len(arcs)
+    off_g = 1 + n * n
+    off_f = off_g + len(pairs)
+    off_tau = off_f + len(arcs)
+    rows, b = [], []
+
+    def row(rhs=0.0):
+        rows.append(np.zeros(off_tau + n_tau))
+        b.append(rhs)
+        return rows[-1]
+
+    for j in range(n):  # stream conservation: x <= sum_i x_dl[i, j]
+        r = row()
+        r[0] = 1.0
+        r[1 + j:off_g:n] = -1.0
+    for p, (i, j) in enumerate(pairs):  # helping downloads are forwarded: x_dl <= g
+        r = row()
+        r[1 + i * n + j], r[off_g + p] = 1.0, -1.0
+    for p, (i, j) in enumerate(pairs):
+        r = row()
+        r[off_g + p] = 1.0
+        if policy == UNICAST:  # g <= goodput * tau on the one link
+            r[off_tau + p] = -good[i, j]
+        else:  # g <= sum of the flows on the arcs from i that cover j
+            for a, (s, js) in enumerate(arcs):
+                if s == i and j in js:
+                    r[off_f + a] = -1.0
+    for a in range(len(arcs)):  # f <= kappa * tau per arc
+        r = row()
+        r[off_f + a], r[off_tau + a] = 1.0, -kappa[a]
+    if n_tau:  # airtime budget
+        row(topo.gamma)[off_tau:] = 1.0
+    for i in range(n):  # downlink caps: x_dl[i, j] <= C_i (1 - p_i)
+        for j in range(n):
+            row(float(topo.downlink_caps[i]))[1 + i * n + j] = 1.0
+    c = np.zeros(off_tau + n_tau)
+    c[0] = 1.0
+    return c, np.array(rows), np.array(b)
+
+
 def test_oracle_simplex_matches_highs(monkeypatch):
     optimize = pytest.importorskip("scipy.optimize")
     lps = []
@@ -607,10 +672,16 @@ def test_oracle_simplex_matches_highs(monkeypatch):
         lps.append((c, A, b, v))
         return v
 
+    def highs(c, A, b):
+        ref = optimize.linprog(-c, A_ub=A, b_ub=b, method="highs")
+        assert ref.status == 0, ref.message
+        return -ref.fun
+
     monkeypatch.setattr(num, "_max_lp", recording)
     rng = np.random.default_rng(41)
-    for _ in range(300):
-        n = int(rng.integers(1, 6))
+    larger = (6, 6, 7, 7, 8)
+    for k in range(300 + len(larger)):  # 300 groups of 1 to 5 devices, then a few more
+        n = int(rng.integers(1, 6)) if k < 300 else larger[k - 300]
         topo = Topology(
             cell_capacity=rng.uniform(0.3, 2.0, n),
             cell_loss=rng.uniform(0.0, 0.5, n),
@@ -619,13 +690,14 @@ def test_oracle_simplex_matches_highs(monkeypatch):
             gamma=float(rng.choice([0.5, 0.8])),
         )
         for policy in (PSEUDO_BROADCAST, PSEUDO_BROADCAST_NO_NC, UNICAST):
-            centralized_oracle(topo, policy)
-    assert len(lps) == 900
+            # the lean LP is the full one with f = kappa tau substituted and g dropped
+            got, want = centralized_oracle(topo, policy), highs(*reference_lp(topo, policy))
+            assert abs(got - want) <= 1e-9 * want, (n, policy)
+    assert len(lps) == 3 * (300 + len(larger))
     for c, A, b, v in lps:
-        ref = optimize.linprog(-c, A_ub=A, b_ub=b, method="highs")
-        assert ref.status == 0, ref.message
         assert (v >= 0.0).all() and (A @ v <= b + 1e-9).all()
-        assert abs(c @ v + ref.fun) <= 1e-9 * -ref.fun
+        want = highs(c, A, b)
+        assert abs(c @ v - want) <= 1e-9 * want
 
 
 def test_oracle_pivot_cap(monkeypatch):
@@ -636,7 +708,7 @@ def test_oracle_pivot_cap(monkeypatch):
 
 
 def test_oracle_guard():
-    topo = Topology.uniform(6, cell_capacity=1.0)
+    topo = Topology.uniform(9, cell_capacity=1.0)
     with pytest.raises(ValueError, match="oracle"):
         centralized_oracle(topo, PSEUDO_BROADCAST)
 
