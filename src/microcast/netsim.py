@@ -25,6 +25,12 @@ the air.  A device that does not overhear still draws its reception of
 every message, but its handler sees only those addressed to it.
 Background load shrinks the usable medium capacity instead of
 competing packet by packet.
+
+A run draws from two streams, both seeded from config.seed: the
+channel's generator (`Simulator.rng`: losses, cellular failures and
+push targets) and the coefficient stream (`Simulator.coefficients`, an
+`rlnc.CoefficientStream` on a spawned child of the seed), which alone
+supplies the coefficient vectors of every recode.
 """
 
 from __future__ import annotations
@@ -36,6 +42,8 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
+
+from .rlnc import CoefficientStream
 
 CONTROL_BYTES = 64
 
@@ -416,12 +424,16 @@ def _no_log(event, device, kind=None, segment=None, nbytes=0, peer=None,
 
 
 class Simulator:
-    """Single-threaded event loop; all randomness flows from config.seed."""
+    """Single-threaded event loop; all randomness flows from config.seed,
+    through two streams: `rng` for the channel (losses, cellular
+    failures, push targets) and `coefficients` for recodes."""
 
     def __init__(self, config: SimConfig):
         self.config = config
         self.now = 0.0
         self.rng = np.random.default_rng(config.seed)
+        self.coefficients = CoefficientStream(np.random.default_rng(
+            np.random.SeedSequence(config.seed).spawn(1)[0]))
         self._heap: list = []
         self._seq = 0
         self.meter = TrafficMeter()
@@ -468,8 +480,8 @@ class Simulator:
         and the stall reporter, and unlinks the medium and the modems
         from the simulator, so that reference counting frees the run as
         soon as its last holder lets go.  `events`, `meter`, `config`,
-        `now`, `rng` and `medium.delivered` stay readable; a closed
-        simulator runs no more events.
+        `now`, `rng`, `coefficients` and `medium.delivered` stay
+        readable; a closed simulator runs no more events.
         """
         self._heap.clear()
         self.handlers = [None] * self.config.n

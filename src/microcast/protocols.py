@@ -430,7 +430,7 @@ class BaseNode:
         """`count` fresh recodes of a held state, addressed to dst."""
         out = []
         for _ in range(count):
-            pkt = recode(state, self.sim.rng)
+            pkt = recode(state, self.sim.coefficients)
             out.append(Message(CODED_DATA, self.device, dst, state.segment_id,
                                self.coded_bytes, payload=pkt))
         return out

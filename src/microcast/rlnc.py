@@ -133,6 +133,56 @@ def draw_coefficients(m: int, rng: np.random.Generator) -> np.ndarray:
             return c
 
 
+# bytes per refill of a CoefficientStream; a multiple of 4, because PCG64
+# hands out uint8 draws four per 32-bit word and drops a call's leftover
+# bytes, so blocks of whole words cut the generator's byte stream nowhere
+BLOCK = 4096
+
+
+class CoefficientStream:
+    """A Generator's uniform byte stream, handed out one vector at a time.
+
+    It stands in for the Generator in `draw_coefficients` and `recode`:
+    `integers(0, 256, k, dtype=np.uint8)` returns the next k bytes of a
+    read-only block. A refill is one `rng.integers` call for BLOCK bytes
+    (or as many whole blocks as a long vector needs), and the short tail
+    of the old block is carried into the new one. So the vectors are the
+    generator's uint8 stream cut into consecutive slices, whatever BLOCK
+    is, at one `integers` call per block instead of one per vector. Any
+    other arguments raise ValueError.
+    """
+
+    __slots__ = ("rng", "_block", "_pos")
+
+    def __init__(self, rng: np.random.Generator):
+        self.rng = rng
+        self._block = np.empty(0, dtype=np.uint8)
+        self._pos = 0
+
+    def integers(self, low, high, size, dtype) -> np.ndarray:
+        if (low != 0 or high != 256 or dtype is not np.uint8
+                or not isinstance(size, (int, np.integer)) or size < 0):
+            raise ValueError(
+                "a coefficient stream draws only integers(0, 256, k, dtype=np.uint8), "
+                f"not ({low!r}, {high!r}, {size!r}, {dtype!r})")
+        pos, block = self._pos, self._block
+        end = pos + size
+        if end > len(block):
+            short = end - len(block)
+            fresh = self.rng.integers(0, 256, -(-short // BLOCK) * BLOCK, dtype=np.uint8)
+            block = self._block = np.concatenate((block[pos:], fresh))
+            block.flags.writeable = False
+            pos, end = 0, size
+        self._pos = end
+        return block[pos:end]
+
+    @property
+    def state(self) -> tuple:
+        """The generator's state and the bytes still buffered: two streams
+        with equal states hand out the same vectors from here on."""
+        return self.rng.bit_generator.state, self._block[self._pos:].tobytes()
+
+
 def encode(generation: Generation, rng: np.random.Generator,
            params: GenerationParams) -> CodedPacket:
     """Draw a uniform nonzero coefficient vector and mix the generation."""

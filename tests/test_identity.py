@@ -5,6 +5,8 @@ import importlib.util
 import math
 import os
 
+import numpy as np
+
 from microcast import num, protocols, rlnc
 
 TOOL = os.path.join(os.path.dirname(__file__), os.pardir, "tools", "identity.py")
@@ -32,12 +34,12 @@ def test_a_changed_recode_draw_changes_the_digest(monkeypatch):
     real = protocols.recode
     calls = []
 
-    def recode_one_draw_later(state, rng):
+    def recode_one_vector_later(state, coefficients):
         calls.append(state)
-        rng.random()
-        return real(state, rng)
+        coefficients.integers(0, 256, state.rank, dtype=np.uint8)
+        return real(state, coefficients)
 
-    monkeypatch.setattr(protocols, "recode", recode_one_draw_later)
+    monkeypatch.setattr(protocols, "recode", recode_one_vector_later)
     assert tool.battery_digest(seed=3, runs=RUNS) != before
     assert calls   # the battery recodes, so the plant was reached
 

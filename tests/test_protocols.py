@@ -577,7 +577,50 @@ def test_logging_only_observes(protocol):
         [[node.rank(s) for s in range(6)] for node in logged.nodes]
     assert quiet.sim.now == logged.sim.now
     assert quiet.sim.medium.delivered == logged.sim.medium.delivered
+    assert quiet.sim.coefficients.state == logged.sim.coefficients.state
     assert quiet.sim.rng.random() == logged.sim.rng.random()
+
+
+def test_the_channel_stream_is_the_seeds_own_generator():
+    for seed in (0, 3, 2**32 - 1):
+        sim = Simulator(SimConfig(devices=[DeviceSpec(), DeviceSpec()], seed=seed))
+        assert sim.rng.bit_generator.state == \
+            np.random.default_rng(seed).bit_generator.state
+        assert sim.coefficients.rng.bit_generator.state != sim.rng.bit_generator.state
+
+
+@pytest.mark.parametrize("protocol", [PROTO_R2, PROTO_MICROCAST])
+def test_recodes_draw_only_from_the_coefficient_stream(monkeypatch, protocol):
+    # the channel generator keeps losses, cellular failures and push
+    # targets; no coefficient vector (a uint8 draw) comes from it
+    class ChannelSpy:
+        def __init__(self, rng):
+            self.rng, self.uint8_draws, self.draws = rng, 0, 0
+
+        def integers(self, *args, **kw):
+            self.draws += 1
+            self.uint8_draws += kw.get("dtype") is np.uint8 or np.uint8 in args
+            return self.rng.integers(*args, **kw)
+
+        def __getattr__(self, name):
+            return getattr(self.rng, name)
+
+    spies = []
+
+    class Spied(Simulator):
+        def __init__(self, config):
+            super().__init__(config)
+            self.rng = ChannelSpy(self.rng)
+            spies.append((self, self.coefficients.state))
+
+    monkeypatch.setattr(protocols, "Simulator", Spied)
+    res = run_proto(protocol, rates=(2000.0, 1500.0, None), segments=3, loss=0.2)
+    assert res.metrics.complete
+    (sim, fresh), = spies
+    assert sim.rng.uint8_draws == 0
+    assert sim.coefficients.state != fresh   # the run recoded
+    if protocol == PROTO_MICROCAST:
+        assert sim.rng.draws   # push targets
 
 
 # ---------------------------------------------------------------- freeing
@@ -673,15 +716,16 @@ def test_a_closed_run_reads_the_same(monkeypatch):
         sim.events.append(LogRecord(sim.now, "tx", 2, CODED_DATA, 0, 100, 3,
                                     sim.medium.delivered + 5, 1))
         seen.append((trace_problems(sim), sim.now, sim.medium.delivered,
-                     sim.rng.bit_generator.state))
+                     sim.rng.bit_generator.state, sim.coefficients.state))
         close(sim)
 
     monkeypatch.setattr(Simulator, "close", checked_close)
     res = run_proto(PROTO_R2, rates=(2000.0, None, None, None), segments=3,
                     loss=0.2, mode=MODE_STAR, ap=1, seed=4)
-    (problems, addressee), now, delivered, state = seen[0]
+    (problems, addressee), now, delivered, state, coefficients = seen[0]
     assert len(problems) == 4 and len(addressee) == delivered + 1
     assert trace_problems(res.sim) == (problems, addressee)
     assert (res.sim.now, res.sim.medium.delivered) == (now, delivered)
     assert res.sim.rng.bit_generator.state == state
+    assert res.sim.coefficients.state == coefficients
     assert res.sim.medium.sim is None and not res.sim._heap

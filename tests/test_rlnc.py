@@ -139,6 +139,88 @@ def test_all_zero_coefficient_draw_is_redrawn():
     assert coeffs.any()
 
 
+STREAM_SIZES = [1, 2, 25, 64, 25, 2, 64, 1] * 40   # 7,360 bytes, past one 4 KiB block
+
+
+class _PlantedRng:
+    """A real generator whose uint8 byte stream reads zero over [lo, hi)."""
+
+    def __init__(self, seed, lo, hi):
+        self.inner = np.random.default_rng(seed)
+        self.at, self.lo, self.hi = 0, lo, hi
+        self.calls = 0
+
+    def integers(self, low, high, size, dtype):
+        self.calls += 1
+        out = self.inner.integers(low, high, size, dtype=dtype)
+        start = self.at
+        self.at += size
+        out[max(self.lo - start, 0):max(self.hi - start, 0)] = 0
+        return out
+
+
+@pytest.mark.parametrize("block", [4, 8, 4096])
+def test_coefficient_stream_cuts_the_byte_stream_into_consecutive_slices(monkeypatch, block):
+    monkeypatch.setattr(rlnc, "BLOCK", block)
+    expected = np.random.default_rng(21).integers(0, 256, sum(STREAM_SIZES),
+                                                  dtype=np.uint8)
+    spy = _PlantedRng(21, 0, 0)
+    stream = rlnc.CoefficientStream(spy)
+    at = 0
+    for k in STREAM_SIZES:
+        c = stream.integers(0, 256, k, dtype=np.uint8)
+        assert c.dtype == np.uint8 and c.tobytes() == expected[at:at + k].tobytes()
+        at += k
+    # one generator call per block; a vector longer than a block takes
+    # enough whole blocks at once
+    assert spy.calls <= -(-at // block) + 1
+    if block == 4096:
+        assert spy.calls == 2
+    # a planted all-zero slice is skipped by draw_coefficients, and the
+    # vector after it is the next slice of the stream
+    zeros = (3, 28)   # after the vectors of sizes 1 and 2, one of size 25
+    planted = rlnc.CoefficientStream(_PlantedRng(21, *zeros))
+    for k in (1, 2):
+        planted.integers(0, 256, k, dtype=np.uint8)
+    c = rlnc.draw_coefficients(25, planted)
+    assert c.tobytes() == expected[28:53].tobytes()
+    assert rlnc.draw_coefficients(64, planted).tobytes() == expected[53:117].tobytes()
+
+
+def test_coefficient_stream_vectors_are_read_only():
+    stream = rlnc.CoefficientStream(np.random.default_rng(22))
+    for k in (1, 25, 5000):
+        c = stream.integers(0, 256, k, dtype=np.uint8)
+        assert not c.flags.writeable
+        with pytest.raises(ValueError):
+            c[0] = 1
+
+
+@pytest.mark.parametrize("args", [
+    (1, 256, 5, np.uint8), (0, 255, 5, np.uint8), (0, 256, 5, np.int64),
+    (0, 256, 5, "uint8"), (0, 256, (5,), np.uint8), (0, 256, -1, np.uint8),
+    (0, 256, None, np.uint8), (0, 256, 2.0, np.uint8),
+])
+def test_coefficient_stream_refuses_other_draws(args):
+    stream = rlnc.CoefficientStream(np.random.default_rng(23))
+    assert len(stream.integers(0, 256, np.int64(5), dtype=np.uint8)) == 5
+    low, high, size, dtype = args
+    with pytest.raises(ValueError, match="coefficient stream"):
+        stream.integers(low, high, size, dtype=dtype)
+
+
+def test_coefficient_stream_state_tells_what_comes_next():
+    a = rlnc.CoefficientStream(np.random.default_rng(24))
+    b = rlnc.CoefficientStream(np.random.default_rng(24))
+    assert a.state == b.state
+    a.integers(0, 256, 25, dtype=np.uint8)
+    assert a.state != b.state
+    b.integers(0, 256, 25, dtype=np.uint8)
+    assert a.state == b.state
+    b.integers(0, 256, 1, dtype=np.uint8)   # same generator state, fewer bytes left
+    assert a.state[0] == b.state[0] and a.state != b.state
+
+
 def test_recode_from_partial_and_empty():
     rng = np.random.default_rng(5)
     params = GenerationParams(m=4, n=6)

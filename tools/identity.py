@@ -12,9 +12,12 @@ The seed draws each of the `--runs` protocol runs' `run_protocol` config:
 - logging on or off.
 
 A run's digest covers its event log, metrics, final `sim.now`,
-`medium.delivered`, the rng state, the scheduler's `downloaded_by` and
-`failures`, and every node's per-segment ranks.  A stalled run
-contributes its message and its log instead.
+`medium.delivered`, the state of both of its streams (the channel's
+`sim.rng`, and `sim.coefficients`: its generator and the bytes still
+buffered), the scheduler's `downloaded_by` and `failures`, and every
+node's per-segment ranks.  A stalled run contributes its message and its
+log instead. Versions of this tool without the coefficient stream's
+state print other digests.
 
 It then draws one `num.simulate` call for each group size n = 1..8 and
 each policy, with 1, 4 or 10 seeds (10 is every fig4/fig5 recipe's batch)
@@ -101,8 +104,8 @@ def run_digest(sim_config: SimConfig, proto: ProtocolConfig) -> bytes:
         ranks = [[node.rank(s) for s in range(proto.n_segments)]
                  for node in res.nodes]
         text = repr((sim.events, res.metrics, sim.now, sim.medium.delivered,
-                     sim.rng.bit_generator.state, scheduler.downloaded_by,
-                     scheduler.failures, ranks))
+                     sim.rng.bit_generator.state, sim.coefficients.state,
+                     scheduler.downloaded_by, scheduler.failures, ranks))
     return hashlib.sha256(text.encode()).digest()
 
 
