@@ -30,7 +30,13 @@ A run draws from two streams, both seeded from config.seed: the
 channel's generator (`Simulator.rng`: losses, cellular failures and
 push targets) and the coefficient stream (`Simulator.coefficients`, an
 `rlnc.CoefficientStream` on a spawned child of the seed), which alone
-supplies the coefficient vectors of every recode.
+supplies the coefficient vectors of every recode.  A run draws the
+channel's values through `Simulator.channel`, a `ChannelStream` that
+serves the generator's doubles from a buffered block: every draw is
+the value, in the order, that a scalar call on `Simulator.rng` would
+give.  The generator itself runs ahead by up to a block until the
+stream syncs, which every `integers` call, every return or raise of
+`Simulator.run` and `Simulator.close` do.
 """
 
 from __future__ import annotations
@@ -39,6 +45,8 @@ import heapq
 import math
 from collections import deque
 from dataclasses import dataclass
+from itertools import chain
+from operator import length_hint
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -66,6 +74,63 @@ MODE_CLIQUE = "clique"
 MODE_PSEUDO_ADHOC = "pseudo_adhoc"
 MODE_STAR = "star"
 MODES = (MODE_CLIQUE, MODE_PSEUDO_ADHOC, MODE_STAR)
+
+
+# doubles per refill of a ChannelStream; small, because every `integers`
+# call and the end of every run drop what is left of the block
+BLOCK = 256
+
+
+class ChannelStream:
+    """A Generator's doubles, handed out one at a time from a buffered block.
+
+    `random()` returns the next double of a list that one
+    `rng.random(BLOCK)` call filled.  `Generator.random(k)` returns the
+    same k values, and leaves the same state, as k scalar calls, so in
+    program order every draw is the value that `rng.random()` would
+    give.  Only `rng` runs ahead, by the unread rest of the block.
+
+    `sync()` puts `rng` back where unbuffered draws would have left it:
+    it restores the state saved before the refill, which keeps PCG64's
+    buffered 32-bit half (`advance` would reset it), replays the doubles
+    read since with one `rng.random(k)` call, and drops the block.
+    `integers(...)` syncs, then makes the real `rng.integers` call.
+    Nothing is drawn until the first `random()`.
+    """
+
+    __slots__ = ("rng", "random", "_held")
+
+    def __init__(self, rng: np.random.Generator):
+        self.rng = rng
+        # [rng's state before the block's refill, the block's unread doubles]
+        self._held = held = [None, iter(())]
+        # the next double, refilling as needed: a C call, no Python frame
+        self.random = chain.from_iterable(_refills(rng, held)).__next__
+
+    def sync(self) -> None:
+        held = self._held
+        saved, block = held
+        if saved is None:
+            return
+        read = BLOCK - length_hint(block)
+        self.rng.bit_generator.state = saved
+        self.rng.random(read)
+        held[0] = None
+        # empty the block in place: `random` moves on to a fresh refill
+        deque(block, maxlen=0)
+
+    def integers(self, *args, **kwargs):
+        self.sync()
+        return self.rng.integers(*args, **kwargs)
+
+
+def _refills(rng: np.random.Generator, held: list):
+    """ChannelStream's blocks, each filled when the last one runs out; it
+    holds no reference to the stream, so a run frees without the collector."""
+    while True:
+        held[0] = rng.bit_generator.state
+        held[1] = block = iter(rng.random(BLOCK).tolist())
+        yield block
 
 
 class SimStalled(RuntimeError):
@@ -304,7 +369,7 @@ class CellularModem:
         segment, nbytes, on_done = self.queue.popleft()
         t0 = self.sim.now
         duration = self.spec.cellular.seconds_to_send(t0, nbytes * 8)
-        failed = self.sim.rng.random() < self.spec.cell_fail_prob
+        failed = self.sim.channel.random() < self.spec.cell_fail_prob
         timeout = self.spec.cell_timeout
         if failed:
             finish = duration if timeout is None else min(duration, timeout)
@@ -401,7 +466,7 @@ class LocalMedium:
         handlers, overhears = sim.handlers, sim.overhears
         # one draw per receiver, in order: a handler may draw from the
         # same generator mid-loop (an assignment starts a cellular download)
-        draw = sim.rng.random
+        draw = sim.channel.random
         for d, loss in self._receivers[src]:
             if draw() < loss:
                 continue
@@ -426,12 +491,19 @@ def _no_log(event, device, kind=None, segment=None, nbytes=0, peer=None,
 class Simulator:
     """Single-threaded event loop; all randomness flows from config.seed,
     through two streams: `rng` for the channel (losses, cellular
-    failures, push targets) and `coefficients` for recodes."""
+    failures, push targets) and `coefficients` for recodes.
+
+    A run draws from `rng` only through `channel`, the `ChannelStream`
+    over it, and no draw at all happens at construction.  `run()` and
+    `close()` sync the channel however they end, so once a run returns
+    or raises `rng` is exactly where scalar draws would have left it.
+    """
 
     def __init__(self, config: SimConfig):
         self.config = config
         self.now = 0.0
         self.rng = np.random.default_rng(config.seed)
+        self.channel = ChannelStream(self.rng)
         self.coefficients = CoefficientStream(np.random.default_rng(
             np.random.SeedSequence(config.seed).spawn(1)[0]))
         self._heap: list = []
@@ -480,9 +552,10 @@ class Simulator:
         and the stall reporter, and unlinks the medium and the modems
         from the simulator, so that reference counting frees the run as
         soon as its last holder lets go.  `events`, `meter`, `config`,
-        `now`, `rng`, `coefficients` and `medium.delivered` stay
+        `now`, `rng` (synced), `coefficients` and `medium.delivered` stay
         readable; a closed simulator runs no more events.
         """
+        self.channel.sync()
         self._heap.clear()
         self.handlers = [None] * self.config.n
         self.stall_reporter = None
@@ -502,23 +575,27 @@ class Simulator:
         "capped" (the next event lies past max_time_s) or "drained".
 
         Raises SimStalled when nothing is in flight and no delivery or
-        download has completed for a whole idle window.
+        download has completed for a whole idle window.  The channel is
+        synced however the run ends.
         """
         cfg = self.config
         heap, pop = self._heap, heapq.heappop
         max_time, idle_window = cfg.max_time_s, cfg.idle_window_s
         self.stopped = False
-        while heap:
-            t, _, fn, args = pop(heap)
-            if t > max_time:
-                return "capped"
-            self.now = t
-            if t - self._last_progress > idle_window and not self._anything_in_flight():
-                raise self.stalled(f"no progress for {idle_window:.0f}s at t={t:.1f}s")
-            fn(*args)
-            if self.stopped:
-                return "done"
-        return "drained"
+        try:
+            while heap:
+                t, _, fn, args = pop(heap)
+                if t > max_time:
+                    return "capped"
+                self.now = t
+                if t - self._last_progress > idle_window and not self._anything_in_flight():
+                    raise self.stalled(f"no progress for {idle_window:.0f}s at t={t:.1f}s")
+                fn(*args)
+                if self.stopped:
+                    return "done"
+            return "drained"
+        finally:
+            self.channel.sync()
 
 
 def trace_problems(sim: Simulator) -> tuple[list, dict]:

@@ -464,7 +464,7 @@ class MicroNCP2Node(BaseNode):
         self._own_segment(segment)
         self._note_heard(segment)
         if self.neighbors:
-            target = self.neighbors[int(self.sim.rng.integers(len(self.neighbors)))]
+            target = self.neighbors[int(self.sim.channel.integers(len(self.neighbors)))]
             self.sim.medium.submit(
                 lambda: self._recode_messages(segment, self.proto.m, target))
             self.sim.log("push", self.device, segment=segment, peer=target,

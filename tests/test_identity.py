@@ -6,6 +6,7 @@ import math
 import os
 
 import numpy as np
+import pytest
 
 from microcast import num, protocols, rlnc
 
@@ -107,3 +108,14 @@ def test_main_prints_the_digest(capsys):
     tool = load_tool()
     assert tool.main(["--seed", "3", "--runs", str(RUNS)]) == 0
     assert capsys.readouterr().out == tool.battery_digest(3, RUNS) + "\n"
+
+
+def test_main_prints_the_solver_and_codec_digest_alone(capsys):
+    tool = load_tool()
+    assert tool.main(["--seed", "3", "--runs", "0", "--codec", "2"]) == 0
+    assert capsys.readouterr().out == \
+        tool.battery_digest(3, runs=0, codec=2) + "\n"
+    with pytest.raises(SystemExit) as exit_:
+        tool.main(["--runs", "-1"])
+    assert exit_.value.code == 2
+    assert "--runs must not be negative" in capsys.readouterr().err

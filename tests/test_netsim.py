@@ -1,15 +1,19 @@
 """Simulator core: traces, medium arbitration, modems, determinism."""
 
+import random
+
 import numpy as np
 import pytest
 
 from microcast.netsim import (
     ADVERTISEMENT,
+    BLOCK,
     CODED_DATA,
     CONTROL_BYTES,
     MODE_CLIQUE,
     MODE_PSEUDO_ADHOC,
     MODE_STAR,
+    ChannelStream,
     DeviceSpec,
     Message,
     RateTrace,
@@ -33,6 +37,39 @@ def make_sim(n=3, **kw):
     kw.setdefault("devices", [DeviceSpec() for _ in range(n)])
     cfg = SimConfig(**kw)
     return Simulator(cfg)
+
+
+# ------------------------------------------------------------ channel stream
+
+
+def test_channel_stream_hands_out_the_generators_own_draws():
+    # random interleavings of doubles, bounded integers and syncs, across
+    # block refills; back-to-back small integers calls read PCG64's
+    # buffered 32-bit half, which a sync in between must keep
+    halves = 0
+    for seed in range(200):
+        script = random.Random(seed)
+        plain = np.random.default_rng(seed)
+        stream = ChannelStream(np.random.default_rng(seed))
+        draw = stream.random   # bound once, as a delivery binds it
+        assert stream.rng.bit_generator.state == plain.bit_generator.state
+        for _ in range(script.randint(0, 3 * BLOCK)):
+            op = script.random()
+            if op < 0.8:
+                assert draw() == plain.random()
+            elif op < 0.95:
+                high = script.choice((2, 3, 1000, 2**31, 2**40))
+                for _ in range(script.randint(1, 3)):
+                    assert stream.integers(high) == plain.integers(high)
+            else:
+                stream.sync()
+                assert stream.rng.bit_generator.state == plain.bit_generator.state
+                halves += plain.bit_generator.state["has_uint32"]
+        stream.sync()
+        stream.sync()
+        assert stream.rng.bit_generator.state == plain.bit_generator.state
+        assert draw() == plain.random()
+    assert halves   # some syncs kept a buffered half
 
 
 # -------------------------------------------------------------------- traces
@@ -98,6 +135,33 @@ def test_per_receiver_loss_draws():
         sim.medium.submit(lambda: control(src=0, dst=1))
     sim.run()
     assert len(got[1]) == 20 and len(got[2]) == 0
+
+
+def test_a_handlers_draw_falls_between_two_reception_draws():
+    # device 1's handler draws from the channel in the middle of each
+    # delivery, as an assignment that starts a cellular download does;
+    # device 2 and 3 then draw their receptions after it
+    sim = make_sim(4, loss=0.5, mode=MODE_CLIQUE, seed=11)
+    got = {d: [] for d in range(1, 4)}
+    drawn = []
+    sim.attach(1, lambda msg: (got[1].append(msg.segment),
+                               drawn.append(sim.channel.random()),
+                               drawn.append(int(sim.channel.integers(1000)))))
+    sim.attach(2, lambda msg: got[2].append(msg.segment))
+    sim.attach(3, lambda msg: got[3].append(msg.segment))
+    for k in range(400):
+        sim.medium.submit(lambda k=k: control(src=0, dst=1, segment=k))
+    sim.run()
+    ref = np.random.default_rng(11)
+    want, want_drawn = {d: [] for d in range(1, 4)}, []
+    for k in range(400):
+        for d in range(1, 4):
+            if ref.random() >= 0.5:
+                want[d].append(k)
+                if d == 1:
+                    want_drawn += [ref.random(), int(ref.integers(1000))]
+    assert got == want and drawn == want_drawn
+    assert sim.rng.bit_generator.state == ref.bit_generator.state
 
 
 def test_medium_fifo_and_exclusivity():
@@ -282,7 +346,7 @@ def test_stop_ends_the_run_after_the_running_event():
     sim.attach(1, lambda msg: sim.stop())
 
     def second_job():
-        built.append(sim.rng.random())   # a build may draw, as recode does
+        built.append(sim.channel.random())   # a build may draw, as a push does
         return control(src=0, dst=1)
 
     def kickoff():

@@ -7,7 +7,7 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from microcast import acceptance, protocols, scenarios
@@ -24,6 +24,7 @@ from microcast.netsim import (
     PIECE,
     PIECE_REQUEST,
     REQUEST,
+    ChannelStream,
     DeviceSpec,
     LogRecord,
     Message,
@@ -581,12 +582,32 @@ def test_logging_only_observes(protocol):
     assert quiet.sim.rng.random() == logged.sim.rng.random()
 
 
-def test_the_channel_stream_is_the_seeds_own_generator():
+def test_the_channel_stream_is_the_seeds_own_generator(monkeypatch):
     for seed in (0, 3, 2**32 - 1):
         sim = Simulator(SimConfig(devices=[DeviceSpec(), DeviceSpec()], seed=seed))
+        assert sim.channel.rng is sim.rng
+        # construction draws nothing
         assert sim.rng.bit_generator.state == \
             np.random.default_rng(seed).bit_generator.state
         assert sim.coefficients.rng.bit_generator.state != sim.rng.bit_generator.state
+
+    # a zero-rate link stalls the first event, scheduler.start, right after
+    # its download drew a failure: sim.rng still reads that one draw
+    built = []
+
+    class Kept(Simulator):
+        def __init__(self, config):
+            super().__init__(config)
+            built.append(self)
+
+    monkeypatch.setattr(protocols, "Simulator", Kept)
+    devices = [DeviceSpec(cellular=RateTrace((0.0,), (0.0,))), DeviceSpec()]
+    with pytest.raises(SimStalled, match="rate is zero forever"):
+        run_protocol(SimConfig(devices=devices, seed=9),
+                     ProtocolConfig(file_bytes=80, m=5, n=16))
+    ref = np.random.default_rng(9)
+    ref.random()
+    assert built[0].rng.bit_generator.state == ref.bit_generator.state
 
 
 @pytest.mark.parametrize("protocol", [PROTO_R2, PROTO_MICROCAST])
@@ -610,17 +631,113 @@ def test_recodes_draw_only_from_the_coefficient_stream(monkeypatch, protocol):
     class Spied(Simulator):
         def __init__(self, config):
             super().__init__(config)
-            self.rng = ChannelSpy(self.rng)
+            self.channel = ChannelStream(ChannelSpy(self.rng))
             spies.append((self, self.coefficients.state))
 
     monkeypatch.setattr(protocols, "Simulator", Spied)
     res = run_proto(protocol, rates=(2000.0, 1500.0, None), segments=3, loss=0.2)
     assert res.metrics.complete
     (sim, fresh), = spies
-    assert sim.rng.uint8_draws == 0
+    assert sim.channel.rng.uint8_draws == 0
     assert sim.coefficients.state != fresh   # the run recoded
     if protocol == PROTO_MICROCAST:
-        assert sim.rng.draws   # push targets
+        assert sim.channel.rng.draws   # push targets
+
+
+@pytest.mark.parametrize("mode", [MODE_CLIQUE, MODE_PSEUDO_ADHOC, MODE_STAR])
+@pytest.mark.parametrize("protocol", list(protocols._NODE_CLASSES))
+def test_no_run_draws_from_sim_rng_directly(monkeypatch, protocol, mode):
+    # every draw of a run goes through sim.channel, whose generator is
+    # the one sim.rng named at construction
+    class NoDraws:
+        def __getattr__(self, name):
+            raise AssertionError(f"a run read sim.rng.{name}")
+
+    class Guarded(Simulator):
+        def __init__(self, config):
+            super().__init__(config)
+            self.rng = NoDraws()
+
+    monkeypatch.setattr(protocols, "Simulator", Guarded)
+    devices = make_devices((2000.0, 1500.0, None, None))
+    devices[1].cell_fail_prob = 0.3
+    res = run_proto(protocol, devices=devices, segments=4, loss=0.2, mode=mode,
+                    assignment=ASSIGN_ADAPTIVE)
+    # without cooperation a failed download is never retried
+    assert res.metrics.complete or protocol == PROTO_NONE
+
+
+class PassThroughChannel:
+    """The unbuffered reference channel: every draw is a call on the generator."""
+
+    def __init__(self, rng):
+        self.rng = rng
+        self.random = rng.random
+
+    def integers(self, *args, **kwargs):
+        return self.rng.integers(*args, **kwargs)
+
+    def sync(self):
+        pass
+
+
+def run_outcome(sim_config, proto, channel=None):
+    """What one run leaves behind, with the channel swapped when given."""
+    built = []
+
+    class Swapped(Simulator):
+        def __init__(self, config):
+            super().__init__(config)
+            built.append(self)
+            if channel is not None:
+                self.channel = channel(self.rng)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(protocols, "Simulator", Swapped)
+        try:
+            res = run_protocol(sim_config, proto)
+        except SimStalled as stall:
+            ended = ("stalled", str(stall))
+        else:
+            ended = (repr(res.metrics), res.scheduler.failures,
+                     [[node.rank(s) for s in range(proto.n_segments)]
+                      for node in res.nodes])
+    sim, = built
+    return ended + (sim.events, sim.now, sim.medium.delivered,
+                    sim.rng.bit_generator.state, sim.coefficients.state)
+
+
+@settings(max_examples=100, deadline=None)
+@given(protocol=st.sampled_from(list(protocols._NODE_CLASSES)),
+       mode=st.sampled_from([MODE_CLIQUE, MODE_PSEUDO_ADHOC, MODE_STAR]),
+       n_devices=st.integers(2, 5), n_cell=st.integers(1, 5),
+       loss=st.floats(0.0, 0.4), fail=st.sampled_from([0.0, 0.3, 0.6]),
+       assignment=st.sampled_from([ASSIGN_ADAPTIVE, ASSIGN_STATIC]),
+       segments=st.integers(1, 5), m=st.integers(2, 6),
+       seed=st.integers(0, 2**32 - 1), log=st.booleans())
+# adaptive assignment to three cellular devices sends Notifications that
+# start downloads, each drawing a failure, in the middle of a delivery's
+# reception draws; these runs do so for every cooperative protocol
+@example(protocol=PROTO_MICROCAST, mode=MODE_CLIQUE, n_devices=4, n_cell=3,
+         loss=0.2, fail=0.3, assignment=ASSIGN_ADAPTIVE, segments=5, m=5,
+         seed=0, log=True)
+@example(protocol=PROTO_R2, mode=MODE_CLIQUE, n_devices=4, n_cell=3,
+         loss=0.2, fail=0.3, assignment=ASSIGN_ADAPTIVE, segments=5, m=5,
+         seed=1, log=False)
+@example(protocol=PROTO_BITTORRENT, mode=MODE_CLIQUE, n_devices=4, n_cell=3,
+         loss=0.2, fail=0.3, assignment=ASSIGN_ADAPTIVE, segments=5, m=5,
+         seed=2, log=True)
+def test_the_buffered_channel_runs_exactly_as_unbuffered_draws(
+        protocol, mode, n_devices, n_cell, loss, fail, assignment, segments, m,
+        seed, log):
+    devices = [DeviceSpec(cellular=RateTrace.constant(2e6), cell_fail_prob=fail)
+               if d < n_cell else DeviceSpec() for d in range(n_devices)]
+    sim_config = SimConfig(devices=devices, loss=loss, mode=mode, seed=seed,
+                           log_events=log, max_time_s=60.0)
+    proto = ProtocolConfig(protocol=protocol, file_bytes=segments * m * 8, m=m,
+                           n=8, assignment=assignment)
+    assert run_outcome(sim_config, proto) == \
+        run_outcome(sim_config, proto, PassThroughChannel)
 
 
 # ---------------------------------------------------------------- freeing
